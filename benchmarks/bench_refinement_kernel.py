@@ -110,11 +110,14 @@ def _best_of(fn, reps: int = REPS) -> float:
 def measure(dataset, index, batch_size: int) -> dict:
     queries = dataset.queries[:batch_size]
     candidates = filter_candidates(index, queries, K)
-    blocked = index._refine_batch(candidates, queries, K)
-    looped = index._refine_batch_looped(candidates, queries, K)
+    pipeline = index.pipeline
+    blocked = pipeline.refine_prefetched(candidates, queries, K).refined
+    looped = pipeline.refine_looped(candidates, queries, K)
 
-    loop_seconds = _best_of(lambda: index._refine_batch_looped(candidates, queries, K))
-    block_seconds = _best_of(lambda: index._refine_batch(candidates, queries, K))
+    loop_seconds = _best_of(lambda: pipeline.refine_looped(candidates, queries, K))
+    block_seconds = _best_of(
+        lambda: pipeline.refine_prefetched(candidates, queries, K)
+    )
 
     union = np.unique(np.concatenate(candidates)) if candidates else np.empty(0)
     return {
@@ -160,12 +163,13 @@ def measure_mid_density(dataset, index) -> dict:
     )
     index.datastore.charge_pages_for(candidates)
 
+    pipeline = index.pipeline
     results, timings = {}, {}
     for kernel in ("dense", "sparse"):
         index.config.refine_kernel = kernel
-        results[kernel] = index._refine_batch(candidates, queries, K)
+        results[kernel] = pipeline.refine_prefetched(candidates, queries, K).refined
         timings[kernel] = _best_of(
-            lambda: index._refine_batch(candidates, queries, K)
+            lambda: pipeline.refine_prefetched(candidates, queries, K)
         )
     index.config.refine_kernel = "auto"
     for (a_ids, a_divs), (b_ids, b_divs) in zip(
@@ -180,7 +184,7 @@ def measure_mid_density(dataset, index) -> dict:
         "dense_seconds": timings["dense"],
         "sparse_seconds": timings["sparse"],
         "dense_speedup_vs_gather": timings["sparse"] / timings["dense"],
-        "auto_kernel": index._choose_refine_kernel(
+        "auto_kernel": pipeline.stage("refine").choose_kernel(
             candidates, union.size, MID_DENSITY_BATCH
         ),
     }

@@ -5,7 +5,8 @@ rests on -- conventions that previously lived only in review notes:
 
 * ``scope-threading`` -- page charges inside ``pipeline/``, ``exec/``
   and ``serve/`` must thread an explicit ``scope=`` (PR 5's
-  :class:`~repro.storage.io_stats.QueryScope` contract).
+  :class:`~repro.storage.io_stats.QueryScope` contract), and nothing
+  may call the removed ambient ``start_query``/``end_query``.
 * ``lock-order`` -- lock nestings (one call-graph level deep) must
   form an acyclic acquisition graph; cycles are potential deadlocks.
 * ``async-blocking`` -- ``async def`` bodies in ``serve/`` must not

@@ -1,16 +1,15 @@
 """scope-threading: page charges must thread an explicit ``scope=``.
 
-PR 5 made every I/O charge attributable to a query by threading a
+Every I/O charge is attributable to a query by threading a
 :class:`~repro.storage.io_stats.QueryScope` through the call chain;
-the ambient ``start_query``/``end_query`` wrapper survives only for
-the single-threaded legacy baselines.  This checker enforces both
-halves:
+the tracker has no ambient scope to fall back on.  This checker
+enforces both halves:
 
 * inside ``pipeline/``, ``exec/`` and ``serve/``, any call to a
   charge-accruing method (``charge_pages_for``, ``charge_shard*``,
   ``fetch``, ``scan``, ``BufferPool.access``) must pass ``scope=``;
-* ambient ``start_query()``/``end_query()`` calls are allowed only
-  under ``baselines/``.
+* an ambient ``start_query()``/``end_query()`` call is flagged
+  anywhere.
 """
 
 from __future__ import annotations
@@ -41,10 +40,7 @@ SCOPE_REQUIRED = frozenset(
 #: directories whose code runs concurrent queries and must be explicit
 SCOPED_DIRS = ("pipeline", "exec", "serve")
 
-#: the only place the ambient wrapper is still tolerated
-AMBIENT_WHITELIST_DIRS = ("baselines",)
-
-#: legacy ambient wrapper entry points
+#: ambient-scope entry points the tracker does not provide
 AMBIENT = frozenset({"start_query", "end_query"})
 
 
@@ -52,13 +48,12 @@ class ScopeThreadingChecker(Checker):
     rule = "scope-threading"
     hint = (
         "thread the QueryScope explicitly: pass scope=<ctx.scope / active "
-        "scope>; ambient start_query/end_query is legacy-baseline only"
+        "scope>; there is no ambient start_query/end_query scope"
     )
 
     def collect(self, module: SourceModule) -> List[Finding]:
         findings: List[Finding] = []
         in_scoped_dir = module.in_dir(*SCOPED_DIRS)
-        ambient_ok = module.in_dir(*AMBIENT_WHITELIST_DIRS)
         for node in ast.walk(module.tree):
             if not isinstance(node, ast.Call):
                 continue
@@ -78,7 +73,7 @@ class ScopeThreadingChecker(Checker):
                             f"scope= in concurrent-query code",
                         )
                     )
-            if name in AMBIENT and not ambient_ok and not node.args:
+            if name in AMBIENT and not node.args:
                 # start_query()/end_query() take no arguments; anything
                 # with positional args is an unrelated method.
                 parts = dotted_parts(func.value)
@@ -87,8 +82,8 @@ class ScopeThreadingChecker(Checker):
                     self.finding(
                         module,
                         node,
-                        f"ambient {receiver}.{name}() outside the legacy "
-                        f"baseline whitelist",
+                        f"ambient {receiver}.{name}(): the tracker has no "
+                        f"ambient scope",
                         hint=(
                             "use `with tracker.scope() as scope:` and pass "
                             "scope= through the charge calls instead"

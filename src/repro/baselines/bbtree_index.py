@@ -75,11 +75,13 @@ class BBTreeIndex:
         if not 1 <= k <= n:
             raise InvalidParameterError(f"k must be in [1, {n}], got {k}")
 
-        self.tracker.start_query()
+        scope = self.tracker.scope()
         start = time.perf_counter()
-        ids, dists, knn_stats = self.tree.knn(query, k, fetcher=self.datastore.fetch)
+        ids, dists, knn_stats = self.tree.knn(
+            query, k, fetcher=lambda ids: self.datastore.fetch(ids, scope=scope)
+        )
         elapsed = time.perf_counter() - start
-        snapshot = self.tracker.end_query()
+        snapshot = self.tracker.finish_scope(scope)
         stats = QueryStats(
             pages_read=snapshot.pages_read,
             cpu_seconds=elapsed,

@@ -64,12 +64,12 @@ class LinearScanIndex:
         if not 1 <= k <= n:
             raise InvalidParameterError(f"k must be in [1, {n}], got {k}")
 
-        self.tracker.start_query()
+        scope = self.tracker.scope()
         start = time.perf_counter()
-        points = self.datastore.scan()
+        points = self.datastore.scan(scope=scope)
         ids, dists = brute_force_knn(self.divergence, points, query, k)
         elapsed = time.perf_counter() - start
-        snapshot = self.tracker.end_query()
+        snapshot = self.tracker.finish_scope(scope)
         stats = QueryStats(
             pages_read=snapshot.pages_read,
             cpu_seconds=elapsed,
@@ -97,9 +97,9 @@ class LinearScanIndex:
         if not 1 <= k <= n:
             raise InvalidParameterError(f"k must be in [1, {n}], got {k}")
 
-        self.tracker.start_query()
+        scope = self.tracker.scope()
         start = time.perf_counter()
-        points = self.datastore.scan()
+        points = self.datastore.scan(scope=scope)
         solo_pages = self.datastore.n_pages
         results = []
         for query in queries:
@@ -111,7 +111,7 @@ class LinearScanIndex:
             )
             results.append(SearchResult(ids=ids, divergences=dists, stats=stats))
         elapsed = time.perf_counter() - start
-        snapshot = self.tracker.end_query()
+        snapshot = self.tracker.finish_scope(scope)
         n_queries = queries.shape[0]
         if n_queries:
             for result in results:

@@ -111,7 +111,7 @@ class VarBBTreeIndex:
         if not 1 <= k <= n:
             raise InvalidParameterError(f"k must be in [1, {n}], got {k}")
 
-        self.tracker.start_query()
+        scope = self.tracker.scope()
         start = time.perf_counter()
         tolerance = 1.0 - self.target_probability
 
@@ -132,7 +132,7 @@ class VarBBTreeIndex:
                     break
             if node.is_leaf:
                 leaves_visited += 1
-                vectors = self.datastore.fetch(node.point_ids)
+                vectors = self.datastore.fetch(node.point_ids, scope=scope)
                 dists = self.divergence.batch_divergence(vectors, query)
                 points_evaluated += len(node.point_ids)
                 for dist, pid in zip(dists, node.point_ids):
@@ -151,7 +151,7 @@ class VarBBTreeIndex:
 
         ordered = sorted(((-neg, pid) for neg, pid in best))
         elapsed = time.perf_counter() - start
-        snapshot = self.tracker.end_query()
+        snapshot = self.tracker.finish_scope(scope)
         stats = QueryStats(
             pages_read=snapshot.pages_read,
             cpu_seconds=elapsed,

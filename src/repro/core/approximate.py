@@ -32,7 +32,6 @@ from ..exceptions import InvalidParameterError, NotFittedError
 from ..geometry.bounds import cross_term
 from .config import BrePartitionConfig
 from .index import BrePartitionIndex
-from .transforms import SearchBounds
 
 __all__ = ["BetaXYModel", "ApproximateBrePartitionIndex"]
 
@@ -143,36 +142,17 @@ class ApproximateBrePartitionIndex(BrePartitionIndex):
         self.beta_xy_model.fit(self.divergence, points, rng=self.rng)
         return self
 
-    def _adjust_radii(self, search_bounds: SearchBounds, triples) -> np.ndarray:
+    def _adjust_radii_batch(self, search_bounds, triples) -> np.ndarray:
         """Shrink the Cauchy term of every partition's radius by ``c``.
 
         The exact bound has the form ``kappa + mu`` where only ``mu``
         (the Cauchy relaxation of ``beta_xy``) is slack; Proposition 1
         therefore licenses ``kappa + c * mu``.  The coefficient is
         computed once per query in the original space (paper Section 8)
-        and applied to each partition's ``mu_i``.
-        """
-        anchor = search_bounds.anchor_id
-        gamma_row = self.transforms.gamma[anchor]
-        alpha_row = self.transforms.alpha[anchor]
-        deltas = np.array([triple.delta for triple in triples])
-        kappas = alpha_row + np.array(
-            [triple.alpha + triple.beta_yy for triple in triples]
-        )
-        mus = np.sqrt(np.maximum(gamma_row * deltas, 0.0))
-
-        mu_total = float(np.sqrt(max(np.sum(gamma_row) * np.sum(deltas), 0.0)))
-        kappa_total = float(np.sum(kappas))
-        c = self.beta_xy_model.coefficient(mu_total, kappa_total, self.probability)
-        self._last_coefficient = c
-        return kappas + c * mus
-
-    def _adjust_radii_batch(self, search_bounds, triples) -> np.ndarray:
-        """Vectorised :meth:`_adjust_radii` over a whole query batch.
-
-        The per-subspace ``kappa`` and ``mu`` terms are computed for all
-        queries with broadcasting; only Proposition 1's coefficient
-        (two CDF evaluations per query) remains a scalar loop.
+        and applied to each partition's ``mu_i``.  The ``kappa`` and
+        ``mu`` terms are computed for the whole ``(B, M)`` batch with
+        broadcasting; only Proposition 1's coefficient (two CDF
+        evaluations per query) remains a scalar loop.
         """
         anchors = search_bounds.anchor_ids
         gamma_rows = self.transforms.gamma[anchors]  # (B, M)
@@ -191,6 +171,6 @@ class ApproximateBrePartitionIndex(BrePartitionIndex):
             ]
         )
         self._last_coefficients = coefficients
-        if coefficients.size:  # mirror the scalar hook's introspection attr
+        if coefficients.size:  # the latest query's, for introspection
             self._last_coefficient = float(coefficients[-1])
         return kappas + coefficients[:, None] * mus

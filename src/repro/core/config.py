@@ -148,7 +148,9 @@ class BrePartitionConfig:
         fails only the queries whose candidate pages live on the dead
         shard (their slot in ``BatchSearchResult.results`` is ``None``
         and the error rides in ``BatchSearchResult.failures``) while
-        the rest of the batch still returns exact results.
+        the rest of the batch still returns exact results.  ``search``
+        is a batch of one, so under ``"partial"`` it raises only when
+        its own candidates live on the dead shard.
     wal_path:
         When set, :meth:`BrePartitionIndex.build` opens a write-ahead
         log at this path and every insert/delete appends a checksummed

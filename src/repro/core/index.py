@@ -8,15 +8,16 @@ Build pipeline (:meth:`BrePartitionIndex.build`, Algorithm 5):
    disk in the seed tree's leaf order;
 4. precompute the per-subspace point tuples ``P(x) = (alpha, gamma)``.
 
-Search pipeline (Algorithm 6): both :meth:`BrePartitionIndex.search`
-and :meth:`BrePartitionIndex.search_batch` are thin drivers over the
-staged pipeline in :mod:`repro.pipeline` -- Plan (bounds, radii, forest
-traversal), Fetch (page-union charging, shard fan-out), Refine
-(dense/sparse/auto expansion kernels) and Rerank (direct-kernel top-k)
-each transform one shared :class:`~repro.pipeline.QueryBatchContext`.
-The drivers only validate inputs, scope the I/O tracker, run the stage
-list, and fold the finished context into result records (per-stage wall
-time lands in ``stats.stage_seconds``).
+Search pipeline (Algorithm 6): one staged run in :mod:`repro.pipeline`
+-- Plan (bounds, radii, forest traversal), Fetch (page-union charging,
+shard fan-out), Refine (dense/sparse/auto expansion kernels) and Rerank
+(direct-kernel top-k) each transform one shared
+:class:`~repro.pipeline.QueryBatchContext`.  :meth:`BrePartitionIndex.search`
+is that run at ``B = 1`` and :meth:`BrePartitionIndex.search_batch` at
+any ``B``; both drivers validate inputs, snapshot the index, scope the
+I/O tracker and run the stages through one private helper, then fold
+the finished context into result records (per-stage wall time lands in
+``stats.stage_seconds``).
 """
 
 from __future__ import annotations
@@ -189,8 +190,8 @@ class BrePartitionIndex:
         # Conditioner for the expansion-form refinement kernels: maps
         # candidates and queries into the kernels' well-conditioned
         # regime via the divergence's exact invariance (centring for
-        # SED/Mahalanobis, scaling for ISD/KL).  Both the single and the
-        # blocked path condition identically, preserving bitwise parity.
+        # SED/Mahalanobis, scaling for ISD/KL).  Conditioning is
+        # elementwise, so every kernel and block size stays bitwise equal.
         conditioner = self.divergence.refinement_conditioner(points)
         with self._mutate_lock:
             self._publish(
@@ -721,18 +722,40 @@ class BrePartitionIndex:
     # search drivers (Algorithm 6 over the staged pipeline)
     # ------------------------------------------------------------------
 
-    def search(self, query: np.ndarray, k: int) -> SearchResult:
-        """Exact kNN of ``query`` (ids and divergences, ascending).
+    def _run_pipeline(self, queries, k: int, single: bool):
+        """Validate, snapshot, and run the pipeline in one pinned I/O scope.
 
-        Runs against one atomic :meth:`snapshot`, pinned to the query's
-        I/O scope: concurrent inserts/deletes/merges never tear the
-        arrays this search reads, and the result equals a search against
-        the exact update prefix the snapshot captured.
+        The shared body of both drivers.  ``single`` marks a
+        :meth:`search` call: ``queries`` must then be one ``(d,)`` row,
+        run as a batch of one; otherwise it is ``(B, d)`` (a 1-D row is
+        promoted to ``B = 1``).  Returns ``(ctx, io, seconds, snap)``: the
+        finished context, the scope's I/O snapshot, the wall-clock time
+        of the run and the index snapshot it read.
+
+        The scope is explicit (not tracker-global state), which makes
+        the drivers re-entrant: concurrent in-flight calls each dedup
+        and count against their own scope, so ``pages_read`` stays
+        exact.  Pinning the snapshot to it lets merges wait for the
+        call to drain.
         """
         self._require_built()
-        query = np.asarray(query, dtype=float)
-        self.divergence.validate_domain(query, "query")
+        queries = np.asarray(queries, dtype=float)
         snap = self.snapshot()
+        d = snap.partitioning.dimensionality
+        if single:
+            if queries.shape != (d,):
+                raise InvalidParameterError(
+                    f"query must have shape ({d},), got {queries.shape}"
+                )
+            self.divergence.validate_domain(queries, "query")
+            queries = queries[None, :]
+        else:
+            queries = np.atleast_2d(queries)
+            if queries.ndim != 2 or queries.shape[1] != d:
+                raise InvalidParameterError(
+                    f"queries must have shape (B, {d}), got {queries.shape}"
+                )
+            self.divergence.validate_domain(queries, "query batch")
         if not 1 <= k <= snap.n_live:
             raise InvalidParameterError(
                 f"k must be in [1, {snap.n_live}], got {k}"
@@ -743,13 +766,31 @@ class BrePartitionIndex:
         start = time.perf_counter()
         try:
             ctx = QueryBatchContext(
-                queries=query[None, :], k=k, single=True, scope=scope, snapshot=snap
+                queries=queries, k=k, single=single, scope=scope, snapshot=snap
             )
             self.pipeline.run(ctx)
         finally:
             elapsed = time.perf_counter() - start
             io = self.tracker.finish_scope(scope)
+        return ctx, io, elapsed, snap
 
+    def search(self, query: np.ndarray, k: int) -> SearchResult:
+        """Exact kNN of ``query`` (ids and divergences, ascending).
+
+        One batch-pipeline run at ``B = 1`` against one atomic
+        :meth:`snapshot`, pinned to the query's I/O scope: concurrent
+        inserts/deletes/merges never tear the arrays this search reads,
+        and the result equals a search against the exact update prefix
+        the snapshot captured.  ``stats.pages_read`` is what the scope
+        actually charged (buffer-pool hits are free).  A shard that stays
+        down raises :class:`~repro.exceptions.ShardUnavailableError`
+        instead of returning a partial result: under
+        ``shard_failure="raise"`` any dead shard does, under
+        ``"partial"`` one that holds a candidate of this query.
+        """
+        ctx, io, elapsed, snap = self._run_pipeline(query, k, single=True)
+        if ctx.query_errors:
+            raise ctx.query_errors[0]
         candidates = ctx.candidates[0]
         top_ids, exact = ctx.refined[0]
         stats = QueryStats(
@@ -761,7 +802,7 @@ class BrePartitionIndex:
             leaves_visited=ctx.forest_stats[0].leaves_visited,
             points_evaluated=int(candidates.size),
             stage_seconds=dict(ctx.stage_seconds),
-            delta_candidates=ctx.delta_candidates[0] if ctx.delta_candidates else 0,
+            delta_candidates=ctx.delta_candidates[0],
             epoch=snap.epoch,
         )
         return SearchResult(ids=top_ids, divergences=exact, stats=stats)
@@ -792,33 +833,8 @@ class BrePartitionIndex:
         stats report the coalesced total actually charged, with the
         per-stage wall-time split in ``stats.stage_seconds``.
         """
-        self._require_built()
-        queries = np.atleast_2d(np.asarray(queries, dtype=float))
-        snap = self.snapshot()
-        if queries.ndim != 2 or queries.shape[1] != snap.partitioning.dimensionality:
-            raise InvalidParameterError(
-                f"queries must have shape (B, {snap.partitioning.dimensionality}), "
-                f"got {queries.shape}"
-            )
-        self.divergence.validate_domain(queries, "query batch")
-        if not 1 <= k <= snap.n_live:
-            raise InvalidParameterError(
-                f"k must be in [1, {snap.n_live}], got {k}"
-            )
-        n_queries = queries.shape[0]
-
-        # an explicit scope (not tracker-global state) makes this driver
-        # re-entrant: concurrent in-flight batches each dedup and count
-        # against their own scope, so per-batch pages_read stays exact
-        scope = self.tracker.scope()
-        scope.pin(snap)
-        start = time.perf_counter()
-        try:
-            ctx = QueryBatchContext(queries=queries, k=k, scope=scope, snapshot=snap)
-            self.pipeline.run(ctx)
-        finally:
-            elapsed = time.perf_counter() - start
-            io = self.tracker.finish_scope(scope)
+        ctx, io, elapsed, snap = self._run_pipeline(queries, k, single=False)
+        n_queries = ctx.n_queries
 
         failures = dict(ctx.query_errors)
         results: list[Optional[SearchResult]] = []
@@ -837,7 +853,7 @@ class BrePartitionIndex:
             solo_pages = snap.datastore.count_pages_of(ids)
             unshared_pages += solo_pages
             total_candidates += int(ids.size)
-            delta_candidates = ctx.delta_candidates[q] if ctx.delta_candidates else 0
+            delta_candidates = ctx.delta_candidates[q]
             total_delta += delta_candidates
             stats = QueryStats(
                 pages_read=solo_pages,
@@ -881,82 +897,8 @@ class BrePartitionIndex:
         )
 
     # ------------------------------------------------------------------
-    # stage delegates (benchmarks, kernel-parity tests, subclass hooks)
+    # resources and stage hooks
     # ------------------------------------------------------------------
-
-    def _score_refinement(
-        self, vectors: np.ndarray, queries: np.ndarray
-    ) -> np.ndarray:
-        """Conditioned ``(n, B)`` expansion-kernel scores (Refine stage)."""
-        return self.pipeline.stage("refine").score_dense(vectors, queries)
-
-    def _score_refinement_grouped(
-        self,
-        vectors: np.ndarray,
-        queries: np.ndarray,
-        point_index: np.ndarray,
-        query_index: np.ndarray,
-    ) -> np.ndarray:
-        """Conditioned sparse pair scores (Refine stage)."""
-        return self.pipeline.stage("refine").score_sparse(
-            vectors, queries, point_index, query_index
-        )
-
-    def _choose_refine_kernel(
-        self, candidates: list, union_size: int, n_queries: int
-    ) -> str:
-        """Adaptive dense/sparse dispatch (Refine stage)."""
-        return self.pipeline.stage("refine").choose_kernel(
-            candidates, union_size, n_queries
-        )
-
-    def _rerank_topk(
-        self,
-        ids: np.ndarray,
-        scores: np.ndarray,
-        query: np.ndarray,
-        k: int,
-        gather,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Adaptive-buffer direct-kernel top-k (Rerank stage)."""
-        return self.pipeline.stage("rerank").topk(ids, scores, query, k, gather)
-
-    def _refine_batch(
-        self, candidates: list, queries: np.ndarray, k: int
-    ) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Refine + Rerank over already-charged candidates.
-
-        Bitwise contract: returns exactly what
-        :meth:`_refine_batch_looped` returns under *any* kernel choice
-        -- dense columns are bitwise independent of batch composition
-        and blocking, sparse pair values are bitwise equal to the dense
-        entries, and ties resolve by ascending id through the shared
-        stable top-k.  Pages must already be charged; reads go through
-        ``peek``.
-        """
-        return self.pipeline.refine_prefetched(candidates, queries, k).refined
-
-    def _refine_batch_looped(
-        self, candidates: list, queries: np.ndarray, k: int
-    ) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Reference per-query refinement (one kernel call per query,
-        per-query gathers -- the PR 1 loop structure).
-
-        Kept for the bitwise-parity tests and
-        ``benchmarks/bench_refinement_kernel.py``; must return exactly
-        what :meth:`_refine_batch` returns.  Like the staged engine it
-        assumes pages are already charged and reads through ``peek``.
-        """
-        refined = []
-        for q, ids in enumerate(candidates):
-            vectors = self.datastore.peek(ids)
-            scores = self._score_refinement(vectors, queries[q][None, :])[:, 0]
-            refined.append(
-                self._rerank_topk(
-                    ids, scores, queries[q], k, lambda sel: vectors[sel]
-                )
-            )
-        return refined
 
     def _make_executor(self) -> ShardExecutor:
         """Fan-out executor from the config (workers + optional IO model)."""
@@ -1012,12 +954,9 @@ class BrePartitionIndex:
             if self._refine_pool is not None:
                 self._refine_pool.shutdown()
 
-    def _adjust_radii(self, search_bounds, triples) -> np.ndarray:
-        """Hook for the approximate extension; exact search returns as-is."""
-        return search_bounds.radii
-
     def _adjust_radii_batch(self, search_bounds, triples) -> np.ndarray:
-        """Batch analogue of :meth:`_adjust_radii`; exact search: as-is."""
+        """Plan-stage hook for the approximate extension, which shrinks
+        the ``(B, M)`` radii; exact search returns them as-is."""
         return search_bounds.radii
 
     # ------------------------------------------------------------------

@@ -3,9 +3,15 @@
 :class:`SubspaceTransforms` bundles, for every subspace of a
 partitioning: the restricted divergence, and the precomputed point
 summaries ``(alpha_x, gamma_x)`` for all ``n`` points.  At query time it
-produces the M query triples and the ``(n, M)`` matrix of Theorem-1
-upper bounds, from which :func:`determine_search_bounds` (Algorithm 4,
-``QBDetermine``) extracts the per-subspace range radii.
+produces the ``(B, M)`` query triples and the ``(B, n, M)`` tensor of
+Theorem-1 upper bounds, from which :func:`determine_search_bounds_batch`
+(Algorithm 4, ``QBDetermine``) extracts the per-subspace range radii.
+Search runs only the batch forms (a single query is ``B = 1``); the
+scalar :meth:`SubspaceTransforms.query_triples`,
+:meth:`SubspaceTransforms.upper_bound_matrix` and
+:func:`determine_search_bounds` are the straightforward one-query
+statements of the same algorithms, kept as the reference the batch
+forms are tested against.
 """
 
 from __future__ import annotations
@@ -31,8 +37,7 @@ __all__ = [
 ]
 
 #: relative slack added to range radii to absorb floating-point rounding
-#: in the bound computation (never excludes a true candidate).  Shared by
-#: the single-query and batch search paths so the two can never drift.
+#: in the bound computation (never excludes a true candidate).
 RADIUS_EPS = 1e-9
 
 

@@ -37,7 +37,7 @@ that ``benchmarks/bench_parallel_fanout.py`` measures against.
 
 Determinism: tasks write to disjoint output slices and every kernel is
 row/pair-bitwise independent, so results are bit-for-bit identical for
-any worker count -- the single/batch parity contract survives
+any worker count -- the row parity across batch sizes survives
 parallelism untouched.
 
 Replication-aware routing (PR 8): on a store with

@@ -1,8 +1,7 @@
-"""The staged batch-search pipeline (Plan -> Fetch -> Refine -> Rerank).
+"""The staged search pipeline (Plan -> Fetch -> Refine -> Rerank).
 
-ROADMAP "Async serving" groundwork: the monolithic ``search_batch`` body
-is decomposed into four small stage objects transforming one shared
-:class:`QueryBatchContext`:
+Four small stage objects transform one shared :class:`QueryBatchContext`
+holding ``B`` query rows:
 
 ``Plan``
     Theorem-1 bound tensor, Algorithm-4 radii (plus the approximate
@@ -19,14 +18,13 @@ is decomposed into four small stage objects transforming one shared
 ``Rerank``
     Direct-kernel top-k with the adaptive noise-floor buffer.
 
-:class:`~repro.core.index.BrePartitionIndex.search` and
-``search_batch`` are thin drivers over a :class:`SearchPipeline`; the
-serving layer (:mod:`repro.serve`) and the stage-parity tests call the
-same stages.  Results are bitwise identical to the pre-decomposition
-engine for every divergence, kernel and worker count -- each stage
-preserves the kernels' row/pair bitwise-independence contracts -- and
-each stage's wall-clock time is recorded in
-``BatchQueryStats.stage_seconds``.
+There is one search path: :meth:`~repro.core.index.BrePartitionIndex.search`
+runs it at ``B = 1`` and ``search_batch`` at any ``B``, and the serving
+layer (:mod:`repro.serve`) and the stage-parity tests call the same
+stages.  Each stage preserves the kernels' row/pair bitwise-independence
+contracts, so a query's results are bitwise identical at every batch
+size and for every divergence, kernel and worker count; each stage's
+wall-clock time is recorded in ``stats.stage_seconds``.
 """
 
 from .base import PipelineStage, SearchPipeline, default_stages

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import time
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -47,7 +47,7 @@ class SearchPipeline:
         self.stages: List[PipelineStage] = list(stages)
 
     def stage(self, name: str) -> PipelineStage:
-        """The stage registered under ``name`` (for tests and delegates)."""
+        """The stage registered under ``name`` (for tests and benchmarks)."""
         for stage in self.stages:
             if stage.name == name:
                 return stage
@@ -93,6 +93,30 @@ class SearchPipeline:
         self.stage("refine").run(ctx)
         self.stage("rerank").run(ctx)
         return ctx
+
+    def refine_looped(
+        self, candidates, queries: np.ndarray, k: int
+    ) -> List[Tuple[np.ndarray, np.ndarray]]:
+        """Reference refinement: one dense kernel call and one top-k per
+        query, over per-query gathers.
+
+        The loop structure the blocked kernels replaced, kept as the
+        reference the kernel-parity tests and
+        ``benchmarks/bench_refinement_kernel.py`` compare
+        :meth:`refine_prefetched` against: the two must return bitwise
+        equal ``(top_ids, divergences)`` pairs under any kernel choice.
+        Like :meth:`refine_prefetched` it reads through ``peek``.
+        """
+        refine, rerank = self.stage("refine"), self.stage("rerank")
+        queries = np.atleast_2d(np.asarray(queries, dtype=float))
+        refined = []
+        for q, ids in enumerate(candidates):
+            vectors = self.index.datastore.peek(ids)
+            scores = refine.score_dense(vectors, queries[q][None, :])[:, 0]
+            refined.append(
+                rerank.topk(ids, scores, queries[q], k, lambda sel: vectors[sel])
+            )
+        return refined
 
 
 def default_stages(index) -> List[PipelineStage]:

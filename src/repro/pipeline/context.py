@@ -1,14 +1,15 @@
 """The shared state one search request carries through the pipeline.
 
 A :class:`QueryBatchContext` is created by the drivers in
-:class:`~repro.core.index.BrePartitionIndex` (``search`` builds a
-``single`` context with one query row, ``search_batch`` a batch one) and
-handed to each stage of a :class:`~repro.pipeline.SearchPipeline` in
-turn.  Every stage reads the fields of the stages before it and fills in
-its own; the driver assembles results and statistics records from the
-finished context.  Keeping all intermediate state here -- instead of in
-method locals threaded through one monolithic function -- is what lets
-the serving layer, benchmarks and tests call individual stages.
+:class:`~repro.core.index.BrePartitionIndex` (``search`` builds one with
+a single query row, ``search_batch`` one with ``B`` rows; the stages
+treat both alike) and handed to each stage of a
+:class:`~repro.pipeline.SearchPipeline` in turn.  Every stage reads the
+fields of the stages before it and fills in its own; the driver
+assembles results and statistics records from the finished context.
+Keeping all intermediate state here -- instead of in method locals
+threaded through one monolithic function -- is what lets the serving
+layer, benchmarks and tests call individual stages.
 """
 
 from __future__ import annotations
@@ -39,9 +40,9 @@ class QueryBatchContext:
     queries: np.ndarray
     #: neighbours requested per query.
     k: int
-    #: ``True`` when driven by :meth:`BrePartitionIndex.search` -- the
-    #: stages then reproduce the scalar single-query path bit for bit
-    #: (scalar triples, ``range_union``, ``datastore.fetch``).
+    #: ``True`` when driven by :meth:`BrePartitionIndex.search`.  No
+    #: stage reads it -- a single search is the batch run at ``B = 1``
+    #: -- but observers (tracing, instrumentation) may.
     single: bool = False
     #: this request's private I/O scope (dedup set + counters), opened
     #: by the driver via ``tracker.scope()`` and threaded through every
@@ -65,12 +66,11 @@ class QueryBatchContext:
     bound_totals: Optional[np.ndarray] = None
 
     # -- Fetch outputs --------------------------------------------------
-    #: sorted union of all candidate ids (batch mode only).
+    #: sorted union of all candidate ids.
     union: Optional[np.ndarray] = None
-    #: global id -> row within ``union`` (batch mode only).
+    #: global id -> row within ``union``.
     row_of: Optional[np.ndarray] = None
-    #: candidate vectors -- union-ordered in batch mode, candidate-ordered
-    #: in single mode (matching ``datastore.fetch``).
+    #: candidate vectors, union-ordered.
     vectors: Optional[np.ndarray] = None
     #: distinct pages the batch's working set spans (pool-oblivious).
     pages_coalesced: int = 0
@@ -106,10 +106,8 @@ class QueryBatchContext:
     refine_backend: Optional[str] = None
     #: process-pool width the scoring used (1 for the serial backend).
     refine_workers: int = 1
-    #: expansion scores of query 0's candidates (single mode only).
-    scores: Optional[np.ndarray] = None
     #: ``scores_of(q, rows)`` -> query ``q``'s expansion scores in
-    #: candidate order (batch mode only).
+    #: candidate order.
     scores_of: Optional[Callable[[int, np.ndarray], np.ndarray]] = None
 
     # -- Rerank outputs -------------------------------------------------

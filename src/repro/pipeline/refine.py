@@ -2,13 +2,13 @@
 
 Owns the adaptive dense/sparse/auto kernel dispatch, the
 serial/process/auto *backend* dispatch, and the conditioner-wrapped
-cross-divergence kernels.  Batch contexts score the union slab either
+cross-divergence kernels.  The stage scores the union slab either
 through the dense blocked kernel (full ``(union, B)`` matrix in
 ``refinement_block_size`` row blocks) or the sparse grouped kernel
-(only real pairs, query-bucketed gathers); single contexts score the
-one query's candidates through the dense kernel at ``B = 1``.  Every
-path produces bitwise-identical scores -- dense columns are independent
-of batch composition and blocking, sparse pair values equal the dense
+(only real pairs, query-bucketed gathers); a single search is the same
+run at ``B = 1``, where ``auto`` always picks dense.  Every path
+produces bitwise-identical scores -- dense columns are independent of
+batch composition and blocking, sparse pair values equal the dense
 matrix entries bit for bit -- so both the kernel and the backend choice
 are purely performance decisions.
 
@@ -75,17 +75,6 @@ class RefineStage(PipelineStage):
         conditioner = (
             snap.refine_conditioner if snap is not None else _UNSET
         )
-        if ctx.single:
-            if ctx.vectors is None or ctx.vectors.shape[0] == 0:
-                ctx.scores = np.empty(0, dtype=float)
-                return
-            # singles always score serially: one query's candidate set is
-            # far below any sane amortization floor for a process dispatch
-            ctx.refine_backend = "serial"
-            ctx.scores = self.score_dense(
-                ctx.vectors, ctx.queries, conditioner=conditioner
-            )[:, 0]
-            return
         n_queries = ctx.n_queries
         if ctx.union is None or ctx.union.size == 0 or n_queries == 0:
             ctx.refine_kernel = None
@@ -95,7 +84,9 @@ class RefineStage(PipelineStage):
         vectors, queries = ctx.vectors, ctx.queries
         if kernel == "sparse":
             pair_rows, pair_queries, offsets = build_pairs(ctx.candidates, ctx.row_of)
-            backend, workers = self.choose_backend(kernel, int(pair_rows.size))
+            backend, workers = self.choose_backend(
+                kernel, int(pair_rows.size), n_queries
+            )
             ctx.refine_backend, ctx.refine_workers = backend, workers
             if backend == "process":
                 flat = self._pool_score_sparse(
@@ -108,7 +99,9 @@ class RefineStage(PipelineStage):
             ctx.scores_of = lambda q, rows: flat[offsets[q] : offsets[q + 1]]
         else:
             block = self.index.config.refinement_block_for(n_queries, vectors.shape[1])
-            backend, workers = self.choose_backend(kernel, int(ctx.union.size))
+            backend, workers = self.choose_backend(
+                kernel, int(ctx.union.size), n_queries
+            )
             ctx.refine_backend, ctx.refine_workers = backend, workers
             if backend == "process":
                 cross = self._pool_score_dense(vectors, queries, block, conditioner)
@@ -151,18 +144,22 @@ class RefineStage(PipelineStage):
     # backend dispatch (serial vs process pool)
     # ------------------------------------------------------------------
 
-    def choose_backend(self, kernel: str, work_items: int) -> Tuple[str, int]:
+    def choose_backend(
+        self, kernel: str, work_items: int, n_queries: int
+    ) -> Tuple[str, int]:
         """Resolve the compute backend for a batch scoring of ``kernel``.
 
         Returns ``(backend, workers)`` where ``backend`` is what will
         actually run ("serial" / "process") and ``workers`` the pool
         width it will use (1 for serial).  ``work_items`` is the natural
         unit of the kernel's outer loop -- union rows for dense, total
-        pairs for sparse.
+        pairs for sparse -- and ``n_queries`` the context's batch size.
 
-        * ``serial`` always runs serially.
-        * ``process`` always dispatches to the pool -- even at width 1,
-          and constructing it raises
+        * ``serial`` always runs serially, and so does a one-query
+          context (every ``search``): one query's candidate set is far
+          below any sane amortization floor for a process dispatch.
+        * ``process`` otherwise always dispatches to the pool -- even at
+          width 1, and constructing it raises
           :class:`~repro.exceptions.RefinementPoolError` where shared
           memory is unavailable -- an explicit request never silently
           degrades.
@@ -173,7 +170,7 @@ class RefineStage(PipelineStage):
           overhead would dominate.
         """
         config = self.index.config
-        if config.refine_backend == "serial":
+        if config.refine_backend == "serial" or n_queries == 1:
             return "serial", 1
         if config.refine_backend == "process":
             return "process", config.refine_workers

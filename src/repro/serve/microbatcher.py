@@ -28,8 +28,9 @@ instead of queueing without bound.
 
 Responses are the exact per-query
 :class:`~repro.core.results.SearchResult` records, bitwise identical to
-a direct ``index.search`` call -- the pipeline's single/batch parity
-contract is what makes transparent micro-batching sound.
+a direct ``index.search`` call (the same pipeline at ``B = 1``) -- the
+pipeline's row parity across batch sizes is what makes transparent
+micro-batching sound.
 
 Mutations ride the same front-end: :meth:`MicroBatcher.insert` /
 :meth:`MicroBatcher.delete` apply through the index's delta buffer

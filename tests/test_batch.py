@@ -169,6 +169,8 @@ class TestBatchIO:
         # nothing across queries, so no savings may be claimed.
         assert stats.pages_read < stats.pages_coalesced
         assert stats.pages_saved == 0
+        # search reports the same pool-aware charge, not solo pages
+        assert index.search(queries[0], K).stats.pages_read == stats.pages_read
 
     def test_pages_read_per_shard_none_on_single_disk(self):
         divergence = SquaredEuclidean()
@@ -253,6 +255,8 @@ class TestShardedBatchIO:
         assert pool.hits > 0
         assert stats.pages_read < stats.pages_coalesced  # pool absorbed reads
         assert stats.pages_saved == 0  # but no coalescing was claimed
+        # search reports the same pool-aware charge, not solo pages
+        assert index.search(queries[0], K).stats.pages_read == stats.pages_read
 
     def test_pages_saved_pool_oblivious_sharded(self):
         # Same workload with and without a pool: pages_saved (a pure
@@ -365,6 +369,21 @@ class TestBatchValidation:
     def test_rejects_wrong_dims(self):
         with pytest.raises(InvalidParameterError, match="shape"):
             self.index.search_batch(self.queries[:, : DIM - 2], K)
+
+    def test_search_rejects_wrong_shapes(self):
+        query = self.queries[0]
+
+        message = rf"query must have shape \({DIM},\), got \(1, {DIM}\)"
+        with pytest.raises(InvalidParameterError, match=message):
+            self.index.search(query[None, :], K)
+
+        message = rf"query must have shape \({DIM},\), got \({DIM + 1},\)"
+        with pytest.raises(InvalidParameterError, match=message):
+            self.index.search(np.append(query, query[0]), K)
+
+        message = rf"query must have shape \({DIM},\), got \(\)"
+        with pytest.raises(InvalidParameterError, match=message):
+            self.index.search(query[0], K)
 
     def test_rejects_domain_violation(self):
         from repro import ItakuraSaito
@@ -486,9 +505,9 @@ class TestDataStoreBatchFetch:
         tracker = DiskAccessTracker()
         store = DataStore(points, page_size_bytes=4 * 6 * 8, tracker=tracker)
         ids = np.arange(8)  # both groups share the same two pages
-        tracker.start_query()
-        charged = store.charge_pages_for([ids, ids.copy()])
-        snapshot = tracker.end_query()
+        scope = tracker.scope()
+        charged = store.charge_pages_for([ids, ids.copy()], scope=scope)
+        snapshot = tracker.finish_scope(scope)
         assert charged == store.count_pages_of(ids)
         assert snapshot.pages_read == store.count_pages_of(ids)
 

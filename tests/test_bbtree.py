@@ -118,9 +118,11 @@ class TestKnn:
             page_size_bytes=256,
             tracker=tracker,
         )
-        tracker.start_query()
-        ids, dists, _ = tree.knn(points[0], k=5, fetcher=store.fetch)
-        snap = tracker.end_query()
+        scope = tracker.scope()
+        ids, dists, _ = tree.knn(
+            points[0], k=5, fetcher=lambda ids: store.fetch(ids, scope=scope)
+        )
+        snap = tracker.finish_scope(scope)
         assert snap.pages_read > 0
         true_ids, _ = brute_force_knn(div, points, points[0], 5)
         assert set(ids.tolist()) == set(true_ids.tolist())

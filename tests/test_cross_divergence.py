@@ -250,8 +250,8 @@ class TestBlockedRefinementParity:
             for _ in range(N_QUERIES)
         ]
         index.datastore.charge_pages_for(cand_sets)
-        blocked = index._refine_batch(cand_sets, queries, K)
-        looped = index._refine_batch_looped(cand_sets, queries, K)
+        blocked = index.pipeline.refine_prefetched(cand_sets, queries, K).refined
+        looped = index.pipeline.refine_looped(cand_sets, queries, K)
         for (b_ids, b_divs), (l_ids, l_divs) in zip(blocked, looped):
             np.testing.assert_array_equal(b_ids, l_ids)
             np.testing.assert_array_equal(b_divs, l_divs)

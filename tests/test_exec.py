@@ -175,13 +175,14 @@ class TestParallelParityMatrix:
         assert index.search_batch(queries, K).stats.refine_kernel == "dense"
         # skewed candidate sets: density 30/(2*100) = 0.15
         skewed = [np.arange(10), np.arange(20)]
+        refine = index.pipeline.stage("refine")
         index.config.sparse_density_threshold = 0.2
-        assert index._choose_refine_kernel(skewed, 100, 2) == "sparse"
+        assert refine.choose_kernel(skewed, 100, 2) == "sparse"
         index.config.sparse_density_threshold = 0.1
-        assert index._choose_refine_kernel(skewed, 100, 2) == "dense"
+        assert refine.choose_kernel(skewed, 100, 2) == "dense"
         # pinned kernels ignore the threshold entirely
         index.config.refine_kernel = "sparse"
-        assert index._choose_refine_kernel(skewed, 100, 2) == "sparse"
+        assert refine.choose_kernel(skewed, 100, 2) == "sparse"
 
     def test_modeled_io_latency_changes_nothing_but_time(self):
         divergence = SquaredEuclidean()
@@ -284,7 +285,7 @@ class TestAdaptiveRerankBuffer:
         vectors = query + np.linspace(2.0, 3.0, 40)[:, None] * np.ones(DIM)
         vectors[39] = query + 1e-3
         scores = np.zeros(40)  # expansion floor: everything tied
-        top_ids, top_divs = index._rerank_topk(
+        top_ids, top_divs = index.pipeline.stage("rerank").topk(
             ids, scores, query, 3, lambda sel: vectors[sel]
         )
         assert top_ids[0] == 39
@@ -301,8 +302,10 @@ class TestAdaptiveRerankBuffer:
         index = self._index(points)
         ids = np.arange(80)
         vectors = points[:80]
-        scores = index._score_refinement(vectors, query[None, :])[:, 0]
-        top_ids, top_divs = index._rerank_topk(
+        scores = index.pipeline.stage("refine").score_dense(
+            vectors, query[None, :]
+        )[:, 0]
+        top_ids, top_divs = index.pipeline.stage("rerank").topk(
             ids, scores, query, K, lambda sel: vectors[sel]
         )
         oracle_ids, oracle_divs = brute_force_knn(

@@ -29,7 +29,7 @@ from repro.exceptions import (
     TransientIOError,
 )
 from repro.exec import ShardExecutor
-from repro.pipeline.plan import PlanStage
+from repro.pipeline import PlanStage, QueryBatchContext
 from repro.serve import MicroBatcher
 from repro.storage import DataStore, FaultInjector, FaultPlan
 
@@ -82,14 +82,14 @@ class TestFaultInjector:
     def _outcome_trace(self, store, n_calls=30):
         trace = []
         for _ in range(n_calls):
-            store.tracker.start_query()
+            scope = store.tracker.scope()
             try:
-                store.fetch(np.arange(store.n_points))
+                store.fetch(np.arange(store.n_points), scope=scope)
                 trace.append("ok")
             except TransientIOError:
                 trace.append("fault")
             finally:
-                store.tracker.end_query()
+                store.tracker.finish_scope(scope)
         return trace
 
     def test_same_seed_same_faults(self):
@@ -159,17 +159,15 @@ class TestFaultInjector:
         monotone progress (the attempt's surviving prefix shrinks the
         fault surface)."""
         store, injector = self._faulty_store(seed=5, probability=0.0)
-        store.tracker.start_query()
-        try:
-            store.fetch([0, 1, 2, 3])  # charge these pages fault-free
+        with store.tracker.scope() as scope:
+            store.fetch([0, 1, 2, 3], scope=scope)  # charge these fault-free
             injector.set_plan(probability=1.0)
-            store.fetch([0, 1, 2, 3])  # same pages, same scope: cached
+            store.fetch([0, 1, 2, 3], scope=scope)  # same scope: cached
             assert injector.n_injected == 0
             with pytest.raises(TransientIOError):
-                store.fetch(np.arange(store.n_points))  # new pages fault
+                # new pages fault
+                store.fetch(np.arange(store.n_points), scope=scope)
             assert injector.n_injected == 1
-        finally:
-            store.tracker.end_query()
 
 
 # ----------------------------------------------------------------------
@@ -371,6 +369,21 @@ class TestShardFailurePolicies:
         injector.set_plan(shard=self.BROKEN, broken=True)
         with pytest.raises(ShardUnavailableError):
             index.search_batch(points_for(DIV, 3, 8, seed=32), 3)
+
+    @pytest.mark.parametrize("mode", ["raise", "partial"])
+    def test_search_raises_when_its_candidates_touch_a_broken_shard(self, mode):
+        """A single search has no partial result to return: in either
+        mode a dead shard holding one of its candidates raises."""
+        index, injector = self._index(shard_failure=mode)
+        query = points_for(DIV, 1, 8, seed=35)[0]
+        ctx = QueryBatchContext(
+            queries=query[None, :], k=3, snapshot=index.snapshot()
+        )
+        PlanStage(index).run(ctx)
+        broken = int(index.datastore.shard_of[ctx.candidates[0][0]])
+        injector.set_plan(shard=broken, broken=True)
+        with pytest.raises(ShardUnavailableError):
+            index.search(query, 3)
 
     def test_partial_mode_fails_only_doomed_queries(self, monkeypatch):
         """Steer query 0's candidates off the broken shard: it must

@@ -183,8 +183,8 @@ class TestStageMechanics:
             for _ in range(N_QUERIES)
         ]
         index.datastore.charge_pages_for(candidates)
-        staged = index._refine_batch(candidates, queries, K)
-        looped = index._refine_batch_looped(candidates, queries, K)
+        staged = index.pipeline.refine_prefetched(candidates, queries, K).refined
+        looped = index.pipeline.refine_looped(candidates, queries, K)
         for (a_ids, a_divs), (b_ids, b_divs) in zip(staged, looped):
             np.testing.assert_array_equal(a_ids, b_ids)
             np.testing.assert_array_equal(a_divs, b_divs)

@@ -517,10 +517,10 @@ class TestBackendResolution:
     def test_serial_and_single_worker_never_dispatch(self):
         index = self._index(refine_backend="serial", refine_workers=4)
         stage = index.pipeline.stage("refine")
-        assert stage.choose_backend("dense", 10**9) == ("serial", 1)
+        assert stage.choose_backend("dense", 10**9, 8) == ("serial", 1)
         index.config.refine_backend = "auto"
         index.config.refine_workers = 1
-        assert stage.choose_backend("dense", 10**9) == ("serial", 1)
+        assert stage.choose_backend("dense", 10**9, 8) == ("serial", 1)
 
     def test_forced_process_ignores_amortization_floor(self):
         index = self._index(
@@ -528,7 +528,7 @@ class TestBackendResolution:
             min_refine_rows_per_worker=10**6,
         )
         stage = index.pipeline.stage("refine")
-        assert stage.choose_backend("dense", 1) == ("process", 3)
+        assert stage.choose_backend("dense", 1, 8) == ("process", 3)
 
     @needs_shm
     def test_auto_respects_amortization_floor(self):
@@ -537,9 +537,9 @@ class TestBackendResolution:
             min_refine_rows_per_worker=100,
         )
         stage = index.pipeline.stage("refine")
-        assert stage.choose_backend("dense", 199) == ("serial", 1)
-        assert stage.choose_backend("dense", 200) == ("process", 2)
-        assert stage.choose_backend("sparse", 10_000) == ("process", 2)
+        assert stage.choose_backend("dense", 199, 8) == ("serial", 1)
+        assert stage.choose_backend("dense", 200, 8) == ("process", 2)
+        assert stage.choose_backend("sparse", 10_000, 8) == ("process", 2)
 
     @needs_shm
     def test_single_search_stays_serial_and_never_spawns(self):
