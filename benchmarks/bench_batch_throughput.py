@@ -4,8 +4,8 @@ ISSUE 1 acceptance: at batch size 64 the vectorized batch engine must
 deliver >= 3x the throughput of per-query ``search`` while returning
 bitwise-identical results.  The workload is the fonts proxy (the paper's
 Itakura-Saito benchmark) with M=16 partitions, where per-query BB-forest
-traversal dominates and the batch engine's shared level-synchronous
-bisections pay off most.
+traversal dominates and the batch engine's shared bisection rounds
+pay off most.
 
 Run directly (``python benchmarks/bench_batch_throughput.py``) or via
 pytest from this directory.

@@ -33,7 +33,10 @@ single-threaded tree-level use and for the merge machinery itself.
 Invariants preserved by every operation here: each node's ball covers
 all points in its subtree, each live point id appears in exactly one
 leaf, and ``_ids`` / ``_row_of`` / the leaves agree on exactly which
-ids are live.
+ids are live.  :func:`insert_point` and :func:`delete_point` end by
+dropping the tree's flat view (:mod:`repro.bbtree.flat`), which the
+next batched range query rebuilds; clones from :func:`extend_tree`
+start without one.
 """
 
 from __future__ import annotations
@@ -82,6 +85,7 @@ def insert_point(tree: BBTree, point: np.ndarray, point_id: int) -> None:
     tree._row_of[pid] = row
 
     _descend_insert(tree, root, point, pid)
+    tree._flat = None  # the flat view no longer matches the tree
 
 
 def delete_point(tree: BBTree, point_id: int) -> None:
@@ -109,6 +113,7 @@ def delete_point(tree: BBTree, point_id: int) -> None:
     del tree._row_of[pid]
     tree._ids[target_row] = -1
     _free_rows(tree).append(target_row)
+    tree._flat = None  # the flat view no longer matches the tree
 
 
 def extend_tree(tree: BBTree, points: np.ndarray, new_ids: np.ndarray) -> BBTree:

@@ -137,21 +137,39 @@ class BBForest:
         radii: np.ndarray,
         point_filter: bool = False,
     ) -> tuple[List[np.ndarray], List[ForestRangeStats]]:
-        """Batched :meth:`range_union`: each tree traversed once per batch.
+        """Batched :meth:`range_union`: one batched range query per tree.
 
         ``query_submatrices[i]`` is the ``(B, d_i)`` stack of the batch's
         subvectors in subspace ``i`` and ``radii[:, i]`` their range
-        radii.  Returns per-query candidate unions and per-query stats.
+        radii.  Tree ``i`` answers all ``B`` queries in one
+        :meth:`~repro.bbtree.tree.BBTree.range_query_batch` over its flat
+        view.  Returns per-query candidate unions and per-query stats.
         """
         trees = self._require_built()
-        radii = np.asarray(radii, dtype=float)
-        b = radii.shape[0]
         m = len(trees)
+        if len(query_submatrices) != m:
+            raise InvalidParameterError(
+                f"query_submatrices must hold {m} matrices of shape (B, d_i), "
+                f"one per subspace, got {len(query_submatrices)}"
+            )
+        subs = [np.asarray(sub, dtype=float) for sub in query_submatrices]
+        b = subs[0].shape[0] if subs[0].ndim == 2 else None
+        for i, (sub, dims) in enumerate(zip(subs, self.partitioning.subspaces)):
+            if b is None or sub.shape != (b, dims.size):
+                raise InvalidParameterError(
+                    f"query_submatrices[{i}] must have shape (B, {dims.size}), "
+                    f"with the same B in every subspace, got {sub.shape}"
+                )
+        radii = np.asarray(radii, dtype=float)
+        if radii.shape != (b, m):
+            raise InvalidParameterError(
+                f"radii must have shape (B, M) = ({b}, {m}), got {radii.shape}"
+            )
         n = self.layout_order.size
         per_counts = np.zeros((b, m), dtype=int)
         leaves = np.zeros(b, dtype=int)
         chunks: List[List[np.ndarray]] = [[] for _ in range(b)]
-        for i, (tree, sub_queries) in enumerate(zip(trees, query_submatrices)):
+        for i, (tree, sub_queries) in enumerate(zip(trees, subs)):
             result: BatchRangeResult = tree.range_query_batch(
                 sub_queries, radii[:, i], point_filter=point_filter
             )

@@ -13,6 +13,8 @@ query.  Two search modes:
 * :meth:`BBTree.range_query` -- all points within a divergence radius of
   the query, at cluster granularity (the filter step of BrePartition) or
   exact point granularity (``point_filter=True``).
+  :meth:`BBTree.range_query_batch` answers many range queries at once
+  over the tree's flat view (:mod:`repro.bbtree.flat`).
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from ..geometry.projection import (
     ball_intersects_range,
     min_divergence_to_ball,
 )
+from .flat import FlatTree
 from .node import BBTreeNode
 
 __all__ = ["BBTree", "KnnStats", "RangeResult", "BatchRangeResult"]
@@ -63,15 +66,13 @@ class RangeResult:
 class BatchRangeResult:
     """Outcome of a batched range query over ``B`` queries.
 
-    ``point_ids[b]`` is query ``b``'s candidate set; ``leaves_visited[b]``
-    counts the leaves that reached query ``b``.  ``nodes_examined`` counts
-    *distinct* node visits of the shared traversal -- the amortisation a
-    batch buys over ``B`` independent traversals.
+    ``point_ids[b]`` is query ``b``'s candidate set, in leaf order;
+    ``leaves_visited[b]`` counts the leaves query ``b`` kept (the leaf
+    and all its ancestors may intersect the query's range).
     """
 
     point_ids: List[np.ndarray]
     leaves_visited: np.ndarray
-    nodes_examined: int = 0
 
 
 class BBTree:
@@ -108,6 +109,9 @@ class BBTree:
         self.lb_tol = float(lb_tol)
         self.root: Optional[BBTreeNode] = None
         self._points: Optional[np.ndarray] = None
+        # Built by the first range_query_batch; the in-place mutators in
+        # repro.bbtree.dynamic drop it.
+        self._flat: Optional[FlatTree] = None
 
     # ------------------------------------------------------------------
     # construction
@@ -132,6 +136,7 @@ class BBTree:
         # repro.bbtree.dynamic).
         self._free_rows: List[int] = []
         self.root = self._build_node(np.arange(n), depth=0)
+        self._flat = None
         return self
 
     def _build_node(self, rows: np.ndarray, depth: int) -> BBTreeNode:
@@ -193,6 +198,17 @@ class BBTree:
         if not parts:
             return np.empty(0, dtype=int)
         return np.sort(np.concatenate(parts))
+
+    def _flat_view(self) -> FlatTree:
+        """The tree's flat view, built on first use.
+
+        Concurrent first callers may each build one; the views are
+        equal, and either may be kept.
+        """
+        flat = self._flat
+        if flat is None:
+            flat = self._flat = FlatTree.of(self)
+        return flat
 
     def count_nodes(self) -> int:
         """Total number of nodes."""
@@ -302,6 +318,10 @@ class BBTree:
         """
         root = self._require_built()
         query = np.asarray(query, dtype=float)
+        if query.shape != (self._points.shape[1],):
+            raise InvalidParameterError(
+                f"query must have shape ({self._points.shape[1]},), got {query.shape}"
+            )
         if radius < 0.0:
             return RangeResult(point_ids=np.empty(0, dtype=int))
         result_ids: list[np.ndarray] = []
@@ -349,81 +369,52 @@ class BBTree:
         radii: np.ndarray,
         point_filter: bool = False,
     ) -> BatchRangeResult:
-        """Batched :meth:`range_query`: one shared traversal for ``B`` queries.
+        """Batched :meth:`range_query` over the tree's flat view.
 
-        The tree is walked level-synchronously: all (node, query) ball
-        tests of a level run as one fused bisection
-        (:meth:`~repro.geometry.projection.BatchRangeProber.intersects_pairs`),
-        so the traversal's Python overhead is per level rather than per
-        node per query.  Queries whose range provably misses a ball drop
-        out of that subtree, so pruning composes with the amortisation.
+        Every (node, query) pair is decided by the batched ball test
+        (:class:`~repro.geometry.projection.BatchRangeProber`): one dense
+        fast-path pass over all nodes, then bisection rounds over the
+        pairs still open (:meth:`FlatTree.kept_leaves`).  A query keeps
+        a leaf when the leaf and all its ancestors may intersect its
+        range; a negative radius keeps nothing.  With ``point_filter``
+        the kept leaves' points are then checked exactly, through the
+        same ``batch_divergence`` the scalar :meth:`range_query` uses.
         """
-        root = self._require_built()
+        self._require_built()
         queries = np.atleast_2d(np.asarray(queries, dtype=float))
         radii = np.asarray(radii, dtype=float)
+        d = self._points.shape[1]
+        if queries.ndim != 2 or queries.shape[1] != d:
+            raise InvalidParameterError(
+                f"queries must have shape (B, {d}), got {queries.shape}"
+            )
         b = queries.shape[0]
         if radii.shape != (b,):
             raise InvalidParameterError("radii must supply one radius per query")
 
+        point_ids = [np.empty(0, dtype=int) for _ in range(b)]
+        leaves = np.zeros(b, dtype=int)
+        active = np.flatnonzero(radii >= 0.0)
+        if active.size == 0:
+            return BatchRangeResult(point_ids=point_ids, leaves_visited=leaves)
+        flat = self._flat_view()
         prober = BatchRangeProber(
             self.divergence, queries, radii, max_iter=self.lb_max_iter
         )
-        chunks: List[List[np.ndarray]] = [[] for _ in range(b)]
-        leaves = np.zeros(b, dtype=int)
-        nodes_examined = 0
-        initial = np.flatnonzero(radii >= 0.0)
-        frontier: list[tuple[BBTreeNode, np.ndarray]] = (
-            [(root, initial)] if initial.size else []
-        )
-        while frontier:
-            nodes_examined += len(frontier)
-            centers = np.stack([node.ball.center for node, _ in frontier])
-            ball_radii = np.array([node.ball.radius for node, _ in frontier])
-            sizes = [active.size for _, active in frontier]
-            pair_node = np.repeat(np.arange(len(frontier)), sizes)
-            pair_query = np.concatenate([active for _, active in frontier])
-            keep = prober.intersects_pairs(centers, ball_radii, pair_node, pair_query)
-
-            next_frontier: list[tuple[BBTreeNode, np.ndarray]] = []
-            offset = 0
-            for (node, active), size in zip(frontier, sizes):
-                survivors = active[keep[offset : offset + size]]
-                offset += size
-                if survivors.size == 0:
-                    continue
-                if node.is_leaf:
-                    ids = node.point_ids
-                    leaves[survivors] += 1
-                    if point_filter:
-                        rows = np.array([self._row_of[int(pid)] for pid in ids])
-                        leaf_points = self._points[rows]
-                        # Evaluate through the same batch_divergence the
-                        # scalar range_query uses (divergences may
-                        # override it), so boundary rounding -- and hence
-                        # the candidate sets -- match bitwise.
-                        for qi in survivors:
-                            dists = self.divergence.batch_divergence(
-                                leaf_points, queries[qi]
-                            )
-                            selected = ids[dists <= radii[qi]]
-                            if selected.size:
-                                chunks[int(qi)].append(selected)
-                    else:
-                        for qi in survivors:
-                            chunks[int(qi)].append(ids)
-                else:
-                    if node.left is not None:
-                        next_frontier.append((node.left, survivors))
-                    if node.right is not None:
-                        next_frontier.append((node.right, survivors))
-            frontier = next_frontier
-        point_ids = [
-            np.concatenate(parts) if parts else np.empty(0, dtype=int)
-            for parts in chunks
-        ]
-        return BatchRangeResult(
-            point_ids=point_ids, leaves_visited=leaves, nodes_examined=nodes_examined
-        )
+        kept = flat.kept_leaves(prober, active)
+        leaves[active] = kept.sum(axis=0)
+        members = np.repeat(kept.T, flat.leaf_sizes, axis=1)
+        for q, member in zip(active, members):
+            ids = flat.leaf_ids[member]
+            if point_filter and ids.size:
+                # batch_divergence scores each row independently of the
+                # others, so one call over all kept leaves selects what
+                # per-leaf calls (and the scalar range_query) would.
+                rows = flat.leaf_rows[member]
+                dists = self.divergence.batch_divergence(self._points[rows], queries[q])
+                ids = ids[dists <= radii[q]]
+            point_ids[q] = ids
+        return BatchRangeResult(point_ids=point_ids, leaves_visited=leaves)
 
     # ------------------------------------------------------------------
     # dynamic updates (paper future work; see repro.bbtree.dynamic)

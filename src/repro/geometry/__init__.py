@@ -14,6 +14,7 @@ from .bounds import (
     transform_query,
 )
 from .projection import (
+    BallTerms,
     BatchRangeProber,
     ball_intersects_range,
     batch_ball_intersects_range,
@@ -36,6 +37,7 @@ __all__ = [
     "min_divergence_to_ball",
     "ball_intersects_range",
     "batch_ball_intersects_range",
+    "BallTerms",
     "BatchRangeProber",
     "project_to_ball",
 ]

@@ -23,6 +23,8 @@ robust bisection).
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from ..divergences.base import DecomposableBregmanDivergence
@@ -31,6 +33,7 @@ __all__ = [
     "min_divergence_to_ball",
     "ball_intersects_range",
     "batch_ball_intersects_range",
+    "BallTerms",
     "BatchRangeProber",
     "project_to_ball",
 ]
@@ -135,22 +138,64 @@ def ball_intersects_range(
     return True  # undecided within budget: keep the node (sound)
 
 
+@dataclass(frozen=True)
+class BallTerms:
+    """The node-side constants of ``N`` Bregman balls, computed once.
+
+    ``f`` is ``f(c)``, ``grad`` is ``grad f(c)`` and ``c_dot_grad`` is
+    ``<c, grad f(c)>`` for each center ``c``; ``radii`` are the ball
+    radii clamped at zero.  A BB-tree computes these once per tree
+    (:class:`~repro.bbtree.flat.FlatTree`), so no range query re-derives
+    them per node visit.
+    """
+
+    centers: np.ndarray
+    radii: np.ndarray
+    grad: np.ndarray
+    f: np.ndarray
+    c_dot_grad: np.ndarray
+
+    @classmethod
+    def of(
+        cls,
+        divergence: DecomposableBregmanDivergence,
+        centers: np.ndarray,
+        radii: np.ndarray,
+    ) -> "BallTerms":
+        centers = np.atleast_2d(np.asarray(centers, dtype=float))
+        grad = np.asarray(divergence.phi_prime(centers), dtype=float)
+        return cls(
+            centers=centers,
+            radii=np.maximum(np.asarray(radii, dtype=float), 0.0),
+            grad=grad,
+            f=np.sum(divergence.phi(centers), axis=1),
+            c_dot_grad=np.einsum("ij,ij->i", centers, grad),
+        )
+
+
 class BatchRangeProber:
-    """Batched ball-vs-range tests with the query-side terms hoisted out.
+    """Batched ball-vs-range tests for ``B`` queries against many balls.
 
-    One prober serves a whole traversal: the per-query constants that the
-    scalar :func:`ball_intersects_range` re-derives at every node
-    (``grad f(q)``, ``f(q)``, ``<q, grad f(q)>``) are computed once here,
-    so each node visit costs a handful of fused array expressions over
-    the queries still active on that subtree.  The decision logic is the
-    scalar test's, run in lockstep for every active query: any
-    dual-geodesic witness inside both sets is a certain YES, any
-    certified lower bound beyond the range a certain NO, and queries drop
-    out of the bisection as soon as they resolve (undecided stays YES, so
-    pruning remains sound).
+    The per-query constants that the scalar :func:`ball_intersects_range`
+    re-derives at every node (``grad f(q)``, ``f(q)``, ``<q, grad f(q)>``)
+    are computed once here, and the node-side constants come
+    precomputed in a :class:`BallTerms`.  A (ball, query) pair is decided
+    by the scalar test's logic in two steps:
 
-    The fused arithmetic can round differently from the scalar test by
-    ~1 ulp, so a borderline node may be kept/dropped differently; both
+    * :meth:`fast_yes` -- the two bisection-free certain YES tests (the
+      query inside the ball, the center inside the range) as one dense
+      ``(N, B)`` pass;
+    * :meth:`bisect` -- the dual-geodesic bisection for the pairs the
+      fast paths left open, all of them in lockstep: any witness inside
+      both sets is a certain YES, any certified lower bound beyond the
+      range a certain NO, and pairs drop out as soon as they resolve
+      (undecided stays YES, so pruning remains sound).
+
+    Each pair's value depends only on that pair's operands, never on
+    which other pairs share the call, so any schedule of calls decides
+    the same pairs the same way.  The fused arithmetic can round
+    differently from the scalar test by ~1 ulp, so a borderline node may
+    be kept/dropped differently from :func:`ball_intersects_range`; both
     answers are sound (certified), so candidate sets may differ at the
     margin but final kNN results never do.
     """
@@ -170,124 +215,90 @@ class BatchRangeProber:
         self.f_q = np.sum(divergence.phi(self.queries), axis=1)
         self.q_dot_grad_q = np.einsum("ij,ij->i", self.queries, self.grad_q)
 
-    def intersects(
-        self, center: np.ndarray, ball_radius: float, active: np.ndarray | None = None
-    ) -> np.ndarray:
-        """Which of the ``active`` queries' ranges may the ball intersect?
+    def fast_yes(self, balls: BallTerms, query_idx: np.ndarray) -> np.ndarray:
+        """``(N, len(query_idx))`` mask of the pairs certain YES without
+        bisection: the query inside the ball, or the center inside the
+        range.
 
-        Returns a boolean mask aligned with ``active`` (default: all
-        queries); ``True`` means the node must be kept for that query.
+        The contractions are the default (unoptimized) ``np.einsum``
+        over every (ball, query) pair at once, which rounds each element
+        exactly like the row-wise ``"ij,ij->i"`` over gathered pairs;
+        ``np.dot``/``@``/``optimize=True`` may not.
         """
-        if active is None:
-            active = np.arange(self.queries.shape[0])
-        center = np.atleast_2d(np.asarray(center, dtype=float))
-        return self.intersects_pairs(
-            center,
-            np.array([float(ball_radius)]),
-            np.zeros(active.size, dtype=int),
-            np.asarray(active, dtype=int),
-        )
-
-    def intersects_pairs(
-        self,
-        centers: np.ndarray,
-        ball_radii: np.ndarray,
-        node_idx: np.ndarray,
-        query_idx: np.ndarray,
-    ) -> np.ndarray:
-        """Decide many (ball, query) pairs in one fused bisection.
-
-        ``centers``/``ball_radii`` describe ``K`` balls; pair ``p`` tests
-        ball ``node_idx[p]`` against query ``query_idx[p]``'s range.  A
-        whole tree level's tests collapse into one call, so the Python
-        overhead of the traversal is per *level*, not per (node, query).
-
-        Returns a boolean array over the pairs (``True`` = may intersect).
-        """
-        div = self.divergence
-        centers = np.atleast_2d(np.asarray(centers, dtype=float))
-        ball_radii = np.maximum(np.asarray(ball_radii, dtype=float), 0.0)
-        n_pairs = node_idx.size
-
-        out = np.zeros(n_pairs, dtype=bool)
-        radii = self.range_radii[query_idx]
-        considered = radii >= 0.0  # negative range: certain NO
-        if not considered.any():
-            return out
-
-        # Node-side constants (once per ball, not per pair).
-        f_c = np.sum(div.phi(centers), axis=1)
-        grad_c = np.asarray(div.phi_prime(centers), dtype=float)
-        c_dot_grad_c = np.einsum("ij,ij->i", centers, grad_c)
-
-        # Pair-aligned gathers of both sides.
-        pair_q = self.queries[query_idx]
-        pair_grad_q = self.grad_q[query_idx]
-        pair_f_q = self.f_q[query_idx]
-        pair_qgq = self.q_dot_grad_q[query_idx]
-        pair_grad_c = grad_c[node_idx]
-        pair_f_c = f_c[node_idx]
-        pair_cgc = c_dot_grad_c[node_idx]
-        pair_ball_r = ball_radii[node_idx]
-
-        # Certain YES without bisection (the scalar fast paths):
-        # query inside the ball, or ball center inside the range.
+        f_q = self.f_q[query_idx]
         d_query_center = np.maximum(
-            pair_f_q - pair_f_c - np.einsum("ij,ij->i", pair_q, pair_grad_c) + pair_cgc,
+            f_q[None, :]
+            - balls.f[:, None]
+            - np.einsum("nd,qd->nq", balls.grad, self.queries[query_idx])
+            + balls.c_dot_grad[:, None],
             0.0,
         )
         d_center_query = np.maximum(
-            pair_f_c
-            - pair_f_q
-            - np.einsum("ij,ij->i", pair_grad_q, centers[node_idx])
-            + pair_qgq,
+            balls.f[:, None]
+            - f_q[None, :]
+            - np.einsum("nd,qd->nq", balls.centers, self.grad_q[query_idx])
+            + self.q_dot_grad_q[query_idx][None, :],
             0.0,
         )
-        yes = considered & ((d_query_center <= pair_ball_r) | (d_center_query <= radii))
-        out[yes] = True
-        pending = np.flatnonzero(considered & ~yes)
-        if pending.size == 0:
-            return out
+        return (d_query_center <= balls.radii[:, None]) | (
+            d_center_query <= self.range_radii[query_idx][None, :]
+        )
 
-        lo = np.zeros(n_pairs)
-        hi = np.ones(n_pairs)
+    def bisect(
+        self, balls: BallTerms, node_idx: np.ndarray, query_idx: np.ndarray
+    ) -> np.ndarray:
+        """Decide many (ball, query) pairs in one fused bisection.
+
+        Pair ``p`` tests ball ``node_idx[p]`` against query
+        ``query_idx[p]``'s range, whose radius must be non-negative.
+        Returns a boolean array over the pairs (``True`` = may
+        intersect).
+        """
+        div = self.divergence
+        out = np.zeros(node_idx.size, dtype=bool)
+        # Each pair's operands, as rows that are dropped once it resolves.
+        pending = np.arange(node_idx.size)
+        grad_c = balls.grad[node_idx]
+        grad_q = self.grad_q[query_idx]
+        terms = np.stack([
+            balls.f[node_idx],
+            balls.c_dot_grad[node_idx],
+            balls.radii[node_idx],
+            self.f_q[query_idx],
+            self.q_dot_grad_q[query_idx],
+            self.range_radii[query_idx],
+        ])
+        lo = np.zeros(node_idx.size)
+        hi = np.ones(node_idx.size)
         for _ in range(self.max_iter):
-            theta = 0.5 * (lo[pending] + hi[pending])
+            if pending.size == 0:
+                return out
+            f_c, cgc, ball_r, f_q, qgq, radii = terms
+            theta = 0.5 * (lo + hi)
             x_theta = div.gradient_inverse(
-                theta[:, None] * pair_grad_c[pending]
-                + (1.0 - theta)[:, None] * pair_grad_q[pending]
+                theta[:, None] * grad_c + (1.0 - theta)[:, None] * grad_q
             )
             sum_phi_x = np.sum(div.phi(x_theta), axis=1)
             d_center = np.maximum(
-                sum_phi_x
-                - pair_f_c[pending]
-                - np.einsum("ij,ij->i", x_theta, pair_grad_c[pending])
-                + pair_cgc[pending],
-                0.0,
+                sum_phi_x - f_c - np.einsum("ij,ij->i", x_theta, grad_c) + cgc, 0.0
             )
             d_query = np.maximum(
-                sum_phi_x
-                - pair_f_q[pending]
-                - np.einsum("ij,ij->i", x_theta, pair_grad_q[pending])
-                + pair_qgq[pending],
-                0.0,
+                sum_phi_x - f_q - np.einsum("ij,ij->i", x_theta, grad_q) + qgq, 0.0
             )
-            inside_ball = d_center <= pair_ball_r[pending]
-            in_range = d_query <= radii[pending]
+            inside_ball = d_center <= ball_r
+            in_range = d_query <= radii
+            hi = np.where(inside_ball, theta, hi)
+            lo = np.where(inside_ball, lo, theta)
 
-            witness = inside_ball & in_range  # point in both sets: certain YES
-            out[pending[witness]] = True
-            disjoint = ~inside_ball & ~in_range  # certified bound: certain NO
-
-            hi[pending[inside_ball]] = theta[inside_ball]
-            lo[pending[~inside_ball]] = theta[~inside_ball]
-            converged = (hi[pending] - lo[pending]) <= 1e-12
-
-            undecided = ~(witness | disjoint | converged)
-            out[pending[converged & ~witness & ~disjoint]] = True  # sound default
-            pending = pending[undecided]
-            if pending.size == 0:
-                return out
+            # Resolved: a point in both sets (certain YES), a certified
+            # bound beyond the range (certain NO), or a converged bracket
+            # (YES, the sound default).  Only the certain NO drops a node.
+            resolved = (inside_ball == in_range) | ((hi - lo) <= 1e-12)
+            out[pending[resolved & (inside_ball | in_range)]] = True
+            if resolved.any():
+                keep = ~resolved
+                pending, lo, hi, terms = pending[keep], lo[keep], hi[keep], terms[:, keep]
+                grad_c, grad_q = grad_c[keep], grad_q[keep]
         out[pending] = True  # iteration budget exhausted: keep the node (sound)
         return out
 
@@ -302,13 +313,20 @@ def batch_ball_intersects_range(
 ) -> np.ndarray:
     """Vectorised :func:`ball_intersects_range` over a batch of queries.
 
-    One-shot convenience wrapper around :class:`BatchRangeProber`; for
-    repeated tests against many nodes (a tree traversal), build one
-    prober and reuse it so the query-side constants are paid once.
+    One ball through :class:`BatchRangeProber`'s fast paths and
+    bisection; a negative range radius is a certain NO.  For many balls
+    (a tree traversal), precompute their :class:`BallTerms` once and
+    reuse one prober.
     """
-    return BatchRangeProber(divergence, queries, range_radii, max_iter).intersects(
-        center, ball_radius
-    )
+    prober = BatchRangeProber(divergence, queries, range_radii, max_iter)
+    ball = BallTerms.of(divergence, center, [ball_radius])
+    active = np.flatnonzero(prober.range_radii >= 0.0)
+    out = np.zeros(prober.queries.shape[0], dtype=bool)
+    yes = prober.fast_yes(ball, active)[0]
+    out[active[yes]] = True
+    rest = active[~yes]
+    out[rest] = prober.bisect(ball, np.zeros(rest.size, dtype=int), rest)
+    return out
 
 
 def project_to_ball(

@@ -4,9 +4,11 @@ Covers Algorithm 6 steps 1-3 for every query of the context at once:
 batched query triples, one ``(B, n, M)`` bound tensor, all search radii
 from one ``argpartition`` (including the index's
 ``_adjust_radii_batch`` hook, which the approximate extension
-overrides), the level-synchronous batch BB-forest traversal, and the
-per-query widening recovery when adjusted radii return fewer than ``k``
-candidates.  A single search is the same run at ``B = 1``.
+overrides), one batched range query per BB-forest tree (a dense
+fast-path pass over the tree's flat node array, then bisection rounds
+over the (node, query) pairs still open; see :mod:`repro.bbtree.flat`),
+and the per-query widening recovery when adjusted radii return fewer
+than ``k`` candidates.  A single search is the same run at ``B = 1``.
 
 Snapshot semantics: all components (transforms, partitioning, forest)
 are read through ``ctx.snapshot`` so a concurrent merge can never swap

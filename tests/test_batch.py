@@ -20,7 +20,7 @@ from repro import (
     LinearScanIndex,
     SquaredEuclidean,
 )
-from repro.bbtree import BBTree
+from repro.bbtree import BBForest, BBTree
 from repro.core.transforms import (
     determine_search_bounds,
     determine_search_bounds_batch,
@@ -30,7 +30,13 @@ from repro.exceptions import (
     InvalidParameterError,
     NotFittedError,
 )
-from repro.geometry import ball_intersects_range, batch_ball_intersects_range
+from repro.geometry import (
+    BallTerms,
+    BatchRangeProber,
+    ball_intersects_range,
+    batch_ball_intersects_range,
+)
+from repro.partitioning import ContiguousPartitioner
 from repro.storage import BufferPool, DataStore, DiskAccessTracker, ShardedDataStore
 
 from conftest import all_decomposable_divergences, points_for
@@ -485,6 +491,189 @@ class TestBatchPrimitives:
         queries = points_for(divergence, 4, DIM, seed=8)
         with pytest.raises(InvalidParameterError, match="one radius per query"):
             tree.range_query_batch(queries, np.ones(3))
+
+    def test_tree_query_width_checked(self):
+        divergence = SquaredEuclidean()
+        points = points_for(divergence, 60, DIM, seed=7)
+        tree = BBTree(divergence, leaf_capacity=16).build(points)
+        queries = points_for(divergence, 4, DIM, seed=8)
+
+        message = rf"queries must have shape \(B, {DIM}\), got \(4, {DIM - 1}\)"
+        with pytest.raises(InvalidParameterError, match=message):
+            tree.range_query_batch(queries[:, 1:], np.ones(4))
+
+        message = rf"query must have shape \({DIM},\), got \({DIM + 1},\)"
+        with pytest.raises(InvalidParameterError, match=message):
+            tree.range_query(np.append(queries[0], 1.0), 1.0)
+
+        message = rf"query must have shape \({DIM},\), got \(1, {DIM}\)"
+        with pytest.raises(InvalidParameterError, match=message):
+            tree.range_query(queries[:1], 1.0)
+
+    def test_forest_batch_shapes_checked(self):
+        divergence = SquaredEuclidean()
+        points = points_for(divergence, 80, DIM, seed=7)
+        queries = points_for(divergence, 3, DIM, seed=8)
+        partitioning = ContiguousPartitioner().partition(points, 2)
+        forest = BBForest(
+            divergence, partitioning, leaf_capacity=8, rng=np.random.default_rng(0)
+        ).build(points)
+        subs = partitioning.split_matrix(queries)
+        radii = np.ones((3, 2))
+        half = DIM // 2
+
+        # a missing subspace would silently shrink Theorem 3's candidate set
+        message = r"query_submatrices must hold 2 matrices of shape \(B, d_i\).* got 1"
+        with pytest.raises(InvalidParameterError, match=message):
+            forest.range_union_batch(subs[:1], radii)
+        with pytest.raises(InvalidParameterError, match="got 3"):
+            forest.range_union_batch(subs + subs[:1], radii)
+
+        message = r"radii must have shape \(B, M\) = \(3, 2\), got \(3, 3\)"
+        with pytest.raises(InvalidParameterError, match=message):
+            forest.range_union_batch(subs, np.ones((3, 3)))
+        with pytest.raises(InvalidParameterError, match=r"got \(3,\)"):
+            forest.range_union_batch(subs, np.ones(3))
+
+        message = rf"query_submatrices\[1\] must have shape \(B, {half}\).* got \(3, {half - 1}\)"
+        with pytest.raises(InvalidParameterError, match=message):
+            forest.range_union_batch([subs[0], subs[1][:, 1:]], radii)
+        message = rf"query_submatrices\[1\] must have shape \(B, {half}\).* got \(2, {half}\)"
+        with pytest.raises(InvalidParameterError, match=message):
+            forest.range_union_batch([subs[0], subs[1][:2]], radii)
+        message = rf"query_submatrices\[0\] must have shape \(B, {half}\).* got \({half},\)"
+        with pytest.raises(InvalidParameterError, match=message):
+            forest.range_union_batch([subs[0][0], subs[1]], radii)
+
+        unions, stats = forest.range_union_batch(subs, radii)
+        assert len(unions) == len(stats) == 3
+
+
+def _walk_range_query(tree, queries, radii, point_filter):
+    """Reference for ``range_query_batch``: a per-node walk from the root.
+
+    Each node is tested, with ``batch_ball_intersects_range``, against
+    the queries that reached it; the survivors descend.  Returns each
+    query's sorted candidate ids and its count of kept leaves.
+    """
+    found = [[] for _ in range(queries.shape[0])]
+    leaves = np.zeros(queries.shape[0], dtype=int)
+    stack = [(tree.root, np.flatnonzero(radii >= 0.0))]
+    while stack:
+        node, reached = stack.pop()
+        if reached.size == 0:
+            continue
+        keep = batch_ball_intersects_range(
+            tree.divergence,
+            node.ball.center,
+            node.ball.radius,
+            queries[reached],
+            radii[reached],
+            max_iter=tree.lb_max_iter,
+        )
+        survivors = reached[keep]
+        if not node.is_leaf:
+            stack.extend((child, survivors) for child in (node.left, node.right))
+            continue
+        rows = np.array([tree._row_of[int(pid)] for pid in node.point_ids], dtype=int)
+        for q in survivors:
+            leaves[q] += 1
+            ids = node.point_ids
+            if point_filter:
+                dists = tree.divergence.batch_divergence(tree._points[rows], queries[q])
+                ids = ids[dists <= radii[q]]
+            found[q].append(ids)
+    ids = [np.sort(np.concatenate(parts)) if parts else np.empty(0, int) for parts in found]
+    return ids, leaves
+
+
+class TestFlatTraversal:
+    """``range_query_batch`` decides every (node, query) pair exactly as a
+    per-node walk does; only the schedule of the ball tests differs."""
+
+    @pytest.mark.parametrize("point_filter", [False, True])
+    @pytest.mark.parametrize("n_queries", [1, 7, 32])
+    @pytest.mark.parametrize("name,divergence", all_decomposable_divergences(DIM))
+    def test_matches_per_node_walk(self, name, divergence, n_queries, point_filter):
+        points = points_for(divergence, 200, DIM, seed=11)
+        queries = points_for(divergence, n_queries, DIM, seed=12)
+        tree = BBTree(divergence, leaf_capacity=6, rng=np.random.default_rng(0)).build(
+            points
+        )
+        # Radii from tiny to wide (quantiles of each query's divergences
+        # to the data), with every third query negative: pairs resolve by
+        # either fast path, by bisection, or not at all.
+        levels = np.linspace(0.01, 0.6, n_queries)
+        radii = np.array([
+            np.quantile(divergence.batch_divergence(points, query), level)
+            for query, level in zip(queries, levels)
+        ])
+        radii[1::3] = -radii[1::3] - 1.0
+
+        batch = tree.range_query_batch(queries, radii, point_filter=point_filter)
+        expected_ids, expected_leaves = _walk_range_query(
+            tree, queries, radii, point_filter
+        )
+        np.testing.assert_array_equal(batch.leaves_visited, expected_leaves)
+        for got, expected in zip(batch.point_ids, expected_ids):
+            np.testing.assert_array_equal(np.sort(got), expected)
+        assert expected_leaves.sum() > 0
+        assert (expected_leaves[1::3] == 0).all()
+
+    def test_leaf_pruned_by_its_ancestor(self):
+        # The right leaf's ball reaches (-1, 0), outside the root's ball:
+        # the query's range meets the leaf but not the root, so no leaf
+        # is kept, exactly as a top-down walk finds.
+        divergence = SquaredEuclidean()
+        points = np.array([[0.0, 1.0], [0.0, -1.0], [3.0, 0.01], [3.0, -0.01]])
+        tree = BBTree(divergence, leaf_capacity=2, rng=np.random.default_rng(0)).build(
+            points
+        )
+        queries, radii = np.array([[-1.5, 0.0]]), np.array([0.36])
+        leaf = tree.root.left if 0 in tree.root.left.point_ids else tree.root.right
+        for node, meets in ((tree.root, False), (leaf, True)):
+            decision = batch_ball_intersects_range(
+                divergence, node.ball.center, node.ball.radius, queries, radii
+            )
+            assert decision[0] == meets
+
+        batch = tree.range_query_batch(queries, radii)
+        assert batch.point_ids[0].size == 0
+        assert batch.leaves_visited[0] == 0
+
+    @pytest.mark.parametrize("name,divergence", all_decomposable_divergences(100))
+    def test_fast_paths_round_like_gathered_pairs(self, name, divergence):
+        """Each dense fast-path value equals the row-wise formula over
+        gathered pairs bit for bit: with a ball radius or range radius
+        set to one pair's own value, a 1-ulp drift flips it to NO."""
+        centers = points_for(divergence, 40, 100, seed=13)
+        queries = points_for(divergence, 32, 100, seed=14)
+        grad_c = divergence.phi_prime(centers)
+        grad_q = divergence.phi_prime(queries)
+        f_c = np.sum(divergence.phi(centers), axis=1)
+        f_q = np.sum(divergence.phi(queries), axis=1)
+        c_dot_grad_c = np.einsum("ij,ij->i", centers, grad_c)
+        q_dot_grad_q = np.einsum("ij,ij->i", queries, grad_q)
+        q_of_n = np.arange(40) % 32
+        n_of_q = np.arange(32) % 40
+
+        # D(q, c): the query inside the ball, for the pairs (n, q_of_n[n])
+        ball_radii = np.maximum(
+            f_q[q_of_n] - f_c - np.einsum("ij,ij->i", queries[q_of_n], grad_c) + c_dot_grad_c,
+            0.0,
+        )
+        prober = BatchRangeProber(divergence, queries, np.full(32, -1.0))
+        yes = prober.fast_yes(BallTerms.of(divergence, centers, ball_radii), np.arange(32))
+        assert yes[np.arange(40), q_of_n].all()
+
+        # D(c, q): the center inside the range, for the pairs (n_of_q[q], q)
+        range_radii = np.maximum(
+            f_c[n_of_q] - f_q - np.einsum("ij,ij->i", grad_q, centers[n_of_q]) + q_dot_grad_q,
+            0.0,
+        )
+        prober = BatchRangeProber(divergence, queries, range_radii)
+        yes = prober.fast_yes(BallTerms.of(divergence, centers, np.zeros(40)), np.arange(32))
+        assert yes[n_of_q, np.arange(32)].all()
 
 
 class TestDataStoreBatchFetch:

@@ -215,3 +215,33 @@ class TestDegenerateSplit:
         ids, dists, _ = tree.knn(dup, k=13)
         assert set(9000 + np.arange(12)) <= set(ids.tolist())
         np.testing.assert_allclose(dists[:13], 0.0, atol=1e-12)
+
+
+class TestFlatViewInvalidation:
+    """Batched range queries run on a flat view of the tree, built on the
+    first one; every in-place mutation must drop it."""
+
+    # far from the data: only points inserted here are in range
+    QUERY = np.full(6, 40.0)
+
+    def _batched(self, tree, point_filter):
+        result = tree.range_query_batch(self.QUERY[None, :], np.array([1.0]), point_filter)
+        return result.point_ids[0]
+
+    @pytest.mark.parametrize("point_filter", [False, True])
+    def test_insert_then_delete(self, point_filter):
+        _, tree = _build(SquaredEuclidean())
+        assert 999 not in self._batched(tree, point_filter)  # builds the view
+        tree.insert(self.QUERY, 999)
+        assert 999 in self._batched(tree, point_filter)
+        tree.delete(999)
+        assert 999 not in self._batched(tree, point_filter)
+
+    @pytest.mark.parametrize("point_filter", [False, True])
+    def test_extend_leaves_the_original_alone(self, point_filter):
+        _, tree = _build(SquaredEuclidean())
+        before = self._batched(tree, point_filter)  # builds the view
+        new_ids = np.array([500, 501])
+        clone = tree.extended(np.stack([self.QUERY, self.QUERY + 0.1]), new_ids)
+        assert set(new_ids) <= set(self._batched(clone, point_filter).tolist())
+        np.testing.assert_array_equal(self._batched(tree, point_filter), before)
