@@ -40,6 +40,7 @@ import pytest
 from repro import BrePartitionConfig, BrePartitionIndex
 from repro.core.transforms import determine_search_bounds_batch, pad_radii
 from repro.datasets import load_dataset
+from repro.pipeline.refine import refinement_block
 
 DATASET = "fonts"
 N_POINTS = 2000
@@ -129,9 +130,7 @@ def measure(dataset, index, batch_size: int) -> dict:
         "speedup": loop_seconds / block_seconds,
         "mean_candidates": float(np.mean([c.size for c in candidates])),
         "union_candidates": int(union.size),
-        "block_rows": index.config.refinement_block_for(
-            batch_size, dataset.points.shape[1]
-        ),
+        "block_rows": refinement_block(batch_size, dataset.points.shape[1]),
     }
 
 
@@ -224,7 +223,7 @@ def main() -> None:
     rows = []
     print(
         f"dataset: {dataset!r}, M={index.n_partitions}, k={K}, "
-        f"refinement_block_size=auto"
+        f"refinement block rule: 2^20-element budget"
     )
     for batch_size in BATCH_SIZES:
         result = measure(dataset, index, batch_size)

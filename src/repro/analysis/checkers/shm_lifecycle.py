@@ -1,7 +1,7 @@
 """shm-lifecycle: shared-memory slabs must be released on every path.
 
-PR 9's process pool ships score slabs through
-``multiprocessing.shared_memory.SharedMemory``.  The kernel object
+Guards any ``multiprocessing.shared_memory.SharedMemory`` segment a
+module creates or attaches to.  The kernel object
 backing a segment survives the process unless *someone* calls
 ``unlink()``, and each attached handle pins a file descriptor until
 ``close()`` -- so a single exception path that skips either leaks a

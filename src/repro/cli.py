@@ -103,22 +103,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="batch refinement kernel: dense (union x batch), sparse "
         "(real pairs only), or auto density-based dispatch (default)",
     )
-    search.add_argument(
-        "--refine-backend",
-        choices=("auto", "serial", "process"),
-        default=None,
-        help="batch refinement compute backend: serial in-process kernels, "
-        "process (shared-memory multiprocess pool), or auto dispatch above "
-        "the amortization floor (default); results are bitwise identical",
-    )
-    search.add_argument(
-        "--refine-workers",
-        type=int,
-        default=None,
-        metavar="P",
-        help="refinement pool width: score the batch's union rows / pairs "
-        "across P worker processes (requires --batch; results are identical)",
-    )
     search.add_argument("--probability", type=float, default=0.9, help="ABP guarantee p")
     search.add_argument("--seed", type=int, default=0)
 
@@ -164,15 +148,6 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--shards", type=int, default=1, help="simulated disks")
     serve.add_argument(
         "--shard-workers", type=int, default=1, help="fan-out threads per batch"
-    )
-    serve.add_argument(
-        "--refine-workers", type=int, default=1, metavar="P",
-        help="refinement process-pool width per batch (1 = serial scoring)",
-    )
-    serve.add_argument(
-        "--refine-backend", choices=("auto", "serial", "process"), default="auto",
-        help="refinement compute backend (auto dispatches to the process "
-        "pool only above the amortization floor)",
     )
     serve.add_argument(
         "--replication-factor", type=int, default=1, metavar="R",
@@ -234,10 +209,13 @@ def _cmd_info() -> int:
 
 
 def _make_index(args, dataset):
+    # ABP keeps its leaf-exact default (point_filter=True); an explicit
+    # config would otherwise override it with the exact index's False
     config = BrePartitionConfig(
         n_partitions=args.partitions,
         page_size_bytes=dataset.page_size_bytes,
         seed=args.seed,
+        point_filter=args.method == "abp",
     )
     if args.method == "bp":
         return BrePartitionIndex(dataset.divergence, config)
@@ -266,12 +244,6 @@ def _cmd_search(args) -> int:
     if args.shard_workers is not None and args.shard_workers < 1:
         print(
             f"--shard-workers must be >= 1, got {args.shard_workers}",
-            file=sys.stderr,
-        )
-        return 2
-    if args.refine_workers is not None and args.refine_workers < 1:
-        print(
-            f"--refine-workers must be >= 1, got {args.refine_workers}",
             file=sys.stderr,
         )
         return 2
@@ -327,12 +299,6 @@ def _cmd_search(args) -> int:
     if args.refine_kernel is not None and args.batch is None:
         print("--refine-kernel only affects batch refinement; ignoring (pass --batch)")
         args.refine_kernel = None
-    if args.refine_workers is not None and args.batch is None:
-        print("--refine-workers only affects batch refinement; ignoring (pass --batch)")
-        args.refine_workers = None
-    if args.refine_backend is not None and args.batch is None:
-        print("--refine-backend only affects batch refinement; ignoring (pass --batch)")
-        args.refine_backend = None
     config = getattr(index, "config", None)
     if args.shard_workers is not None and (
         config is None or not hasattr(config, "shard_workers")
@@ -344,15 +310,6 @@ def _cmd_search(args) -> int:
     ):
         print(f"method {args.method!r} has no kernel dispatch; ignoring --refine-kernel")
         args.refine_kernel = None
-    if (args.refine_workers is not None or args.refine_backend is not None) and (
-        config is None or not hasattr(config, "refine_backend")
-    ):
-        print(
-            f"method {args.method!r} has no refinement pool; "
-            "ignoring --refine-workers/--refine-backend"
-        )
-        args.refine_workers = None
-        args.refine_backend = None
     result = run_workload(
         index,
         dataset,
@@ -362,8 +319,6 @@ def _cmd_search(args) -> int:
         shards=args.shards,
         shard_workers=args.shard_workers,
         refine_kernel=args.refine_kernel,
-        refine_backend=args.refine_backend,
-        refine_workers=args.refine_workers,
         replication_factor=args.replication_factor,
         hedge_after_ms=args.hedge_after_ms,
     )
@@ -396,12 +351,6 @@ def _cmd_search(args) -> int:
     kernel = result.extras.get("refine_kernel")
     if kernel is not None:
         print(f"batch refinement kernel: {kernel}")
-    backend = result.extras.get("refine_backend")
-    if backend is not None:
-        print(
-            f"batch refinement backend: {backend} "
-            f"({result.extras.get('refine_workers', 1)} worker(s))"
-        )
     return 0
 
 
@@ -423,7 +372,6 @@ def _cmd_serve_bench(args) -> int:
         ("--concurrent-batches", args.concurrent_batches, 1),
         ("--shards", args.shards, 1),
         ("--shard-workers", args.shard_workers, 1),
-        ("--refine-workers", args.refine_workers, 1),
         ("--replication-factor", args.replication_factor, 1),
     ):
         if value < floor:
@@ -459,8 +407,6 @@ def _cmd_serve_bench(args) -> int:
         iops=args.iops if args.iops > 0 else None,
         replication_factor=args.replication_factor,
         hedge_after_ms=args.hedge_after_ms,
-        refine_backend=args.refine_backend,
-        refine_workers=args.refine_workers,
     )
     print(f"dataset: {dataset!r} ({dataset.description})")
     print(

@@ -10,23 +10,10 @@ from ..partitioning.contiguous import ContiguousPartitioner
 from ..partitioning.pccp import PCCPPartitioner
 from ..partitioning.scheme import PartitionStrategy
 
-__all__ = [
-    "BrePartitionConfig",
-    "REFINE_KERNELS",
-    "REFINE_BACKENDS",
-    "REFINE_START_METHODS",
-]
+__all__ = ["BrePartitionConfig", "REFINE_KERNELS"]
 
 #: valid values of :attr:`BrePartitionConfig.refine_kernel`.
 REFINE_KERNELS = ("auto", "dense", "sparse")
-
-#: valid values of :attr:`BrePartitionConfig.refine_backend`.
-REFINE_BACKENDS = ("auto", "serial", "process")
-
-#: valid non-``None`` values of
-#: :attr:`BrePartitionConfig.refine_start_method`; availability is
-#: platform-dependent and checked at pool construction.
-REFINE_START_METHODS = ("forkserver", "spawn", "fork")
 
 
 @dataclass
@@ -61,12 +48,6 @@ class BrePartitionConfig:
         ``1`` (default) keeps the single-disk :class:`DataStore`;
         ``> 1`` builds a :class:`~repro.storage.sharded.ShardedDataStore`
         with the BB-forest's leaves striped round-robin across shards.
-    refinement_block_size:
-        Rows of the candidate union scored per call of the blocked
-        cross-divergence kernel.  Bounds the kernel's per-block
-        ``(block, d)`` point-term slabs and ``(block, B)`` output;
-        ``None`` (default) keeps the larger of the two near 8MB.  Also
-        bounds the sparse kernel's ``(block, d)`` pair-gather slabs.
     shard_workers:
         Threads fanning ``search_batch`` candidate fetches out across
         the shards of a :class:`~repro.storage.sharded.ShardedDataStore`
@@ -78,55 +59,10 @@ class BrePartitionConfig:
         (union x batch) matrix in blocks, ``"sparse"`` scores only real
         (candidate, query) pairs through the grouped kernel, ``"auto"``
         (default) picks sparse when the mean per-query candidate density
-        over the union falls below ``sparse_density_threshold``.  All
-        three return bitwise-identical results.
-    sparse_density_threshold:
-        ``auto`` routes to the sparse kernel when
-        ``mean(|candidates_q|) / |union|`` is below this.  The sparse
-        kernel pays gather traffic per pair, so the break-even sits
-        around 1/3 candidate density.
-    refine_backend:
-        Where batch refinement scoring runs: ``"serial"`` in-process
-        (the GIL-bound default path), ``"process"`` always through the
-        shared-memory :class:`~repro.exec.RefinementProcessPool`
-        (``refine_workers`` worker processes; raises
-        :class:`~repro.exceptions.RefinementPoolError` where POSIX
-        shared memory is unavailable), ``"auto"`` (default) uses the
-        pool only when ``refine_workers > 1``, shared memory works and
-        the batch clears the ``min_refine_rows_per_worker`` amortization
-        floor -- otherwise serial.  All backends return
-        bitwise-identical results; single-query ``search`` always runs
-        serial.  Process workers never charge pages (Fetch already paid
-        for every candidate page), so per-scope I/O accounting is
-        unchanged.
-    refine_workers:
-        Worker processes in the refinement pool (lazily spawned on the
-        first process-backend batch, persistent across batches; see
-        :mod:`repro.exec.procpool`).  ``1`` (default) with
-        ``refine_backend="auto"`` keeps everything serial.  Each worker
-        pins its BLAS/OpenMP thread counts to 1 at startup
-        (``OMP_NUM_THREADS`` and friends), so NumPy's internal threading
-        cannot oversubscribe cores under the process fan-out: total
-        compute parallelism is ``refine_workers``, not
-        ``refine_workers x blas_threads``.  Results are bitwise
-        identical for any value.
-    min_refine_rows_per_worker:
-        Amortization floor for ``refine_backend="auto"``: the pool is
-        used only when the batch's work items (union rows for the dense
-        kernel, candidate pairs for the sparse kernel) reach
-        ``refine_workers`` times this.  Below it the per-dispatch cost
-        (slab allocation + task IPC, ~1ms) outweighs the parallel win
-        and auto stays serial.  Forced ``"process"`` ignores the floor.
-    refine_start_method:
-        Multiprocessing start method for pool workers: one of
-        ``"forkserver"``/``"spawn"``/``"fork"``, or ``None`` (default)
-        to resolve via the ``REPRO_REFINE_START_METHOD`` env var, then
-        ``forkserver`` falling back to ``spawn``.  ``fork`` is never
-        picked implicitly: workers spawn lazily from the (by then
-        multithreaded) serving process, and forking a multithreaded
-        parent can deadlock children on inherited malloc/BLAS/logging
-        locks.  Availability is validated when the pool is built, since
-        it is platform-dependent.
+        over the union falls below
+        :data:`~repro.pipeline.refine.SPARSE_DENSITY_THRESHOLD`.  All
+        three return bitwise-identical results; every kernel runs
+        in-process.
     simulated_io_iops:
         When set, the shard fan-out models each simulated disk as
         serving this many page reads per second (see
@@ -203,14 +139,8 @@ class BrePartitionConfig:
     calibration_samples: int = 50
     seed: Optional[int] = None
     n_shards: int = 1
-    refinement_block_size: Optional[int] = None
     shard_workers: int = 1
     refine_kernel: str = "auto"
-    sparse_density_threshold: float = 0.3
-    refine_backend: str = "auto"
-    refine_workers: int = 1
-    min_refine_rows_per_worker: int = 1024
-    refine_start_method: Optional[str] = None
     simulated_io_iops: Optional[float] = None
     io_max_retries: int = 0
     io_backoff_ms: float = 1.0
@@ -235,38 +165,12 @@ class BrePartitionConfig:
             raise InvalidParameterError("calibration_samples must be >= 2")
         if self.n_shards < 1:
             raise InvalidParameterError("n_shards must be >= 1")
-        if self.refinement_block_size is not None and self.refinement_block_size < 1:
-            raise InvalidParameterError(
-                "refinement_block_size must be >= 1 (or None for auto)"
-            )
         if self.shard_workers < 1:
             raise InvalidParameterError("shard_workers must be >= 1")
         if self.refine_kernel not in REFINE_KERNELS:
             raise InvalidParameterError(
                 f"refine_kernel must be one of {REFINE_KERNELS}, "
                 f"got {self.refine_kernel!r}"
-            )
-        if not 0.0 <= self.sparse_density_threshold <= 1.0:
-            raise InvalidParameterError(
-                "sparse_density_threshold must be in [0, 1]"
-            )
-        if self.refine_backend not in REFINE_BACKENDS:
-            raise InvalidParameterError(
-                f"refine_backend must be one of {REFINE_BACKENDS}, "
-                f"got {self.refine_backend!r}"
-            )
-        if self.refine_workers < 1:
-            raise InvalidParameterError("refine_workers must be >= 1")
-        if self.min_refine_rows_per_worker < 1:
-            raise InvalidParameterError(
-                "min_refine_rows_per_worker must be >= 1"
-            )
-        if self.refine_start_method is not None and (
-            self.refine_start_method not in REFINE_START_METHODS
-        ):
-            raise InvalidParameterError(
-                f"refine_start_method must be None or one of "
-                f"{REFINE_START_METHODS}, got {self.refine_start_method!r}"
             )
         if self.simulated_io_iops is not None and self.simulated_io_iops <= 0:
             raise InvalidParameterError(
@@ -317,17 +221,3 @@ class BrePartitionConfig:
         if self.leaf_capacity is not None:
             return self.leaf_capacity
         return max(8, self.page_size_bytes // (8 * dimensionality))
-
-    def refinement_block_for(self, n_queries: int, dimensionality: int) -> int:
-        """Union rows per blocked-kernel call: explicit, or a cache budget.
-
-        The matrixised cross-divergence kernels materialise per-block
-        ``(block, d)`` point-term vectors and a ``(block, n_queries)``
-        output slab; the auto block keeps the larger of the two around
-        2^20 float64 elements (~8MB) so blocks stay cache-friendly
-        without paying per-block dispatch for tiny slices.
-        """
-        if self.refinement_block_size is not None:
-            return self.refinement_block_size
-        budget_elements = 1 << 20
-        return max(1, budget_elements // max(1, n_queries, dimensionality))

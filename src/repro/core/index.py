@@ -38,7 +38,6 @@ from ..exceptions import (
     WALError,
 )
 from ..exec.executor import ShardExecutor, ShardHealthRegistry
-from ..exec.procpool import RefinementProcessPool
 from ..partitioning.optimizer import (
     CostModelParams,
     calibrate_cost_model,
@@ -109,14 +108,6 @@ class BrePartitionIndex:
         self.construction_seconds: float = 0.0
         self._points: Optional[np.ndarray] = None
         self._refine_conditioner = None
-        #: lazily-created multiprocess refinement pool (``refine_backend``
-        #: "process"/"auto" with ``refine_workers > 1``); owned by the
-        #: index so workers persist across batches, shut down by
-        #: :meth:`close`.  Creation/resize/close are guarded by
-        #: ``_refine_pool_lock`` -- concurrent serve batches all route
-        #: here, and an unguarded lazy create would leak a second pool.
-        self._refine_pool = None
-        self._refine_pool_lock = threading.Lock()
         #: the published frozen base (epoch'd, immutable) and the delta
         #: buffer of unmerged updates; together they are the index state
         #: a search snapshots.  Guarded by ``_mutate_lock``.
@@ -880,8 +871,6 @@ class BrePartitionIndex:
             n_queries=n_queries,
             n_candidates=total_candidates,
             refine_kernel=ctx.refine_kernel,
-            refine_backend=ctx.refine_backend,
-            refine_workers=ctx.refine_workers,
             shard_workers=self.config.shard_workers if sharded else 1,
             shard_seconds=ctx.shard_seconds,
             stage_seconds=dict(ctx.stage_seconds),
@@ -919,40 +908,12 @@ class BrePartitionIndex:
             hedge_after_seconds=hedge / 1000.0 if hedge is not None else None,
         )
 
-    def refine_pool(self) -> RefinementProcessPool:
-        """The index's persistent multiprocess refinement pool.
-
-        Created on first use (workers themselves spawn lazily on the
-        first dispatch) and resized if ``config.refine_workers`` changed
-        since; the Refine stage calls this only after
-        :meth:`~repro.pipeline.refine.RefineStage.choose_backend`
-        resolved to the ``process`` backend.  Thread-safe: concurrent
-        batches race to create the singleton, and the lock keeps the
-        loser from spawning (and leaking) a second worker set; the
-        pool's own lock then keeps any resize/close from tearing down
-        queues under an in-flight dispatch.
-        """
-        with self._refine_pool_lock:
-            if self._refine_pool is None:
-                self._refine_pool = RefinementProcessPool(
-                    self.divergence,
-                    self.config.refine_workers,
-                    start_method=self.config.refine_start_method,
-                )
-            else:
-                self._refine_pool.ensure_workers(self.config.refine_workers)
-            return self._refine_pool
-
     def close(self) -> None:
-        """Release process-pool workers; safe to call repeatedly.
+        """No-op kept for callers that bracket an index's lifetime.
 
-        The index stays usable after ``close()`` -- a later process
-        dispatch simply respawns the pool -- so this is a resource
-        release, not a terminal state.
+        Refinement runs in-process, so there are no workers to release.
+        Safe to call repeatedly; the index stays fully usable afterwards.
         """
-        with self._refine_pool_lock:
-            if self._refine_pool is not None:
-                self._refine_pool.shutdown()
 
     def _adjust_radii_batch(self, search_bounds, triples) -> np.ndarray:
         """Plan-stage hook for the approximate extension, which shrinks

@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ..baselines.linear_scan import brute_force_knn
-from ..core.config import REFINE_BACKENDS, REFINE_KERNELS
+from ..core.config import REFINE_KERNELS
 from ..core.results import SearchResult
 from ..exceptions import InvalidParameterError
 from ..datasets.loader import Dataset
@@ -108,8 +108,6 @@ def run_workload(
     shards: int | None = None,
     shard_workers: int | None = None,
     refine_kernel: str | None = None,
-    refine_backend: str | None = None,
-    refine_workers: int | None = None,
     replication_factor: int | None = None,
     hedge_after_ms: float | None = None,
 ) -> WorkloadResult:
@@ -139,13 +137,6 @@ def run_workload(
     a :class:`~repro.core.config.BrePartitionConfig`; neither changes
     results, only how they are computed, and batch runs record the
     kernel actually used in ``extras["refine_kernel"]``.
-
-    ``refine_backend`` (``auto``/``serial``/``process``) and
-    ``refine_workers`` likewise set the refinement *compute* backend --
-    multiprocess shared-memory scoring versus the serial in-process
-    kernels (see :mod:`repro.exec.procpool`).  Results are bitwise
-    unchanged; batch runs record what actually ran in
-    ``extras["refine_backend"]`` / ``extras["refine_workers"]``.
 
     ``replication_factor`` re-lays every shard's pages on that many
     distinct disks (requires ``shards``), and ``hedge_after_ms`` races
@@ -195,27 +186,6 @@ def run_workload(
                 f"got {refine_kernel!r}"
             )
         config.refine_kernel = refine_kernel
-    if refine_backend is not None:
-        if config is None or not hasattr(config, "refine_backend"):
-            raise InvalidParameterError(
-                f"index {type(index).__name__} has no refinement-backend dispatch"
-            )
-        if refine_backend not in REFINE_BACKENDS:
-            raise InvalidParameterError(
-                f"refine_backend must be one of {REFINE_BACKENDS}, "
-                f"got {refine_backend!r}"
-            )
-        config.refine_backend = refine_backend
-    if refine_workers is not None:
-        if config is None or not hasattr(config, "refine_workers"):
-            raise InvalidParameterError(
-                f"index {type(index).__name__} has no refinement process pool"
-            )
-        if refine_workers < 1:
-            raise InvalidParameterError(
-                f"refine_workers must be >= 1, got {refine_workers}"
-            )
-        config.refine_workers = int(refine_workers)
 
     queries = dataset.queries
     if n_queries is not None:
@@ -227,8 +197,6 @@ def run_workload(
     batched_pages_coalesced = 0
     shard_pages: list[int] | None = None
     kernels_used: list[str] = []
-    backends_used: list[str] = []
-    pool_widths: list[int] = []
     stage_totals: dict[str, float] = {}
     cross_batch_hits: int | None = None
     for query, (result, batch_stats) in zip(
@@ -252,13 +220,6 @@ def run_workload(
                 and batch_stats.refine_kernel not in kernels_used
             ):
                 kernels_used.append(batch_stats.refine_kernel)
-            if (
-                batch_stats.refine_backend is not None
-                and batch_stats.refine_backend not in backends_used
-            ):
-                backends_used.append(batch_stats.refine_backend)
-            if batch_stats.refine_workers not in pool_widths:
-                pool_widths.append(batch_stats.refine_workers)
             if batch_stats.pages_read_per_shard is not None:
                 if shard_pages is None:
                     shard_pages = [0] * len(batch_stats.pages_read_per_shard)
@@ -303,11 +264,6 @@ def run_workload(
             # auto dispatch can flip between batches (candidate density
             # differs per chunk); report every kernel that ran
             extras["refine_kernel"] = "+".join(kernels_used)
-        if backends_used:
-            # like the kernel: auto can resolve differently per chunk
-            # (the amortization floor is per-batch), so report them all
-            extras["refine_backend"] = "+".join(backends_used)
-            extras["refine_workers"] = max(pool_widths)
         if stage_totals:
             # where the batch time went, summed over all chunks -- the
             # pipeline's plan/fetch/refine/rerank wall-clock split

@@ -76,19 +76,6 @@ class ShardUnavailableError(StorageError):
     """
 
 
-class RefinementPoolError(ReproError, RuntimeError):
-    """The multiprocess refinement pool cannot complete a dispatch.
-
-    Raised by :class:`~repro.exec.RefinementProcessPool` when a worker
-    process dies mid-batch and its re-dispatched work dies again (one
-    respawn-and-retry is attempted first), when a worker reports a
-    compute error, or when the ``process`` backend is forced on a
-    platform without POSIX shared memory.  The pool respawns its dead
-    workers before raising, so the index stays usable: the caller can
-    fall back to ``refine_backend="serial"`` or simply retry.
-    """
-
-
 class DeadlineExceededError(ReproError, TimeoutError):
     """A serving request missed its per-request deadline.
 

@@ -100,12 +100,10 @@ class QueryBatchContext:
     #: kernel the dispatcher ran ("dense"/"sparse"; ``None`` when the
     #: candidate union was empty).
     refine_kernel: Optional[str] = None
-    #: compute backend the scoring ran on ("serial"/"process"; ``None``
-    #: when nothing was scored).  ``auto`` resolves before scoring, so
-    #: this is always the backend that actually ran.
+    #: where the scoring ran: ``"serial"`` (in-process, the only
+    #: backend) whenever anything was scored, ``None`` otherwise.  Kept
+    #: for trace consumers that label Refine spans by backend.
     refine_backend: Optional[str] = None
-    #: process-pool width the scoring used (1 for the serial backend).
-    refine_workers: int = 1
     #: ``scores_of(q, rows)`` -> query ``q``'s expansion scores in
     #: candidate order.
     scores_of: Optional[Callable[[int, np.ndarray], np.ndarray]] = None

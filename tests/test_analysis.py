@@ -745,20 +745,6 @@ class TestSelfRun:
 class TestSweepRegressions:
     """Each true positive the sweep fixed stays fixed."""
 
-    def test_shm_probe_cleanup_is_in_finally(self):
-        # PR 10 sweep: shared_memory_available()'s probe segment must
-        # not leak when close()/unlink() raise after a successful create
-        checker = ShmLifecycleChecker()
-        from repro.analysis.engine import load_module
-
-        module = load_module(str(SRC / "repro/exec/procpool.py"))
-        assert checker.collect(module) == []
-
-    def test_shm_probe_still_works(self):
-        from repro.exec.procpool import shared_memory_available
-
-        assert shared_memory_available() in (True, False)
-
     def test_mahalanobis_gradient_noqa_is_justified(self):
         # the suppressed matvec must stay numerically identical to the
         # fixed-order spelling (single point: shapes fixed by d)

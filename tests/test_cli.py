@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cli import main
+from repro.cli import _build_parser, _make_index, main
+from repro.datasets import load_dataset
 
 
 class TestInfo:
@@ -135,6 +136,19 @@ class TestSearch:
         )
         assert code == 0
         assert "ABP" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("method,point_filter", [("abp", True), ("bp", False)])
+    def test_make_index_keeps_each_methods_point_filter_default(
+        self, method, point_filter
+    ):
+        # ABP documents a leaf-exact default (point_filter=True) that the
+        # explicit CLI config must not override; BP stays cluster-granular
+        args = _build_parser().parse_args(
+            ["search", "normal", "--method", method, "--partitions", "2"]
+        )
+        dataset = load_dataset("normal", n=50, n_queries=1, seed=0)
+        index = _make_index(args, dataset)
+        assert index.config.point_filter is point_filter
 
     def test_search_reports_partitions(self, capsys):
         main(

@@ -227,6 +227,18 @@ class TestStats:
         assert len(pairs) == 3
         assert pairs[0][0] == result.ids[0]
 
+    def test_close_is_idempotent_and_index_stays_usable(self):
+        div, points, index = self._index()
+        queries = points[:8]
+        first = index.search_batch(queries, 5)
+        assert first.stats.refine_kernel in ("dense", "sparse")
+        index.close()
+        index.close()
+        again = index.search_batch(queries, 5)
+        for a, b in zip(first, again):
+            np.testing.assert_array_equal(a.ids, b.ids)
+            np.testing.assert_array_equal(a.divergences, b.divergences)
+
 
 class TestAlgorithm4:
     def test_anchor_is_kth_smallest_total(self):

@@ -24,6 +24,7 @@ from repro import (
     SquaredEuclidean,
 )
 from repro.core.index import _top_k_stable
+from repro.pipeline import refine as refine_module
 
 from conftest import all_decomposable_divergences, points_for
 
@@ -257,21 +258,28 @@ class TestBlockedRefinementParity:
             np.testing.assert_array_equal(b_divs, l_divs)
 
     @pytest.mark.parametrize("block_size", [1, 7, 64, None])
-    def test_block_size_invariance(self, block_size):
+    def test_block_size_invariance(self, block_size, monkeypatch):
+        used = []
+        if block_size is not None:  # None keeps the element-budget rule
+
+            def fixed_block(n_queries, dimensionality):
+                used.append(n_queries)
+                return block_size
+
+            monkeypatch.setattr(refine_module, "refinement_block", fixed_block)
         divergence = ItakuraSaito()
         points = points_for(divergence, N_POINTS, DIM, seed=14)
         queries = points_for(divergence, N_QUERIES, DIM, seed=15)
         index = BrePartitionIndex(
-            divergence,
-            BrePartitionConfig(
-                n_partitions=3, seed=0, refinement_block_size=block_size
-            ),
+            divergence, BrePartitionConfig(n_partitions=3, seed=0)
         ).build(points)
         batch = index.search_batch(queries, K)
         for query, batched in zip(queries, batch):
             single = index.search(query, K)
             np.testing.assert_array_equal(single.ids, batched.ids)
             np.testing.assert_array_equal(single.divergences, batched.divergences)
+        # the patched rule sized both the B=1 and the batched blocks
+        assert (block_size is None) or {1, N_QUERIES} <= set(used)
 
     def test_duplicate_points_tie_break_by_id(self):
         divergence = SquaredEuclidean()

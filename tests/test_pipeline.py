@@ -35,6 +35,7 @@ from repro.pipeline import (
     SearchPipeline,
     default_stages,
 )
+from repro.pipeline import refine as refine_module
 from repro.serve import MicroBatchConfig, MicroBatcher
 from repro.storage import BufferPool, DataStore
 
@@ -63,35 +64,21 @@ class TestPipelineOracleParity:
 
     @pytest.mark.parametrize("name,divergence", all_decomposable_divergences(DIM))
     def test_batch_matches_brute_force_bitwise(self, name, divergence):
-        from repro.exec import shared_memory_available
-
         points = points_for(divergence, N_POINTS, DIM, seed=1)
         queries = points_for(divergence, N_QUERIES, DIM, seed=2)
         index = build_index(
             divergence, points, n_shards=4, page_size_bytes=PAGE_BYTES
         )
         index.config.shard_workers = 4
-        backends = ["serial"]
-        if shared_memory_available():
-            backends.append("process")
-        try:
-            for backend in backends:
-                index.config.refine_backend = backend
-                index.config.refine_workers = 4 if backend == "process" else 1
-                index.config.min_refine_rows_per_worker = 1
-                for kernel in ("dense", "sparse", "auto"):
-                    index.config.refine_kernel = kernel
-                    batch = index.search_batch(queries, K)
-                    for query, result in zip(queries, batch):
-                        oracle_ids, oracle_divs = brute_force_knn(
-                            divergence, points, query, K
-                        )
-                        np.testing.assert_array_equal(result.ids, oracle_ids)
-                        np.testing.assert_array_equal(
-                            result.divergences, oracle_divs
-                        )
-        finally:
-            index.close()
+        for kernel in ("dense", "sparse", "auto"):
+            index.config.refine_kernel = kernel
+            batch = index.search_batch(queries, K)
+            for query, result in zip(queries, batch):
+                oracle_ids, oracle_divs = brute_force_knn(
+                    divergence, points, query, K
+                )
+                np.testing.assert_array_equal(result.ids, oracle_ids)
+                np.testing.assert_array_equal(result.divergences, oracle_divs)
 
     @pytest.mark.parametrize("name,divergence", all_decomposable_divergences(DIM))
     def test_single_search_matches_brute_force_bitwise(self, name, divergence):
@@ -130,13 +117,13 @@ class TestChooseKernelEdges:
         assert stage.choose_kernel([], 100, 0) == "dense"
         assert stage.choose_kernel([np.arange(3)], 0, 1) == "dense"
 
-    def test_density_exactly_at_threshold_is_dense(self):
+    def test_density_exactly_at_threshold_is_dense(self, monkeypatch):
         # the comparison is strict: density == threshold keeps dense
-        index, stage = self._stage()
+        _, stage = self._stage()
         candidates = [np.arange(25), np.arange(25)]  # 50 / (100 * 2) = 0.25
-        index.config.sparse_density_threshold = 0.25
+        monkeypatch.setattr(refine_module, "SPARSE_DENSITY_THRESHOLD", 0.25)
         assert stage.choose_kernel(candidates, 100, 2) == "dense"
-        index.config.sparse_density_threshold = 0.2500001
+        monkeypatch.setattr(refine_module, "SPARSE_DENSITY_THRESHOLD", 0.2500001)
         assert stage.choose_kernel(candidates, 100, 2) == "sparse"
 
     def test_forced_kernels_ignore_degenerate_batches(self):
@@ -195,12 +182,13 @@ class TestStageMechanics:
         index, points = self._index()
         query = points_for(SquaredEuclidean(), 1, DIM, seed=2)[0]
         before = index.search(query, K)
+        seen = []
 
         class ProbeStage(PipelineStage):
             name = "probe"
 
             def run(self, ctx: QueryBatchContext) -> None:
-                ctx.probe_refined = len(ctx.refined)
+                seen.append((len(ctx.refined), ctx.refine_backend))
 
         index.pipeline = SearchPipeline(
             index, default_stages(index) + [ProbeStage(index)]
@@ -209,6 +197,8 @@ class TestStageMechanics:
         np.testing.assert_array_equal(before.ids, after.ids)
         np.testing.assert_array_equal(before.divergences, after.divergences)
         assert "probe" in after.stats.stage_seconds
+        # observers see the finished context; scoring always runs in-process
+        assert seen == [(1, "serial")]
 
 
 class TestCrossBatchPoolReuse:
