@@ -197,9 +197,9 @@ def main() -> None:
         durable.delete(3)
         before_crash = durable.search(query, k=10)
 
-        # simulate the crash: drop the index object, keep only the disk
-        # state (the log + its checkpoint sidecar), and reopen from it
-        del durable
+        # simulate the crash: release the index's log handle, keep only
+        # the disk state (the log + its checkpoint sidecar), reopen from it
+        durable.close()
         recovered = BrePartitionIndex.recover(
             wal_path, divergence, config=durable_config
         )
@@ -210,6 +210,7 @@ def main() -> None:
         assert np.array_equal(before_crash.ids, after_crash.ids)
         assert np.array_equal(before_crash.divergences, after_crash.divergences)
         print("verified: recovered index identical to the pre-crash index")
+        recovered.close()
 
     # Serving through a dead shard: with replication_factor=2 every
     # shard's pages live on two simulated disks (rotating placement),

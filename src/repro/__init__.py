@@ -22,7 +22,7 @@ Subpackages
 ``bbtree``       BB-trees and the BB-forest.
 ``core``         The BrePartition index and its approximate extension.
 ``pipeline``     The staged Plan/Fetch/Refine/Rerank search engine.
-``exec``         Thread-pool shard fan-out with modeled I/O latency.
+``exec``         Thread-pool shard fan-out, failover and circuit breakers.
 ``serve``        Asyncio micro-batching serving layer.
 ``vafile``       The "VAF" baseline.
 ``baselines``    Linear scan, disk BBT, and "Var".

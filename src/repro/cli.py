@@ -14,7 +14,7 @@ Subcommands
 ``serve-bench``
     Closed-loop micro-batched serving benchmark: compare per-request
     (B=1) serving against the asyncio :class:`~repro.serve.MicroBatcher`
-    under modeled I/O (same engine as ``benchmarks/bench_serve.py``).
+    on compute-only storage (engine: :mod:`repro.serve.bench`).
 """
 
 from __future__ import annotations
@@ -140,10 +140,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--overflow", choices=("wait", "reject"), default="wait",
         help="full-queue policy: wait (backpressure) or reject "
         "(fail fast with ServerOverloadedError)",
-    )
-    serve.add_argument(
-        "--iops", type=float, default=4000.0,
-        help="modeled page reads/second per simulated disk (0 disables)",
     )
     serve.add_argument("--shards", type=int, default=1, help="simulated disks")
     serve.add_argument(
@@ -404,7 +400,6 @@ def _cmd_serve_bench(args) -> int:
         seed=args.seed,
         n_shards=args.shards,
         shard_workers=args.shard_workers,
-        iops=args.iops if args.iops > 0 else None,
         replication_factor=args.replication_factor,
         hedge_after_ms=args.hedge_after_ms,
     )
@@ -417,8 +412,6 @@ def _cmd_serve_bench(args) -> int:
             if args.queue_depth is not None
             else "unbounded queue"
         )
-        + ", modeled "
-        + (f"{args.iops:.0f} IOPS/disk" if args.iops > 0 else "free I/O")
     )
     arms = [
         ("per-request (B=1)", 1, 0.0),

@@ -49,11 +49,12 @@ class BrePartitionConfig:
         ``> 1`` builds a :class:`~repro.storage.sharded.ShardedDataStore`
         with the BB-forest's leaves striped round-robin across shards.
     shard_workers:
-        Threads fanning ``search_batch`` candidate fetches out across
-        the shards of a :class:`~repro.storage.sharded.ShardedDataStore`
-        (one task per shard; see :mod:`repro.exec`).  ``1`` (default)
-        runs the fan-out sequentially inline.  Ignored on single-disk
-        stores.  Results are bitwise identical for any value.
+        Threads fanning the Fetch stage's per-shard page charges and
+        vector reads out across the shards of a
+        :class:`~repro.storage.sharded.ShardedDataStore` (one task per
+        shard; see :mod:`repro.exec`).  ``1`` (default) runs the fan-out
+        sequentially inline.  Ignored on single-disk stores.  Results
+        are bitwise identical for any value.
     refine_kernel:
         Batch refinement kernel: ``"dense"`` scores the full
         (union x batch) matrix in blocks, ``"sparse"`` scores only real
@@ -63,13 +64,6 @@ class BrePartitionConfig:
         :data:`~repro.pipeline.refine.SPARSE_DENSITY_THRESHOLD`.  All
         three return bitwise-identical results; every kernel runs
         in-process.
-    simulated_io_iops:
-        When set, the shard fan-out models each simulated disk as
-        serving this many page reads per second (see
-        :class:`~repro.storage.io_stats.IOCostModel`): every fan-out
-        task sleeps out its charged pages' latency, which parallel
-        workers overlap like real independent disks.  ``None`` (default)
-        keeps I/O free, matching the rest of the simulated stack.
     io_max_retries:
         Extra attempts a storage charge gets after a
         :class:`~repro.exceptions.TransientIOError` (fault injection),
@@ -141,7 +135,6 @@ class BrePartitionConfig:
     n_shards: int = 1
     shard_workers: int = 1
     refine_kernel: str = "auto"
-    simulated_io_iops: Optional[float] = None
     io_max_retries: int = 0
     io_backoff_ms: float = 1.0
     io_backoff_cap_ms: float = 50.0
@@ -171,10 +164,6 @@ class BrePartitionConfig:
             raise InvalidParameterError(
                 f"refine_kernel must be one of {REFINE_KERNELS}, "
                 f"got {self.refine_kernel!r}"
-            )
-        if self.simulated_io_iops is not None and self.simulated_io_iops <= 0:
-            raise InvalidParameterError(
-                "simulated_io_iops must be positive (or None to disable)"
             )
         if self.io_max_retries < 0:
             raise InvalidParameterError("io_max_retries must be >= 0")

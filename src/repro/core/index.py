@@ -47,7 +47,7 @@ from ..pipeline import QueryBatchContext, SearchPipeline
 from ..pipeline.rerank import top_k_stable as _top_k_stable  # noqa: F401 - re-export
 from ..storage.buffer_pool import BufferPool
 from ..storage.datastore import DataStore
-from ..storage.io_stats import DiskAccessTracker, IOCostModel
+from ..storage.io_stats import DiskAccessTracker
 from ..storage.sharded import ShardedDataStore
 from ..storage.wal import OP_COMMIT, OP_INSERT, Checkpoint, WriteAheadLog
 from .config import BrePartitionConfig
@@ -547,7 +547,10 @@ class BrePartitionIndex:
     # ------------------------------------------------------------------
 
     def attach_wal(self, path: str, fresh: bool) -> WriteAheadLog:
-        """Open the write-ahead log every later mutation appends to."""
+        """Open the write-ahead log every later mutation appends to,
+        closing the one it replaces."""
+        if self._wal is not None:
+            self._wal.close()
         self._wal = WriteAheadLog(
             path,
             fresh=fresh,
@@ -890,17 +893,10 @@ class BrePartitionIndex:
     # ------------------------------------------------------------------
 
     def _make_executor(self) -> ShardExecutor:
-        """Fan-out executor from the config (workers + optional IO model)."""
-        io_model = None
-        if self.config.simulated_io_iops is not None:
-            io_model = IOCostModel(
-                page_size_bytes=self.config.page_size_bytes,
-                iops=self.config.simulated_io_iops,
-            )
+        """Fan-out executor from the config (workers, retries, routing)."""
         hedge = self.config.hedge_after_ms
         return ShardExecutor(
             self.config.shard_workers,
-            io_model=io_model,
             max_retries=self.config.io_max_retries,
             backoff_seconds=self.config.io_backoff_ms / 1000.0,
             backoff_cap_seconds=self.config.io_backoff_cap_ms / 1000.0,
@@ -909,11 +905,15 @@ class BrePartitionIndex:
         )
 
     def close(self) -> None:
-        """No-op kept for callers that bracket an index's lifetime.
+        """Release the write-ahead log's file handle, if any.
 
-        Refinement runs in-process, so there are no workers to release.
-        Safe to call repeatedly; the index stays fully usable afterwards.
+        Searches keep working.  On a WAL-backed index every later
+        insert or delete raises :class:`~repro.exceptions.WALError`,
+        because it can no longer be logged before it is acknowledged.
+        Safe to call repeatedly.
         """
+        if self._wal is not None:
+            self._wal.close()
 
     def _adjust_radii_batch(self, search_bounds, triples) -> np.ndarray:
         """Plan-stage hook for the approximate extension, which shrinks

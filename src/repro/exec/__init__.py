@@ -8,32 +8,25 @@ subsystem they ran strictly sequentially.  :class:`ShardExecutor` fans
 them out across a configurable thread pool
 (:attr:`~repro.core.config.BrePartitionConfig.shard_workers`).
 
-The overlap pipeline
---------------------
+One task per shard
+------------------
 
 One fan-out task per shard does the fetch slice of the staged
 pipeline's Fetch stage (:class:`repro.pipeline.FetchStage`):
 
 1. **charge** the shard's distinct candidate pages
-   (:meth:`~repro.storage.sharded.ShardedDataStore.charge_shard`, the
-   per-shard tracker mirroring into the shared aggregate under locks so
-   totals still sum exactly);
-2. **wait** out the modeled device latency for those pages when an
-   :class:`~repro.storage.io_stats.IOCostModel` is configured
-   (``time.sleep`` releases the GIL, so concurrent shard I/O waits
-   overlap each other -- exactly like outstanding reads on independent
-   disks);
-3. **peek** the shard's slab of union rows into disjoint slices of the
+   (:meth:`~repro.storage.sharded.ShardedDataStore.charge_shard_replica`,
+   the per-shard tracker mirroring into the shared aggregate under
+   locks so totals still sum exactly);
+2. **peek** the shard's slab of union rows into disjoint slices of the
    union-ordered vector array, which the Refine stage then scores as
    one union slab.
 
-The win is the overlap of step 2 across shards: parallel workers wait
-out all modeled disk latencies together instead of one after another
-(the GIL serialises the NumPy arithmetic either way, so stage-level
-scoring costs the same as the PR-3 engine's score-inside-task layout
-while keeping fetch and refine separately timed).  With one worker the
-executor degrades to an inline loop: the *sequential fan-out* baseline
-that ``benchmarks/bench_parallel_fanout.py`` measures against.
+Storage is simulated and compute-only: a charge counts pages, it does
+not wait for a device.  Worker threads therefore overlap only the
+NumPy work that releases the GIL, and whether ``shard_workers > 1``
+pays off on a given host is a measurement, not a given.  With one
+worker the executor degrades to an inline loop in shard order.
 
 Determinism: tasks write to disjoint output slices and every kernel is
 row/pair-bitwise independent, so results are bit-for-bit identical for
@@ -48,8 +41,7 @@ permanent failure and optional hedged reads -- keeping results bitwise
 identical with any ``R - 1`` replicas of each shard dead.
 
 Compute stays in-process: the Refine stage's NumPy kernels run on the
-calling thread after the fan-out returns, so ``shard_workers`` overlaps
-modeled I/O waits but not arithmetic.
+calling thread after the fan-out returns.
 """
 
 from .executor import ShardExecutor, ShardHealthRegistry

@@ -4,9 +4,8 @@ See the package docstring (:mod:`repro.exec`) for the pipeline this
 executor powers.  The executor itself is deliberately small: it knows
 nothing about shards or kernels -- it runs a list of callables, either
 inline (``n_workers == 1``, the sequential-fan-out baseline) or on a
-short-lived :class:`~concurrent.futures.ThreadPoolExecutor`, records
-each task's wall-clock seconds, and optionally models per-page device
-latency via :meth:`ShardExecutor.io_wait`.
+short-lived :class:`~concurrent.futures.ThreadPoolExecutor` and
+records each task's wall-clock seconds.
 
 Replication-aware routing lives here too.  A
 :class:`ShardHealthRegistry` (owned by the index, shared across the
@@ -38,7 +37,6 @@ from ..exceptions import (
     ShardUnavailableError,
     TransientIOError,
 )
-from ..storage.io_stats import IOCostModel
 
 __all__ = ["ShardExecutor", "ShardHealthRegistry"]
 
@@ -189,15 +187,8 @@ class ShardExecutor:
     ----------
     n_workers:
         Thread-pool width.  ``1`` (default) runs tasks inline in
-        submission order -- bitwise identical results, no pool overhead
-        -- which doubles as the sequential baseline for the fan-out
-        benchmarks.
-    io_model:
-        Optional :class:`~repro.storage.io_stats.IOCostModel`.  When
-        set, :meth:`io_wait` sleeps out the modeled latency of a task's
-        page reads, simulating independent disks whose waits overlap
-        under parallel fan-out.  ``None`` (default) keeps I/O free, as
-        everywhere else in the simulated-storage stack.
+        submission order -- bitwise identical results, no pool
+        overhead.
     max_retries:
         Extra attempts :meth:`call_with_retry` grants a task after a
         :class:`~repro.exceptions.TransientIOError`.  ``0`` (default)
@@ -222,7 +213,6 @@ class ShardExecutor:
     def __init__(
         self,
         n_workers: int = 1,
-        io_model: Optional[IOCostModel] = None,
         max_retries: int = 0,
         backoff_seconds: float = 0.001,
         backoff_cap_seconds: float = 0.05,
@@ -240,7 +230,6 @@ class ShardExecutor:
                 "hedge_after_seconds must be positive (or None to disable)"
             )
         self.n_workers = int(n_workers)
-        self.io_model = io_model
         self.max_retries = int(max_retries)
         self.backoff_seconds = float(backoff_seconds)
         self.backoff_cap_seconds = float(backoff_cap_seconds)
@@ -414,17 +403,6 @@ class ShardExecutor:
             raise err
         return value
 
-    def io_wait(self, pages: int) -> None:
-        """Sleep out the modeled read latency for ``pages`` pages.
-
-        A no-op without an ``io_model``.  ``time.sleep`` releases the
-        GIL, so concurrent tasks overlap their waits -- the mechanism
-        that makes the parallel fan-out behave like truly independent
-        disks rather than one serialised device.
-        """
-        if self.io_model is not None and pages > 0:
-            time.sleep(self.io_model.seconds_for(pages))
-
     def run(
         self, tasks: Sequence[Callable[[], Any]]
     ) -> Tuple[List[Any], List[float]]:
@@ -493,5 +471,4 @@ class ShardExecutor:
         return results, seconds, errors, retries
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        model = f", io_model={self.io_model!r}" if self.io_model is not None else ""
-        return f"ShardExecutor(n_workers={self.n_workers}{model})"
+        return f"ShardExecutor(n_workers={self.n_workers})"

@@ -10,8 +10,7 @@ holding ``B`` query rows:
 ``Fetch``
     Page-union charging and vector materialisation -- coalesced on one
     disk, fanned out per shard through the
-    :class:`~repro.exec.ShardExecutor` (with modeled I/O latency) on a
-    sharded store.
+    :class:`~repro.exec.ShardExecutor` on a sharded store.
 ``Refine``
     Adaptive dense/sparse/auto cross-divergence kernel dispatch over the
     union slab.

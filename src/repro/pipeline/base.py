@@ -101,8 +101,7 @@ class SearchPipeline:
         query, over per-query gathers.
 
         The loop structure the blocked kernels replaced, kept as the
-        reference the kernel-parity tests and
-        ``benchmarks/bench_refinement_kernel.py`` compare
+        reference the kernel-parity tests compare
         :meth:`refine_prefetched` against: the two must return bitwise
         equal ``(top_ids, divergences)`` pairs under any kernel choice.
         Like :meth:`refine_prefetched` it reads through ``peek``.

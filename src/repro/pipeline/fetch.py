@@ -7,10 +7,7 @@ query's pages) and peeks the union's vectors I/O-free.  On a
 fans out one :class:`~repro.exec.ShardExecutor` task per shard, touched
 or not (so a dead shard fails the context in ``raise`` mode even when
 no candidate lives there): each task charges its shard's slice of the
-page union, sleeps out any modeled device latency
-(`BrePartitionConfig.simulated_io_iops`; ``time.sleep`` releases the
-GIL, so parallel workers overlap waits like independent disks), then
-peeks its slab into the union-ordered vector array.
+page union, then peeks its slab into the union-ordered vector array.
 
 The stage also owns the buffer-pool batch epoch: every context opens a
 fresh :meth:`~repro.storage.buffer_pool.BufferPool.begin_batch` epoch,
@@ -23,12 +20,10 @@ page accounting.
 
 from __future__ import annotations
 
-import time
 from typing import Sequence, Tuple
 
 import numpy as np
 
-from ..storage.io_stats import IOCostModel
 from ..storage.sharded import ShardedDataStore
 from .base import PipelineStage
 from .context import QueryBatchContext
@@ -89,28 +84,15 @@ class FetchStage(PipelineStage):
         return bump
 
     def _fetch_single_disk(self, ctx: QueryBatchContext, store) -> None:
-        index = self.index
         ctx.union, ctx.row_of = union_rows(ctx.candidates, store.n_points)
-        executor = index._make_executor()
+        executor = self.index._make_executor()
         # retried charges cannot double-count: the scope's dedup set
         # keeps every page a prior attempt managed to charge, so a retry
         # re-bills only the pages the fault interrupted
-        ctx.pages_coalesced, charged = executor.call_with_retry(
-            lambda: store.charge_pages_detailed(ctx.candidates, scope=ctx.scope),
+        ctx.pages_coalesced = executor.call_with_retry(
+            lambda: store.charge_pages_for(ctx.candidates, scope=ctx.scope),
             on_retry=self._retry_counter(ctx),
         )
-        if index.config.simulated_io_iops is not None and charged > 0:
-            # latency is modeled only on pages that hit the simulated
-            # disk: the per-call charged count excludes buffer-pool hits
-            # and scope dedup, mirroring the sharded fan-out (which pays
-            # the same model through ShardExecutor.io_wait) -- and,
-            # unlike a tracker-total delta, stays exact when other
-            # batches charge the same tracker concurrently
-            io_model = IOCostModel(
-                page_size_bytes=index.config.page_size_bytes,
-                iops=index.config.simulated_io_iops,
-            )
-            time.sleep(io_model.seconds_for(charged))
         ctx.vectors = store.peek(ctx.union)
 
     # ------------------------------------------------------------------
@@ -118,7 +100,7 @@ class FetchStage(PipelineStage):
     # ------------------------------------------------------------------
 
     def _fetch_fanout(self, ctx: QueryBatchContext, store: ShardedDataStore) -> None:
-        """One executor task per shard: charge, wait, peek the slab.
+        """One executor task per shard: charge, then peek the slab.
 
         Tasks scatter into disjoint slices of the union-ordered vector
         array, so the result is bitwise independent of worker count and
@@ -163,17 +145,13 @@ class FetchStage(PipelineStage):
 
             def replica_fetch(r: int):
                 def fetch():
-                    # modeled latency is paid only on pages that actually
-                    # hit the simulated disk: the per-call charged count
-                    # excludes buffer-pool hits and scope dedup, while the
-                    # returned distinct (pool-oblivious) count feeds
-                    # pages_coalesced.  Per-call, not a tracker delta --
-                    # concurrent batches share the shard trackers but
-                    # never each other's scope
-                    distinct, charged = store.charge_shard_replica_detailed(
+                    # the distinct (pool-oblivious) count feeds
+                    # pages_coalesced; it is this call's own return
+                    # value, not a tracker delta, so concurrent batches
+                    # sharing the shard trackers never mix counts
+                    distinct = store.charge_shard_replica(
                         s, r, plan[s], scope=ctx.scope
                     )
-                    executor.io_wait(charged)
                     if positions.size:
                         vectors[positions] = store.replicas[s][r].peek(local_rows)
                     return distinct

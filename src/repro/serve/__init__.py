@@ -12,7 +12,7 @@ request with results bitwise identical to direct ``search`` calls.
 backpressures, ``"reject"`` sheds load with
 :class:`~repro.exceptions.ServerOverloadedError`).
 :mod:`repro.serve.bench` holds the closed-loop benchmark engine behind
-``benchmarks/bench_serve.py`` and the CLI ``serve-bench`` command.
+the CLI ``serve-bench`` command.
 """
 
 from .bench import make_serving_index, run_closed_loop

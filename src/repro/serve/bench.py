@@ -1,18 +1,17 @@
-"""Closed-loop serving benchmark engine (shared by CLI and benchmarks).
+"""Closed-loop serving benchmark engine behind the CLI ``serve-bench``.
 
 Models a serving deployment end to end: ``n_clients`` concurrent
 closed-loop clients (each awaits its response before issuing its next
-request) drive a :class:`~repro.serve.MicroBatcher` over an index whose
-storage charges modeled I/O latency
-(``BrePartitionConfig.simulated_io_iops``).  Per-request serving
-(``max_batch_size=1``) pays the page-latency of every query's candidate
-working set separately; micro-batching coalesces the page unions of the
-requests that arrive within one ``max_wait_ms`` window, so the same
-hardware answers more requests per second -- the knob
-``benchmarks/bench_serve.py`` sweeps and ``BENCH_serve.json`` records.
+request) drive a :class:`~repro.serve.MicroBatcher` over an index.
+Per-request serving (``max_batch_size=1``) runs and charges every
+query's candidate working set separately; micro-batching coalesces the
+requests that arrive within one ``max_wait_ms`` window into one
+pipeline run over the union of their page working sets.  Storage is
+compute-only: the rows report measured wall time and exact page counts
+(``mean_pages_per_request``).
 
 Everything here is wall-clock-free of *assertions*: callers decide what
-to claim (the CI smoke asserts only parity and batch-size accounting).
+to claim.
 """
 
 from __future__ import annotations
@@ -42,16 +41,13 @@ def make_serving_index(
     leaf_capacity: int = 40,
     n_shards: int = 1,
     shard_workers: int = 1,
-    iops: Optional[float] = 4000.0,
     **config_overrides,
 ):
     """Build a dataset + index pair configured for serving benchmarks.
 
-    Small pages give each query a page working set worth coalescing, and
-    ``iops`` turns every charged page into modeled device latency (the
-    quantity micro-batching amortizes).  ``iops=None`` keeps I/O free
-    for pure-CPU runs (the smoke mode).  Extra keyword arguments land on
-    the :class:`~repro.core.config.BrePartitionConfig` verbatim (retry
+    Small pages give each query a page working set worth coalescing.
+    Extra keyword arguments land on the
+    :class:`~repro.core.config.BrePartitionConfig` verbatim (retry
     budgets, ``shard_failure`` policy, ``wal_path``, ...).
     """
     dataset = load_dataset(dataset_name, n=n, n_queries=n_queries, seed=seed)
@@ -64,7 +60,6 @@ def make_serving_index(
             seed=seed,
             n_shards=n_shards,
             shard_workers=shard_workers,
-            simulated_io_iops=iops,
             **config_overrides,
         ),
     ).build(dataset.points)

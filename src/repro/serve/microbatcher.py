@@ -16,8 +16,9 @@ batch dedups and counts pages against its own scope, so per-batch
 ``pages_read`` stays exact and per-shard totals still sum to the
 aggregate (``1``, the default, serializes batches exactly as before).
 Inside each call the sharded Fetch stage still fans out across its own
-:class:`~repro.exec.ShardExecutor` pool, and the modeled I/O sleeps of
-concurrent batches overlap like requests against real disks.
+:class:`~repro.exec.ShardExecutor` pool.  Storage is compute-only, so
+overlapping batches gains only what the GIL-releasing NumPy work lets
+threads share.
 
 Overload is bounded: at most ``max_queue_depth`` requests may wait for
 dispatch.  Arrivals beyond that either await admission (``overflow
@@ -81,9 +82,7 @@ class MicroBatchConfig:
     max_concurrent_batches:
         Worker threads dispatching batches.  ``1`` (default) serializes
         batches; higher values overlap in-flight batches -- exact
-        per-batch accounting is preserved by the per-call query scopes,
-        and overlapped modeled-I/O waits are where serving throughput
-        scales past one batch at a time.
+        per-batch accounting is preserved by the per-call query scopes.
     max_queue_depth:
         Most requests allowed to wait for dispatch at once; ``None``
         (default) is unbounded.  What happens at the bound is

@@ -13,7 +13,7 @@ holds ``page_size_bytes // (8 * d)`` float64 vectors.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -165,23 +165,9 @@ class DataStore:
 
         The coalescing primitive of the batch engine: a query batch
         charges the union of its candidates' pages here, then reads the
-        vectors I/O-free via :meth:`peek`.  Returns the page count.
-        """
-        return self.charge_pages_detailed(id_groups, scope)[0]
-
-    def charge_pages_detailed(
-        self,
-        id_groups: Sequence[Sequence[int]],
-        scope: Optional[QueryScope] = None,
-    ) -> Tuple[int, int]:
-        """Like :meth:`charge_pages_for`, returning ``(distinct, charged)``.
-
-        ``distinct`` is the pool-oblivious page count of the working set
-        (the paper's I/O-cost figure); ``charged`` is how many of those
-        actually hit the simulated disk after buffer-pool hits and
-        scope dedup -- what the modeled I/O latency is paid on.  Scoped
-        rather than read off tracker totals so concurrent in-flight
-        batches never bill each other's pages.
+        vectors I/O-free via :meth:`peek`.  Returns the distinct page
+        count, pool-oblivious: pages the buffer pool absorbs or
+        ``scope`` already holds count here but are not charged again.
         """
         if self.fault is not None:
             self.fault.before_access(self.shard_id)
@@ -189,11 +175,9 @@ class DataStore:
         for ids in id_groups:
             touched[self._pages[np.asarray(ids, dtype=int)]] = True
         pages = np.flatnonzero(touched)
-        charged = 0
         for page in pages:
-            if self._charge(int(page), scope):
-                charged += 1
-        return int(pages.size), charged
+            self._charge(int(page), scope)
+        return int(pages.size)
 
     def scan(self, scope: Optional[QueryScope] = None) -> np.ndarray:
         """Sequentially read the whole file (used by linear scan).
@@ -254,8 +238,8 @@ class DataStore:
         self.fault = injector
         self.shard_id = int(shard_id)
 
-    def _charge(self, page: int, scope: Optional[QueryScope] = None) -> bool:
-        """Charge one page; ``True`` when it actually hit the disk."""
+    def _charge(self, page: int, scope: Optional[QueryScope] = None) -> None:
+        """Charge one page unless the buffer pool or the scope holds it."""
         if self.fault is not None and self.fault.may_fault_pages(self.shard_id):
             # transient faults model the physical read: only pages the
             # scope has not already charged can fail (a page the scope
@@ -267,8 +251,8 @@ class DataStore:
         if self.buffer_pool is not None and self.buffer_pool.access(
             self.fileno, page, scope=scope
         ):
-            return False
-        return self.tracker.read_page(self.fileno, page, scope=scope)
+            return
+        self.tracker.read_page(self.fileno, page, scope=scope)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -44,7 +44,7 @@ so per-replica lifetime totals still sum to the aggregate total.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -332,48 +332,34 @@ class ShardedDataStore:
         (callers fanning out reset the list first via
         :meth:`begin_charge`) -- a convenience for single-batch callers
         only; the concurrent engine goes through
-        :meth:`charge_shard_detailed`, which leaves the shared list
-        alone and reports everything in its return value.  Thread-safe
-        with respect to other shards: each shard writes its own list
-        slot, and the underlying trackers lock internally.
+        :meth:`charge_shard_replica`, which leaves the shared list
+        alone.  Thread-safe with respect to other shards: each shard
+        writes its own list slot, and the underlying trackers lock
+        internally.
         """
-        distinct, _ = self.charge_shard_detailed(shard, local_groups, scope=scope)
+        distinct = self.shards[shard].charge_pages_for(local_groups, scope=scope)
         self.last_charge_per_shard[shard] = distinct
         return distinct
 
-    def charge_shard_detailed(
-        self,
-        shard: int,
-        local_groups: Sequence[Sequence[int]],
-        scope: Optional[QueryScope] = None,
-    ) -> Tuple[int, int]:
-        """Like :meth:`charge_shard`, returning ``(distinct, charged)``.
-
-        ``charged`` counts the pages that actually hit this shard's
-        simulated disk (after pool hits and scope dedup) -- what the
-        fan-out tasks pay modeled latency on.  Touches no shared store
-        state (:attr:`last_charge_per_shard` is left alone), so any
-        number of batches may fan out over the same store concurrently.
-        """
-        return self.shards[shard].charge_pages_detailed(local_groups, scope=scope)
-
-    def charge_shard_replica_detailed(
+    def charge_shard_replica(
         self,
         shard: int,
         replica: int,
         local_groups: Sequence[Sequence[int]],
         scope: Optional[QueryScope] = None,
-    ) -> Tuple[int, int]:
-        """:meth:`charge_shard_detailed` against one specific replica.
+    ) -> int:
+        """Charge one shard's slice against one specific replica.
 
         The failover/hedging unit: replicas share the primary's fileno,
         so a slice partially charged on one replica and re-charged on
         another lands in the same scope dedup set -- ``pages_read``
         stays exactly what a fault-free run charges, whichever replicas
         end up serving.  The count lands on the serving replica's own
-        :class:`ShardTracker` mirror.
+        :class:`ShardTracker` mirror.  Returns the slice's distinct
+        page count and touches no shared store state, so any number of
+        batches may fan out over the same store concurrently.
         """
-        return self.replicas[shard][replica].charge_pages_detailed(
+        return self.replicas[shard][replica].charge_pages_for(
             local_groups, scope=scope
         )
 

@@ -25,6 +25,7 @@ from repro.core.transforms import (
     determine_search_bounds,
     determine_search_bounds_batch,
 )
+from repro.datasets import load_dataset
 from repro.exceptions import (
     DomainError,
     InvalidParameterError,
@@ -52,6 +53,43 @@ def build_index(divergence, points, **config_kwargs):
     return BrePartitionIndex(divergence, config).build(points)
 
 
+@pytest.fixture(scope="module")
+def fonts_batch():
+    """The fonts proxy (Itakura-Saito, d=400) at M=16 with a B=64 batch:
+    the regime where the shared forest traversal pays off most."""
+    dataset = load_dataset("fonts", n=1500, n_queries=64, seed=0)
+    index = BrePartitionIndex(
+        dataset.divergence,
+        BrePartitionConfig(
+            n_partitions=16, page_size_bytes=dataset.page_size_bytes, seed=0
+        ),
+    ).build(dataset.points)
+    return index, dataset.queries
+
+
+def assert_batch_matches_search(index, queries, k):
+    batch = index.search_batch(queries, k)
+    assert isinstance(batch, BatchSearchResult)
+    assert len(batch) == len(queries)
+    for query, batched in zip(queries, batch):
+        single = index.search(query, k)
+        np.testing.assert_array_equal(single.ids, batched.ids)
+        np.testing.assert_array_equal(single.divergences, batched.divergences)
+
+
+def assert_batch_coalesces(index, queries, k):
+    stats = index.search_batch(queries, k).stats
+    # The coalesced working set can never exceed what the queries
+    # would touch individually, nor the number of pages that exist,
+    # and with no buffer pool the actual charge equals it.
+    assert stats.pages_coalesced <= stats.pages_read_unshared
+    assert stats.pages_coalesced <= index.datastore.n_pages
+    assert stats.pages_read == stats.pages_coalesced
+    assert stats.pages_saved == stats.pages_read_unshared - stats.pages_coalesced
+    assert stats.pages_saved > 0  # the queries share pages
+    assert stats.n_queries == len(queries)
+
+
 class TestSearchBatchParity:
     @pytest.mark.parametrize(
         "name,divergence", all_decomposable_divergences(DIM)
@@ -59,15 +97,11 @@ class TestSearchBatchParity:
     def test_matches_per_query_search(self, name, divergence):
         points = points_for(divergence, N_POINTS, DIM, seed=1)
         queries = points_for(divergence, N_QUERIES, DIM, seed=2)
-        index = build_index(divergence, points)
+        assert_batch_matches_search(build_index(divergence, points), queries, K)
 
-        batch = index.search_batch(queries, K)
-        assert isinstance(batch, BatchSearchResult)
-        assert len(batch) == N_QUERIES
-        for query, batched in zip(queries, batch):
-            single = index.search(query, K)
-            np.testing.assert_array_equal(single.ids, batched.ids)
-            np.testing.assert_array_equal(single.divergences, batched.divergences)
+    def test_matches_per_query_search_on_fonts(self, fonts_batch):
+        index, queries = fonts_batch
+        assert_batch_matches_search(index, queries, 10)
 
     def test_single_query_batch(self):
         divergence = SquaredEuclidean()
@@ -135,16 +169,11 @@ class TestBatchIO:
         index = BrePartitionIndex(
             divergence, BrePartitionConfig(n_partitions=3, seed=0), tracker=tracker
         ).build(points)
-        batch = index.search_batch(queries, K)
-        stats = batch.stats
-        # The coalesced working set can never exceed what the queries
-        # would touch individually, nor the number of pages that exist,
-        # and with no buffer pool the actual charge equals it.
-        assert stats.pages_coalesced <= stats.pages_read_unshared
-        assert stats.pages_coalesced <= index.datastore.n_pages
-        assert stats.pages_read == stats.pages_coalesced
-        assert stats.pages_saved == stats.pages_read_unshared - stats.pages_coalesced
-        assert stats.n_queries == N_QUERIES
+        assert_batch_coalesces(index, queries, K)
+
+    def test_batch_coalesces_pages_on_fonts(self, fonts_batch):
+        index, queries = fonts_batch
+        assert_batch_coalesces(index, queries, 10)
 
     def test_per_query_stats_report_solo_pages(self):
         divergence = SquaredEuclidean()

@@ -176,6 +176,30 @@ class TestSearch:
             main(["search", "normal", "--method", "faiss"])
 
 
+class TestServeBench:
+    def test_runs_both_arms(self, capsys):
+        code = main(
+            ["serve-bench", "fonts", "--n", "200", "--clients", "8", "--requests", "1"]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "per-request (B=1)" in out
+        assert "micro-batched (B<=64)" in out
+        assert "micro-batching speedup:" in out
+
+    def test_iops_is_not_an_option(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["serve-bench", "fonts", "--iops", "100"])
+        assert exc.value.code == 2
+
+    def test_replication_beyond_shards_rejected(self, capsys):
+        code = main(
+            ["serve-bench", "fonts", "--replication-factor", "2", "--shards", "1"]
+        )
+        assert code == 2
+        assert "exceeds --shards 1" in capsys.readouterr().err
+
+
 class TestExperiment:
     def test_unknown_experiment_rejected(self):
         with pytest.raises(SystemExit):

@@ -22,11 +22,11 @@ from repro import (
     SquaredEuclidean,
     brute_force_knn,
 )
+from repro.datasets import load_dataset
 from repro.exceptions import InvalidParameterError
 from repro.exec import ShardExecutor
 from repro.pipeline import refine as refine_module
 from repro.storage import BufferPool, DiskAccessTracker, ShardedDataStore
-from repro.storage.io_stats import IOCostModel
 
 from conftest import all_decomposable_divergences, points_for
 
@@ -49,6 +49,33 @@ def sharded_index(divergence, points, tracker=None, buffer_pool=None, **kwargs):
     return BrePartitionIndex(
         divergence, config, tracker=tracker, buffer_pool=buffer_pool
     ).build(points)
+
+
+def assert_fanout_matrix(index, queries, k):
+    """Every {1, 4} workers x {dense, sparse, auto} cell is bitwise equal
+    to per-query search and charges the same pages, and per-shard counts
+    sum exactly to the coalesced and the aggregate totals."""
+    reference = [index.search(query, k) for query in queries]
+    reference_pages = None
+    for workers in (1, 4):
+        for kernel in ("dense", "sparse", "auto"):
+            index.config.refine_kernel = kernel
+            index.config.shard_workers = workers
+            batch = index.search_batch(queries, k)
+            assert batch.stats.shard_workers == workers
+            assert batch.stats.refine_kernel in ("dense", "sparse")
+            if kernel != "auto":
+                assert batch.stats.refine_kernel == kernel
+            # exact page accounting: every cell charges the same pages
+            if reference_pages is None:
+                reference_pages = batch.stats.pages_read
+            assert batch.stats.pages_read == reference_pages
+            assert sum(batch.stats.pages_read_per_shard) == batch.stats.pages_coalesced
+            assert len(batch.stats.shard_seconds) == index.datastore.n_shards
+            for single, batched in zip(reference, batch):
+                np.testing.assert_array_equal(single.ids, batched.ids)
+                np.testing.assert_array_equal(single.divergences, batched.divergences)
+    assert sum(index.datastore.shard_pages_read) == index.tracker.total_pages_read
 
 
 class TestShardExecutor:
@@ -79,17 +106,6 @@ class TestShardExecutor:
         with pytest.raises(InvalidParameterError, match="n_workers"):
             ShardExecutor(0)
 
-    def test_io_wait_without_model_is_free(self):
-        ShardExecutor(1).io_wait(10_000_000)  # returns immediately
-
-    def test_io_wait_models_page_latency(self):
-        import time
-
-        executor = ShardExecutor(1, io_model=IOCostModel(iops=1000.0))
-        start = time.perf_counter()
-        executor.io_wait(20)  # 20 pages at 1ms each
-        assert time.perf_counter() - start >= 0.015
-
     def test_empty_task_list(self):
         assert ShardExecutor(4).run([]) == ([], [])
 
@@ -103,27 +119,27 @@ class TestParallelParityMatrix:
     def test_backends_kernels_and_workers_bitwise_identical(self, name, divergence):
         points = points_for(divergence, N_POINTS, DIM, seed=1)
         queries = points_for(divergence, N_QUERIES, DIM, seed=2)
-        index = sharded_index(divergence, points)
-        reference = [index.search(query, K) for query in queries]
-        reference_pages = None
-        for workers in (1, 4):
-            for kernel in ("dense", "sparse", "auto"):
-                index.config.refine_kernel = kernel
-                index.config.shard_workers = workers
-                batch = index.search_batch(queries, K)
-                assert batch.stats.shard_workers == workers
-                assert batch.stats.refine_kernel in ("dense", "sparse")
-                if kernel != "auto":
-                    assert batch.stats.refine_kernel == kernel
-                # exact page accounting: every cell charges the same pages
-                if reference_pages is None:
-                    reference_pages = batch.stats.pages_read
-                assert batch.stats.pages_read == reference_pages
-                for single, batched in zip(reference, batch):
-                    np.testing.assert_array_equal(single.ids, batched.ids)
-                    np.testing.assert_array_equal(
-                        single.divergences, batched.divergences
-                    )
+        assert_fanout_matrix(sharded_index(divergence, points), queries, K)
+
+    @pytest.mark.parametrize(
+        "n,n_queries,n_partitions,page_size_bytes,leaf_capacity",
+        [(400, 16, 3, 8192, 16), (600, 64, 4, 16384, 40)],
+        ids=["n400-B16", "n600-B64"],
+    )
+    def test_kernels_and_workers_bitwise_identical_on_fonts(
+        self, n, n_queries, n_partitions, page_size_bytes, leaf_capacity
+    ):
+        # the fonts proxy (Itakura-Saito, d=400) over 4 shards
+        dataset = load_dataset("fonts", n=n, n_queries=n_queries, seed=0)
+        config = BrePartitionConfig(
+            n_partitions=n_partitions,
+            page_size_bytes=page_size_bytes,
+            leaf_capacity=leaf_capacity,
+            seed=0,
+            n_shards=4,
+        )
+        index = BrePartitionIndex(dataset.divergence, config).build(dataset.points)
+        assert_fanout_matrix(index, dataset.queries, 10)
 
     def test_sparse_kernel_on_single_disk_store(self):
         divergence = SquaredEuclidean()
@@ -163,20 +179,6 @@ class TestParallelParityMatrix:
         # pinned kernels ignore the threshold entirely
         index.config.refine_kernel = "sparse"
         assert refine.choose_kernel(skewed, 100, 2) == "sparse"
-
-    def test_modeled_io_latency_changes_nothing_but_time(self):
-        divergence = SquaredEuclidean()
-        points = points_for(divergence, N_POINTS, DIM, seed=1)
-        queries = points_for(divergence, N_QUERIES, DIM, seed=2)
-        index = sharded_index(divergence, points)
-        before = index.search_batch(queries, K)
-        index.config.simulated_io_iops = 200_000.0
-        index.config.shard_workers = 4
-        after = index.search_batch(queries, K)
-        assert after.stats.pages_coalesced == before.stats.pages_coalesced
-        for a, b in zip(before, after):
-            np.testing.assert_array_equal(a.ids, b.ids)
-            np.testing.assert_array_equal(a.divergences, b.divergences)
 
 
 class TestConcurrentAccounting:
@@ -330,10 +332,6 @@ class TestConfigValidation:
     def test_rejects_bad_refine_kernel(self):
         with pytest.raises(InvalidParameterError, match="refine_kernel"):
             BrePartitionConfig(refine_kernel="blocked")
-
-    def test_rejects_bad_iops(self):
-        with pytest.raises(InvalidParameterError, match="simulated_io_iops"):
-            BrePartitionConfig(simulated_io_iops=0.0)
 
 
 class TestHarnessPlumbing:

@@ -21,6 +21,7 @@ import pytest
 
 from repro.core.config import BrePartitionConfig
 from repro.core.index import BrePartitionIndex
+from repro.datasets import load_dataset
 from repro.exceptions import (
     DeadlineExceededError,
     InvalidParameterError,
@@ -30,7 +31,7 @@ from repro.exceptions import (
 )
 from repro.exec import ShardExecutor
 from repro.pipeline import PlanStage, QueryBatchContext
-from repro.serve import MicroBatcher
+from repro.serve import MicroBatcher, make_serving_index
 from repro.storage import DataStore, FaultInjector, FaultPlan
 
 from conftest import all_decomposable_divergences, points_for
@@ -467,6 +468,62 @@ class TestServeUnderFaults:
             want = clean.search(q, K)
             np.testing.assert_array_equal(got.ids, want.ids)
             np.testing.assert_array_equal(got.divergences, want.divergences)
+
+    def test_sharded_serving_with_mutations_under_transient_faults(self):
+        """Two identical fonts indexes (4 shards, 2 fan-out workers) take
+        the same mutations; one then serves through the batcher while
+        seeded transient faults hit every shard, absorbed by retries.
+        Every response equals the fault-free twin's direct search, and
+        page accounting stays exact under the retries."""
+        (dataset, faulty), (_, clean) = [
+            make_serving_index(
+                dataset_name="fonts",
+                n=400,
+                n_queries=16,
+                n_shards=4,
+                shard_workers=2,
+                io_max_retries=64,
+                io_backoff_ms=0.0,
+                io_backoff_cap_ms=0.0,
+            )
+            for _ in range(2)
+        ]
+        injector = FaultInjector(seed=7)
+        injector.set_plan(probability=0.25)  # every shard
+        faulty.attach_fault_injector(injector)
+        pool = load_dataset("fonts", n=40, n_queries=1, seed=9).points[:24]
+        for index in (faulty, clean):  # identical mutation histories
+            for vec in pool:
+                index.insert(vec)
+            for victim in (5, 41, 107):
+                index.delete(victim)
+            index.merge(mode="extend")
+        queries = dataset.queries
+        pages_before = faulty.tracker.total_pages_read
+
+        async def serve():
+            async with MicroBatcher(faulty, 10, max_batch_size=4) as batcher:
+                results = []
+                for _ in range(3):  # several rounds keep batches forming
+                    results.extend(
+                        await asyncio.gather(*(batcher.search(q) for q in queries))
+                    )
+                return results, batcher.stats
+
+        results, stats = asyncio.run(serve())
+        reference = [clean.search(query, 10) for query in queries]
+        for i, got in enumerate(results):
+            want = reference[i % len(queries)]
+            np.testing.assert_array_equal(got.ids, want.ids)
+            np.testing.assert_array_equal(got.divergences, want.divergences)
+        assert injector.n_injected > 0  # the fault plan fired
+        assert sum(s.io_retries for s in stats.batch_stats) >= injector.n_injected
+        # the batch totals equal the tracker delta, and the shard mirrors
+        # (which count only charges the aggregate admitted) sum to it
+        charged = faulty.tracker.total_pages_read - pages_before
+        assert stats.total_pages_read == charged
+        mirrors = sum(t.total_pages_read for t in faulty.datastore.shard_trackers)
+        assert mirrors == faulty.tracker.total_pages_read
 
     def test_broken_shard_fails_requests_not_server(self):
         points, queries = _serve_points()

@@ -24,6 +24,7 @@ from repro import (
     SquaredEuclidean,
     brute_force_knn,
 )
+from repro.datasets import load_dataset
 from repro.exceptions import (
     DomainError,
     InvalidParameterError,
@@ -36,7 +37,7 @@ from repro.pipeline import (
     default_stages,
 )
 from repro.pipeline import refine as refine_module
-from repro.serve import MicroBatchConfig, MicroBatcher
+from repro.serve import MicroBatchConfig, MicroBatcher, make_serving_index
 from repro.storage import BufferPool, DataStore
 
 from conftest import all_decomposable_divergences, points_for
@@ -57,6 +58,63 @@ def build_index(divergence, points, **config_kwargs):
     return BrePartitionIndex(
         divergence, BrePartitionConfig(**config_kwargs)
     ).build(points)
+
+
+def fonts_index(n, n_queries, n_partitions):
+    """The fonts proxy (Itakura-Saito, d=400: the costliest per-pair
+    divergence here) at the dataset's own page size."""
+    dataset = load_dataset("fonts", n=n, n_queries=n_queries, seed=0)
+    index = build_index(
+        dataset.divergence,
+        dataset.points,
+        n_partitions=n_partitions,
+        page_size_bytes=dataset.page_size_bytes,
+    )
+    return index, dataset.queries
+
+
+def plan_candidates(index, queries, k):
+    """The Plan stage's filter output: what ``search_batch`` refines."""
+    plan = SearchPipeline(index, [index.pipeline.stage("plan")])
+    return plan.run(QueryBatchContext(queries=queries, k=k)).candidates
+
+
+@pytest.fixture(scope="module")
+def fonts_refine():
+    """All 1,744 fonts rows at M=8 with 256 queries, the Plan stage's
+    filter output for them and their looped-reference refinement."""
+    index, queries = fonts_index(n=2000, n_queries=256, n_partitions=8)
+    candidates = plan_candidates(index, queries, 10)
+    looped = index.pipeline.refine_looped(candidates, queries, 10)
+    return index, queries, candidates, looped
+
+
+@pytest.fixture(scope="module")
+def fonts_serving():
+    """The serving benchmark's index (fonts, n=400, one disk) with 32
+    queries and their direct-search results at k=10."""
+    dataset, index = make_serving_index(dataset_name="fonts", n=400, n_queries=32)
+    reference = [index.search(query, 10) for query in dataset.queries]
+    return index, dataset.queries, reference
+
+
+def assert_same_refined(got, want, n_queries):
+    assert len(got) == len(want) == n_queries
+    for (a_ids, a_divs), (b_ids, b_divs) in zip(got, want):
+        np.testing.assert_array_equal(a_ids, b_ids)
+        np.testing.assert_array_equal(a_divs, b_divs)
+
+
+def assert_kernels_agree(index, candidates, queries, k):
+    """Pinned dense and sparse refinement return bitwise-equal top-k."""
+    refined = {}
+    for kernel in ("dense", "sparse"):
+        index.config.refine_kernel = kernel
+        refined[kernel] = index.pipeline.refine_prefetched(
+            candidates, queries, k
+        ).refined
+    index.config.refine_kernel = "auto"
+    assert_same_refined(refined["sparse"], refined["dense"], len(candidates))
 
 
 class TestPipelineOracleParity:
@@ -172,9 +230,19 @@ class TestStageMechanics:
         index.datastore.charge_pages_for(candidates)
         staged = index.pipeline.refine_prefetched(candidates, queries, K).refined
         looped = index.pipeline.refine_looped(candidates, queries, K)
-        for (a_ids, a_divs), (b_ids, b_divs) in zip(staged, looped):
-            np.testing.assert_array_equal(a_ids, b_ids)
-            np.testing.assert_array_equal(a_divs, b_divs)
+        assert_same_refined(staged, looped, N_QUERIES)
+
+    @pytest.mark.parametrize("batch_size", [1, 16, 64, 256])
+    def test_refine_prefetched_matches_looped_on_fonts(
+        self, fonts_refine, batch_size
+    ):
+        # planning and the looped reference are per query, so one run
+        # over all 256 queries serves every batch size
+        index, queries, candidates, looped = fonts_refine
+        staged = index.pipeline.refine_prefetched(
+            candidates[:batch_size], queries[:batch_size], 10
+        ).refined
+        assert_same_refined(staged, looped[:batch_size], batch_size)
 
     def test_custom_stage_splices_into_pipeline(self):
         # the stage list is open: appending an observer stage must not
@@ -199,6 +267,43 @@ class TestStageMechanics:
         assert "probe" in after.stats.stage_seconds
         # observers see the finished context; scoring always runs in-process
         assert seen == [(1, "serial")]
+
+
+class TestKernelsOnSynthesizedCandidates:
+    """Dense and sparse refinement agree bitwise on the fonts proxy at
+    the two ends of the auto threshold's range."""
+
+    def test_mid_density(self, fonts_refine):
+        # each of 64 queries keeps a uniform half of an 800-row pool:
+        # density ~0.5, the regime a per-query row gather would target
+        index, queries, _, _ = fonts_refine
+        queries = queries[:64]
+        rng = np.random.default_rng(7)
+        pool = np.arange(800)
+        candidates = [
+            np.sort(rng.choice(pool, size=400, replace=False)) for _ in queries
+        ]
+        assert_kernels_agree(index, candidates, queries, 10)
+        union = np.unique(np.concatenate(candidates))
+        refine = index.pipeline.stage("refine")
+        assert refine.choose_kernel(candidates, union.size, 64) == "dense"
+
+    def test_pareto_skewed(self):
+        # per-query candidate sets Pareto-distributed over contiguous id
+        # runs: most keep a few dozen rows, a heavy tail up to the file
+        index, queries = fonts_index(n=600, n_queries=64, n_partitions=8)
+        n = index.n_points
+        rng = np.random.default_rng(1)
+        sizes = np.minimum(n, (8 * (1.0 + rng.pareto(1.3, size=64))).astype(int))
+        starts = rng.integers(0, n, size=64)
+        candidates = [
+            np.unique((starts[q] + np.arange(max(10, sizes[q]))) % n)
+            for q in range(64)
+        ]
+        assert_kernels_agree(index, candidates, queries, 10)
+        union = np.unique(np.concatenate(candidates))
+        refine = index.pipeline.stage("refine")
+        assert refine.choose_kernel(candidates, union.size, 64) == "sparse"
 
 
 class TestCrossBatchPoolReuse:
@@ -260,6 +365,104 @@ class TestCrossBatchPoolReuse:
         assert pool.cross_batch_hits == 0
 
 
+def serve_all(index, k, queries, return_exceptions=False, **batcher_kwargs):
+    """Issue every query at once through one batcher; returns the
+    per-request results and the batcher's stats."""
+
+    async def serve():
+        async with MicroBatcher(index, k, **batcher_kwargs) as batcher:
+            results = await asyncio.gather(
+                *(batcher.search(query) for query in queries),
+                return_exceptions=return_exceptions,
+            )
+        return results, batcher.stats
+
+    return asyncio.run(serve())
+
+
+def assert_same_results(reference, served):
+    assert len(served) == len(reference)
+    for expected, got in zip(reference, served):
+        np.testing.assert_array_equal(expected.ids, got.ids)
+        np.testing.assert_array_equal(expected.divergences, got.divergences)
+
+
+def assert_coalesced_serving(index, k, queries, reference, max_batch_size, max_wait_ms):
+    results, stats = serve_all(
+        index, k, queries, max_batch_size=max_batch_size, max_wait_ms=max_wait_ms
+    )
+    assert_same_results(reference, results)
+    assert stats.n_requests == len(queries)
+    assert sum(stats.batch_sizes) == len(queries)
+    assert max(stats.batch_sizes) <= max_batch_size
+    assert stats.mean_batch_size > 1.0
+
+
+def assert_per_request_serving(index, k, queries, reference):
+    results, stats = serve_all(
+        index, k, queries, config=MicroBatchConfig(max_batch_size=1, max_wait_ms=0.0)
+    )
+    assert stats.n_batches == len(queries)
+    assert list(stats.batch_sizes) == [1] * len(queries)
+    assert_same_results(reference, results)
+
+
+def assert_overlapped_serving(
+    index, k, queries, reference, workers, max_batch_size, max_wait_ms
+):
+    results, stats = serve_all(
+        index,
+        k,
+        queries,
+        max_batch_size=max_batch_size,
+        max_wait_ms=max_wait_ms,
+        max_concurrent_batches=workers,
+    )
+    assert_same_results(reference, results)
+    assert stats.n_requests == len(queries)
+    assert sum(stats.batch_sizes) == len(queries)
+    assert max(stats.batch_sizes) <= max_batch_size
+    assert stats.n_batches == len(queries) // max_batch_size
+    assert stats.n_cancelled == stats.n_failed == stats.n_rejected == 0
+    assert stats.mean_batch_size == max_batch_size
+
+
+def assert_burst_shed(index, k, queries, reference, depth):
+    # the batch cap sits above the burst, so the queue cannot drain
+    # mid-burst: exactly the requests beyond ``depth`` are shed
+    results, stats = serve_all(
+        index,
+        k,
+        queries,
+        return_exceptions=True,
+        max_batch_size=64,
+        max_wait_ms=5.0,
+        max_queue_depth=depth,
+        overflow="reject",
+    )
+    shed = [r for r in results if isinstance(r, ServerOverloadedError)]
+    assert len(shed) == len(queries) - depth
+    assert stats.n_rejected == len(queries) - depth
+    assert stats.n_requests == depth  # only admitted requests dispatched
+    assert_same_results(reference[:depth], results[:depth])
+
+
+def assert_burst_backpressured(index, k, queries, reference, depth, max_wait_ms):
+    results, stats = serve_all(
+        index,
+        k,
+        queries,
+        max_batch_size=64,
+        max_wait_ms=max_wait_ms,
+        max_queue_depth=depth,
+        overflow="wait",
+    )
+    assert stats.n_rejected == 0
+    assert stats.n_requests == len(queries)
+    assert stats.n_batches >= 3  # the depth forces several waves
+    assert_same_results(reference, results)
+
+
 class TestMicroBatcher:
     """Satellite: async serving parity under concurrent clients."""
 
@@ -274,24 +477,20 @@ class TestMicroBatcher:
         index.config.shard_workers = 4
         queries = points_for(SquaredEuclidean(), 32, DIM, seed=2)
         reference = [index.search(query, K) for query in queries]
+        assert_coalesced_serving(
+            index, K, queries, reference, max_batch_size=8, max_wait_ms=50.0
+        )
 
-        async def serve():
-            async with MicroBatcher(
-                index, K, max_batch_size=8, max_wait_ms=50.0
-            ) as batcher:
-                results = await asyncio.gather(
-                    *(batcher.search(query) for query in queries)
-                )
-            return results, batcher.stats
-
-        results, stats = asyncio.run(serve())
-        for expected, served in zip(reference, results):
-            np.testing.assert_array_equal(expected.ids, served.ids)
-            np.testing.assert_array_equal(expected.divergences, served.divergences)
-        assert stats.n_requests == 32
-        assert sum(stats.batch_sizes) == 32
-        assert max(stats.batch_sizes) <= 8
-        assert stats.mean_batch_size > 1.0
+    def test_64_concurrent_clients_on_fonts(self, fonts_serving):
+        index, queries, reference = fonts_serving
+        assert_coalesced_serving(  # 64 requests: the 32 queries twice
+            index,
+            10,
+            np.concatenate([queries, queries]),
+            reference * 2,
+            max_batch_size=16,
+            max_wait_ms=20.0,
+        )
 
     def test_deadline_flushes_partial_batch(self):
         index, _ = self._index()
@@ -316,18 +515,12 @@ class TestMicroBatcher:
     def test_per_request_mode_dispatches_singleton_batches(self):
         index, _ = self._index()
         queries = points_for(SquaredEuclidean(), 6, DIM, seed=2)
+        reference = [index.search(query, K) for query in queries]
+        assert_per_request_serving(index, K, queries, reference)
 
-        async def serve():
-            async with MicroBatcher(
-                index, K, config=MicroBatchConfig(max_batch_size=1, max_wait_ms=0.0)
-            ) as batcher:
-                return await asyncio.gather(
-                    *(batcher.search(query) for query in queries)
-                ), batcher.stats
-
-        _, stats = asyncio.run(serve())
-        assert stats.n_batches == 6
-        assert list(stats.batch_sizes) == [1] * 6
+    def test_per_request_mode_on_fonts(self, fonts_serving):
+        index, queries, reference = fonts_serving
+        assert_per_request_serving(index, 10, queries[:16], reference[:16])
 
     def test_bad_query_fails_alone_not_its_batch(self):
         divergence = ItakuraSaito()
@@ -463,28 +656,21 @@ class TestConcurrentServing:
         index.config.shard_workers = 2
         queries = points_for(SquaredEuclidean(), 32, DIM, seed=2)
         reference = [index.search(query, K) for query in queries]
+        assert_overlapped_serving(
+            index, K, queries, reference, workers, max_batch_size=8, max_wait_ms=50.0
+        )
 
-        async def serve():
-            async with MicroBatcher(
-                index,
-                K,
-                max_batch_size=8,
-                max_wait_ms=50.0,
-                max_concurrent_batches=workers,
-            ) as batcher:
-                results = await asyncio.gather(
-                    *(batcher.search(query) for query in queries)
-                )
-            return results, batcher.stats
-
-        results, stats = asyncio.run(serve())
-        for expected, served in zip(reference, results):
-            np.testing.assert_array_equal(expected.ids, served.ids)
-            np.testing.assert_array_equal(expected.divergences, served.divergences)
-        assert stats.n_requests == 32
-        assert stats.n_batches == 4
-        assert stats.n_cancelled == stats.n_failed == stats.n_rejected == 0
-        assert stats.mean_batch_size == 8.0
+    def test_overlapped_batches_on_fonts(self, fonts_serving):
+        index, queries, reference = fonts_serving
+        assert_overlapped_serving(
+            index,
+            10,
+            np.concatenate([queries, queries]),
+            reference * 2,
+            workers=4,
+            max_batch_size=8,
+            max_wait_ms=20.0,
+        )
 
     def test_per_batch_pages_read_matches_serialized_run(self):
         # acceptance: per-batch pages_read under 4 overlapped batches is
@@ -578,60 +764,27 @@ class TestConcurrentServing:
             np.testing.assert_array_equal(expected.ids, results[slot].ids)
 
     def test_queue_depth_reject_sheds_overload(self):
-        # a 10-request burst against depth 3 with the batch cap above it
-        # (the queue cannot drain mid-burst): 3 admitted, 7 shed
+        # a 10-request burst against depth 3: 3 admitted, 7 shed
         index, _ = self._index()
         queries = points_for(SquaredEuclidean(), 10, DIM, seed=2)
-
-        async def serve():
-            async with MicroBatcher(
-                index,
-                K,
-                max_batch_size=64,
-                max_wait_ms=5.0,
-                max_queue_depth=3,
-                overflow="reject",
-            ) as batcher:
-                results = await asyncio.gather(
-                    *(batcher.search(query) for query in queries),
-                    return_exceptions=True,
-                )
-            return results, batcher.stats
-
-        results, stats = asyncio.run(serve())
-        shed = [r for r in results if isinstance(r, ServerOverloadedError)]
-        assert len(shed) == 7
-        assert stats.n_rejected == 7
-        assert stats.n_requests == 3  # only admitted requests dispatched
-        for slot in range(3):
-            expected = index.search(queries[slot], K)
-            np.testing.assert_array_equal(expected.ids, results[slot].ids)
+        reference = [index.search(query, K) for query in queries]
+        assert_burst_shed(index, K, queries, reference, depth=3)
 
     def test_queue_depth_wait_backpressures_and_serves_all(self):
         index, _ = self._index()
         queries = points_for(SquaredEuclidean(), 10, DIM, seed=2)
         reference = [index.search(query, K) for query in queries]
+        assert_burst_backpressured(
+            index, K, queries, reference, depth=3, max_wait_ms=2.0
+        )
 
-        async def serve():
-            async with MicroBatcher(
-                index,
-                K,
-                max_batch_size=64,
-                max_wait_ms=2.0,
-                max_queue_depth=3,
-                overflow="wait",
-            ) as batcher:
-                results = await asyncio.gather(
-                    *(batcher.search(query) for query in queries)
-                )
-            return results, batcher.stats
-
-        results, stats = asyncio.run(serve())
-        assert stats.n_rejected == 0
-        assert stats.n_requests == 10
-        assert stats.n_batches >= 3  # depth 3 forces several waves
-        for expected, served in zip(reference, results):
-            np.testing.assert_array_equal(expected.ids, served.ids)
+    def test_queue_depth_both_overflow_modes_on_fonts(self, fonts_serving):
+        # a 12-request burst against depth 4
+        index, queries, reference = fonts_serving
+        assert_burst_shed(index, 10, queries[:12], reference[:12], depth=4)
+        assert_burst_backpressured(
+            index, 10, queries[:12], reference[:12], depth=4, max_wait_ms=5.0
+        )
 
     def test_concurrency_config_validation(self):
         index, _ = self._index()

@@ -22,7 +22,7 @@ from repro.core.config import BrePartitionConfig
 from repro.core.index import BrePartitionIndex
 from repro.exceptions import InvalidParameterError, ShardUnavailableError
 from repro.exec import ShardExecutor, ShardHealthRegistry
-from repro.serve import MicroBatcher
+from repro.serve import MicroBatcher, make_serving_index
 from repro.storage import FaultInjector, FaultPlan
 from repro.storage.sharded import ShardedDataStore
 
@@ -508,6 +508,83 @@ class TestHedgedReads:
         assert index.tracker.total_pages_read == clean.tracker.total_pages_read
         store = index.datastore
         assert sum(store.shard_pages_read) == store.tracker.total_pages_read
+
+
+def test_mid_run_disk_kill_is_served_exactly_then_healed():
+    """An R=2 fonts store loses disk 0 mid-run to a scheduled
+    ``fail_after_n_calls`` kill.  Batches and batcher-served requests
+    stay bitwise equal to the fault-free twin with exact page
+    accounting (failover re-charges dedup in the same scope), the dead
+    disk's breaker opens, and serving stays exact after the heal."""
+    shape = dict(
+        dataset_name="fonts",
+        n=400,
+        n_queries=32,
+        n_shards=N_SHARDS,
+        replication_factor=R,
+    )
+    dataset, clean = make_serving_index(**shape)
+    _, chaotic = make_serving_index(
+        **shape, breaker_threshold=1, breaker_reset_s=0.05
+    )
+    injector = FaultInjector(seed=0)
+    chaotic.attach_fault_injector(injector)
+    queries = dataset.queries
+    k = 10
+    store = chaotic.datastore
+
+    def assert_mirrors_exact():
+        assert sum(store.shard_pages_read) == store.tracker.total_pages_read
+        assert [sum(row) for row in store.replica_pages_read] == (
+            store.shard_pages_read
+        )
+
+    # the same four batches on both indexes; disk 0 serves two more
+    # charge calls, so it dies between the second and third batch
+    injector.set_plan(shard=0, fail_after_n_calls=2)
+    n_failovers = 0
+    for start in range(0, len(queries), 8):
+        chunk = queries[start : start + 8]
+        want = clean.search_batch(chunk, k)
+        got = chaotic.search_batch(chunk, k)
+        for w, g in zip(want.results, got.results):
+            _assert_same(g, w)
+        assert got.failures == {}
+        assert got.stats.pages_read == want.stats.pages_read
+        assert got.stats.pages_read_per_shard == want.stats.pages_read_per_shard
+        n_failovers += got.stats.n_failovers
+    assert n_failovers > 0  # the kill actually re-routed reads
+    assert chaotic.tracker.total_pages_read == clean.tracker.total_pages_read
+    assert chaotic.shard_health.n_breaker_opens >= 1
+    assert_mirrors_exact()
+
+    # the asyncio front-end rides the same failover while the disk
+    # stays dead, then again after the heal
+    reference = [clean.search(query, k) for query in queries]
+
+    async def serve():
+        async with MicroBatcher(chaotic, k, max_batch_size=8) as batcher:
+            results = await asyncio.gather(
+                *(batcher.search(query) for query in queries)
+            )
+            return results, batcher.stats
+
+    results, stats = asyncio.run(serve())
+    for w, g in zip(reference, results):
+        _assert_same(g, w)
+    assert stats.n_failed == 0
+    assert stats.n_breaker_opens >= 1
+    # the opened breaker is surfaced, and routing steered around the
+    # dead disk without failing a served request
+    assert stats.shard_health is not None
+    assert stats.shard_health[0]["state"] != "closed"
+
+    injector.heal(0)
+    results, stats = asyncio.run(serve())
+    for w, g in zip(reference, results):
+        _assert_same(g, w)
+    assert stats.n_failed == 0
+    assert_mirrors_exact()
 
 
 # ----------------------------------------------------------------------

@@ -21,9 +21,10 @@ import pytest
 
 from repro import BrePartitionConfig, BrePartitionIndex, brute_force_knn
 from repro.core.snapshot import DeltaBuffer
+from repro.datasets import load_dataset
 from repro.divergences import ItakuraSaito, SquaredEuclidean
 from repro.exceptions import InvalidParameterError
-from repro.serve import MicroBatcher
+from repro.serve import MicroBatcher, make_serving_index
 from repro.storage.io_stats import DiskAccessTracker
 
 from conftest import all_decomposable_divergences, points_for
@@ -503,98 +504,131 @@ class TestServingMutations:
 # ----------------------------------------------------------------------
 
 
+def assert_linearizable(
+    div, points, index, queries, k, pool, n_ops, rng_seed, searches
+):
+    """Threaded stress: one mutator applies ``n_ops`` inserts/deletes
+    (recording the live set at every version), a merger alternates
+    extend/rebuild merges, and two searchers bracket every search
+    between two reads of ``updates_applied``.  Every response must be
+    bitwise equal to the oracle for some update prefix within its
+    bracket, and per-scope page counts must sum exactly to what the
+    tracker charged meanwhile."""
+    n_base = points.shape[0]
+    live = _live_map(points)
+    prefixes = {0: dict(live)}
+    mutation_rng = np.random.default_rng(rng_seed)
+    pages_before = index.tracker.total_pages_read
+    errors = []
+    records = []
+    records_lock = threading.Lock()
+    stop = threading.Event()
+
+    def mutator():
+        try:
+            for op in range(n_ops):
+                if len(live) > n_base // 2 and mutation_rng.random() < 0.4:
+                    victim = int(mutation_rng.choice(sorted(live)))
+                    index.delete(victim)
+                    del live[victim]
+                else:
+                    vec = pool[op]
+                    pid = index.insert(vec)
+                    live[pid] = vec
+                prefixes[index.updates_applied] = dict(live)
+                time.sleep(0.001)
+        except BaseException as exc:  # pragma: no cover - failure path
+            errors.append(exc)
+        finally:
+            stop.set()
+
+    def merger():
+        try:
+            modes = ["extend", "rebuild"]
+            merges = 0
+            while not stop.is_set():
+                time.sleep(0.01)
+                index.merge(mode=modes[merges % 2], drain_timeout=5.0)
+                merges += 1
+        except BaseException as exc:  # pragma: no cover - failure path
+            errors.append(exc)
+
+    def searcher(worker: int):
+        try:
+            for i in range(searches):
+                slot = (worker + i) % len(queries)
+                lo = index.updates_applied
+                result = index.search(queries[slot], k)
+                hi = index.updates_applied
+                with records_lock:
+                    records.append((slot, result, lo, hi))
+        except BaseException as exc:  # pragma: no cover - failure path
+            errors.append(exc)
+
+    threads = [
+        threading.Thread(target=mutator),
+        threading.Thread(target=merger),
+        threading.Thread(target=searcher, args=(0,)),
+        threading.Thread(target=searcher, args=(1,)),
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert not errors, errors
+    assert len(prefixes) == n_ops + 1  # every version got its prefix image
+
+    oracle_cache = {}
+
+    def matches(slot, result, version) -> bool:
+        key = (slot, version)
+        if key not in oracle_cache:
+            oracle_cache[key] = _oracle(div, prefixes[version], queries[slot], k)
+        want_ids, want_div = oracle_cache[key]
+        return bool(
+            np.array_equal(result.ids, want_ids)
+            and np.array_equal(result.divergences, want_div)
+        )
+
+    for slot, result, lo, hi in records:
+        assert any(
+            matches(slot, result, version) for version in range(lo, hi + 1)
+        ), f"response matches no update prefix in [{lo}, {hi}]"
+
+    total = sum(result.stats.pages_read for _, result, _, _ in records)
+    assert index.tracker.total_pages_read - pages_before == total
+
+
 class TestLinearizability:
     def test_concurrent_search_mutate_merge(self):
-        """Every concurrent response is bitwise equal to the oracle for
-        some update prefix within its ``updates_applied`` bracket, and
-        per-scope page accounting sums exactly to the tracker total."""
         div = SquaredEuclidean()
-        tracker = DiskAccessTracker()
-        points, index = _build(div, tracker=tracker)
-        queries = points_for(div, 4, 6, seed=32)
-        k = 3
+        points, index = _build(div)
+        assert_linearizable(
+            div,
+            points,
+            index,
+            queries=points_for(div, 4, 6, seed=32),
+            k=3,
+            pool=points_for(div, 60, 6, seed=33),
+            n_ops=40,
+            rng_seed=34,
+            searches=25,
+        )
 
-        live = _live_map(points)
-        prefixes = {0: dict(live)}
-        extra = points_for(div, 60, 6, seed=33)
-        mutation_rng = np.random.default_rng(34)
-        errors = []
-        records = []
-        records_lock = threading.Lock()
-        stop = threading.Event()
-
-        def mutator():
-            try:
-                for op in range(40):
-                    if len(live) > 24 and mutation_rng.random() < 0.4:
-                        victim = int(mutation_rng.choice(sorted(live)))
-                        index.delete(victim)
-                        del live[victim]
-                    else:
-                        vec = extra[op]
-                        pid = index.insert(vec)
-                        live[pid] = vec
-                    prefixes[index.updates_applied] = dict(live)
-                    time.sleep(0.001)
-            except BaseException as exc:  # pragma: no cover - failure path
-                errors.append(exc)
-            finally:
-                stop.set()
-
-        def merger():
-            try:
-                modes = ["extend", "rebuild"]
-                merges = 0
-                while not stop.is_set():
-                    time.sleep(0.01)
-                    index.merge(mode=modes[merges % 2], drain_timeout=5.0)
-                    merges += 1
-            except BaseException as exc:  # pragma: no cover - failure path
-                errors.append(exc)
-
-        def searcher(worker: int):
-            try:
-                for i in range(25):
-                    query = queries[(worker + i) % len(queries)]
-                    lo = index.updates_applied
-                    result = index.search(query, k)
-                    hi = index.updates_applied
-                    with records_lock:
-                        records.append((query, result, lo, hi))
-            except BaseException as exc:  # pragma: no cover - failure path
-                errors.append(exc)
-
-        threads = [
-            threading.Thread(target=mutator),
-            threading.Thread(target=merger),
-            threading.Thread(target=searcher, args=(0,)),
-            threading.Thread(target=searcher, args=(1,)),
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert not errors, errors
-        assert len(prefixes) == 41  # every version got its prefix image
-
-        oracle_cache = {}
-
-        def matches(query_key, query, result, version) -> bool:
-            key = (query_key, version)
-            if key not in oracle_cache:
-                oracle_cache[key] = _oracle(div, prefixes[version], query, k)
-            want_ids, want_div = oracle_cache[key]
-            return bool(
-                np.array_equal(result.ids, want_ids)
-                and np.array_equal(result.divergences, want_div)
-            )
-
-        for query, result, lo, hi in records:
-            query_key = int(np.flatnonzero((queries == query).all(axis=1))[0])
-            assert any(
-                matches(query_key, query, result, version)
-                for version in range(lo, hi + 1)
-            ), f"response matches no update prefix in [{lo}, {hi}]"
-
-        total = sum(result.stats.pages_read for _, result, _, _ in records)
-        assert tracker.total_pages_read == total
+    def test_concurrent_search_mutate_merge_on_fonts(self):
+        # the serving benchmark's index: fonts (Itakura-Saito, d=400)
+        dataset, index = make_serving_index(dataset_name="fonts", n=400, n_queries=8)
+        # domain-valid points disjoint from the indexed set (the loader
+        # holds some rows out as queries, so over-request and slice)
+        pool = load_dataset("fonts", n=76, n_queries=1, seed=9).points[:60]
+        assert_linearizable(
+            dataset.divergence,
+            dataset.points,
+            index,
+            queries=dataset.queries,
+            k=10,
+            pool=pool,
+            n_ops=60,
+            rng_seed=35,
+            searches=20,
+        )

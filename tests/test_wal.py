@@ -47,6 +47,35 @@ def _config(tmp_path, n_shards=1, **overrides):
     )
 
 
+@pytest.fixture
+def closing():
+    """Register an index to be closed at teardown, pass or fail."""
+    opened = []
+
+    def register(index):
+        opened.append(index)
+        return index
+
+    yield register
+    for index in opened:
+        index.close()
+
+
+def _crash(index):
+    """Simulate a crash: the index dies without a clean shutdown.
+
+    Its log handle is released before ``recover`` reopens the file, and
+    the release must write nothing: every acknowledged record is already
+    on disk, so recovery sees exactly the bytes a real crash leaves.
+    """
+    path = index.config.wal_path
+    with open(path, "rb") as fh:
+        before = fh.read()
+    index.close()
+    with open(path, "rb") as fh:
+        assert fh.read() == before
+
+
 # ----------------------------------------------------------------------
 # log format
 # ----------------------------------------------------------------------
@@ -225,7 +254,7 @@ class TestGroupCommit:
         wal.close()
         assert len(WriteAheadLog.scan(path).records) == 2
 
-    def test_index_threads_the_window_through(self, tmp_path):
+    def test_index_threads_the_window_through(self, tmp_path, closing):
         """``wal_group_commit_ms`` reaches the log the index opens, and
         acknowledged mutations recover after a crash exactly as without
         group commit."""
@@ -237,10 +266,10 @@ class TestGroupCommit:
         extra = points_for(divergence, 3, 8, seed=62)
         pids = [index.insert(p) for p in extra]
         index.delete(pids[0])
-        del index  # crash: nothing shut down cleanly
+        _crash(index)
 
-        recovered = BrePartitionIndex.recover(
-            config.wal_path, divergence, config
+        recovered = closing(
+            BrePartitionIndex.recover(config.wal_path, divergence, config)
         )
         live = {pid: extra[i] for i, pid in enumerate(pids) if i > 0}
         for i, point in enumerate(points):
@@ -284,7 +313,9 @@ def _mutate(index, divergence, live, d):
 
 @pytest.mark.parametrize("n_shards", [1, 4])
 @pytest.mark.parametrize("kill", KILL_POINTS)
-def test_crash_recovery_matrix(decomposable, n_shards, kill, tmp_path, monkeypatch):
+def test_crash_recovery_matrix(
+    decomposable, n_shards, kill, tmp_path, monkeypatch, closing
+):
     divergence = decomposable
     n, d, k = 48, 8, 5
     points = points_for(divergence, n, d, seed=1)
@@ -338,7 +369,10 @@ def test_crash_recovery_matrix(decomposable, n_shards, kill, tmp_path, monkeypat
         del live[5]
 
     # the crashed process is gone; reopen purely from the on-disk state
-    recovered = BrePartitionIndex.recover(config.wal_path, divergence, config=config)
+    _crash(index)
+    recovered = closing(
+        BrePartitionIndex.recover(config.wal_path, divergence, config=config)
+    )
     assert recovered.config.wal_path == config.wal_path
 
     stats = recovered.recovery_stats
@@ -362,7 +396,7 @@ def test_crash_recovery_matrix(decomposable, n_shards, kill, tmp_path, monkeypat
         np.testing.assert_array_equal(got.divergences, want_div)
 
 
-def test_recovered_index_keeps_serving_and_recovering(tmp_path):
+def test_recovered_index_keeps_serving_and_recovering(tmp_path, closing):
     """Continue mutating after recovery, then recover a second time."""
     divergence = all_decomposable_divergences(6)[0][1]
     points = points_for(divergence, 40, 6, seed=3)
@@ -370,6 +404,7 @@ def test_recovered_index_keeps_serving_and_recovering(tmp_path):
     index = BrePartitionIndex(divergence, config).build(points)
     live = {i: points[i] for i in range(40)}
     _mutate(index, divergence, live, 6)
+    _crash(index)
 
     first = BrePartitionIndex.recover(config.wal_path, divergence, config=config)
     extra = points_for(divergence, 4, 6, seed=101)
@@ -377,8 +412,11 @@ def test_recovered_index_keeps_serving_and_recovering(tmp_path):
         live[int(first.insert(p))] = p
     first.delete(7)
     del live[7]
+    _crash(first)
 
-    second = BrePartitionIndex.recover(config.wal_path, divergence, config=config)
+    second = closing(
+        BrePartitionIndex.recover(config.wal_path, divergence, config=config)
+    )
     assert second.updates_applied == first.updates_applied
     q = points_for(divergence, 1, 6, seed=4)[0]
     want_ids, want_div = _oracle(divergence, live, q, 6)
@@ -387,20 +425,23 @@ def test_recovered_index_keeps_serving_and_recovering(tmp_path):
     np.testing.assert_array_equal(got.divergences, want_div)
 
 
-def test_recover_without_checkpoint_needs_points(tmp_path):
+def test_recover_without_checkpoint_needs_points(tmp_path, closing):
     divergence = all_decomposable_divergences(6)[0][1]
     points = points_for(divergence, 30, 6, seed=5)
     config = _config(tmp_path)
     index = BrePartitionIndex(divergence, config).build(points)
     live = {i: points[i] for i in range(30)}
     _mutate(index, divergence, live, 6)
+    _crash(index)
     os.remove(Checkpoint.path_for(config.wal_path))  # pre-checkpoint era
 
     with pytest.raises(WALError):
         BrePartitionIndex.recover(config.wal_path, divergence, config=config)
 
-    recovered = BrePartitionIndex.recover(
-        config.wal_path, divergence, config=config, points=points
+    recovered = closing(
+        BrePartitionIndex.recover(
+            config.wal_path, divergence, config=config, points=points
+        )
     )
     assert not recovered.recovery_stats.used_checkpoint
     q = points_for(divergence, 1, 6, seed=6)[0]
@@ -415,7 +456,7 @@ def test_replay_contradiction_raises(tmp_path):
     divergence = all_decomposable_divergences(6)[0][1]
     points = points_for(divergence, 30, 6, seed=7)
     config = _config(tmp_path)
-    BrePartitionIndex(divergence, config).build(points)
+    _crash(BrePartitionIndex(divergence, config).build(points))
     wal = WriteAheadLog(config.wal_path, fresh=False)
     wal.append_delete(9999, version=1)
     wal.close()
@@ -423,17 +464,17 @@ def test_replay_contradiction_raises(tmp_path):
         BrePartitionIndex.recover(config.wal_path, divergence, config=config)
 
 
-def test_build_without_wal_path_stays_memory_only(tmp_path):
+def test_build_without_wal_path_stays_memory_only(tmp_path, closing):
     divergence = all_decomposable_divergences(6)[0][1]
     points = points_for(divergence, 30, 6, seed=8)
     config = BrePartitionConfig(n_partitions=2, seed=0)
-    index = BrePartitionIndex(divergence, config).build(points)
+    index = closing(BrePartitionIndex(divergence, config).build(points))
     index.insert(points_for(divergence, 1, 6, seed=9)[0])
     assert index._wal is None
     assert not (tmp_path / "index.wal").exists()
 
 
-def test_fresh_build_truncates_stale_log(tmp_path):
+def test_fresh_build_truncates_stale_log(tmp_path, closing):
     """build() owns its wal_path: a stale log there is reset, and the
     bootstrap checkpoint makes the new index recoverable immediately."""
     divergence = all_decomposable_divergences(6)[0][1]
@@ -441,7 +482,34 @@ def test_fresh_build_truncates_stale_log(tmp_path):
     with open(config.wal_path, "wb") as fh:
         fh.write(_MAGIC + b"leftover bytes from an older run")
     points = points_for(divergence, 30, 6, seed=10)
-    BrePartitionIndex(divergence, config).build(points)
+    index = BrePartitionIndex(divergence, config).build(points)
+    first_log = index._wal
+    index.build(points)  # a rebuild re-owns the path and closes the old log
+    with pytest.raises(WALError):
+        first_log.append_delete(0, version=1)
     assert WriteAheadLog.scan(config.wal_path).records == []
-    recovered = BrePartitionIndex.recover(config.wal_path, divergence, config=config)
+    _crash(index)
+    recovered = closing(
+        BrePartitionIndex.recover(config.wal_path, divergence, config=config)
+    )
     assert recovered.n_points == 30
+
+
+def test_close_releases_the_log_and_refuses_mutations(tmp_path, closing):
+    """After close() searches are unchanged, a second close() is
+    harmless, and mutations raise: they can no longer be logged."""
+    divergence = all_decomposable_divergences(6)[0][1]
+    points = points_for(divergence, 30, 6, seed=11)
+    index = closing(BrePartitionIndex(divergence, _config(tmp_path)).build(points))
+    query = points_for(divergence, 1, 6, seed=12)[0]
+    before = index.search(query, 5)
+    index.close()
+    index.close()
+    after = index.search(query, 5)
+    np.testing.assert_array_equal(after.ids, before.ids)
+    np.testing.assert_array_equal(after.divergences, before.divergences)
+    with pytest.raises(WALError):
+        index.insert(points_for(divergence, 1, 6, seed=13)[0])
+    with pytest.raises(WALError):
+        index.delete(0)
+    assert index.updates_applied == 0  # neither op applied
