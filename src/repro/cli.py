@@ -76,8 +76,8 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="W",
-        help="fan batched candidate fetches out across W threads "
-        "(requires --shards and --batch; results are identical)",
+        help="fan candidate fetches out across W threads "
+        "(requires --shards; results are identical)",
     )
     search.add_argument(
         "--replication-factor",
@@ -100,7 +100,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--refine-kernel",
         choices=("auto", "dense", "sparse"),
         default=None,
-        help="batch refinement kernel: dense (union x batch), sparse "
+        help="refinement kernel: dense (union x batch), sparse "
         "(real pairs only), or auto density-based dispatch (default)",
     )
     search.add_argument("--probability", type=float, default=0.9, help="ABP guarantee p")
@@ -270,10 +270,10 @@ def _cmd_search(args) -> int:
         print(f"method {args.method!r} has no sharded storage; ignoring --shards")
         args.shards = None
     if args.shard_workers is not None and args.shards is None:
-        print("--shard-workers needs a sharded store; ignoring (pass --shards)")
+        print("--shard-workers needs several shards; ignoring (pass --shards)")
         args.shard_workers = None
     if args.replication_factor is not None and args.shards is None:
-        print("--replication-factor needs a sharded store; ignoring (pass --shards)")
+        print("--replication-factor needs several shards; ignoring (pass --shards)")
         args.replication_factor = None
     if args.replication_factor is not None and args.replication_factor > args.shards:
         print(
@@ -289,12 +289,6 @@ def _cmd_search(args) -> int:
             "(pass --replication-factor >= 2)"
         )
         args.hedge_after_ms = None
-    if args.shard_workers is not None and args.batch is None:
-        print("--shard-workers only affects batched fan-out; ignoring (pass --batch)")
-        args.shard_workers = None
-    if args.refine_kernel is not None and args.batch is None:
-        print("--refine-kernel only affects batch refinement; ignoring (pass --batch)")
-        args.refine_kernel = None
     config = getattr(index, "config", None)
     if args.shard_workers is not None and (
         config is None or not hasattr(config, "shard_workers")

@@ -142,7 +142,7 @@ class ApproximateBrePartitionIndex(BrePartitionIndex):
         self.beta_xy_model.fit(self.divergence, points, rng=self.rng)
         return self
 
-    def _adjust_radii_batch(self, search_bounds, triples) -> np.ndarray:
+    def _adjust_radii_batch(self, search_bounds, triples, transforms) -> np.ndarray:
         """Shrink the Cauchy term of every partition's radius by ``c``.
 
         The exact bound has the form ``kappa + mu`` where only ``mu``
@@ -152,11 +152,13 @@ class ApproximateBrePartitionIndex(BrePartitionIndex):
         and applied to each partition's ``mu_i``.  The ``kappa`` and
         ``mu`` terms are computed for the whole ``(B, M)`` batch with
         broadcasting; only Proposition 1's coefficient (two CDF
-        evaluations per query) remains a scalar loop.
+        evaluations per query) remains a scalar loop.  ``transforms`` is
+        the pinned snapshot's: the anchor ids are rows of its base, which
+        a concurrent merge may already have replaced on the index.
         """
         anchors = search_bounds.anchor_ids
-        gamma_rows = self.transforms.gamma[anchors]  # (B, M)
-        alpha_rows = self.transforms.alpha[anchors]
+        gamma_rows = transforms.gamma[anchors]  # (B, M)
+        alpha_rows = transforms.alpha[anchors]
         kappas = alpha_rows + (triples.alpha + triples.beta_yy)
         mus = np.sqrt(np.maximum(gamma_rows * triples.delta, 0.0))
 

@@ -44,17 +44,16 @@ class BrePartitionConfig:
         Seeds every random choice (two-means, PCCP draws, seed-subspace
         selection) for reproducible builds.
     n_shards:
-        Number of simulated disks the point file is partitioned across.
-        ``1`` (default) keeps the single-disk :class:`DataStore`;
-        ``> 1`` builds a :class:`~repro.storage.sharded.ShardedDataStore`
-        with the BB-forest's leaves striped round-robin across shards.
+        Number of simulated disks the point file is partitioned across
+        (a :class:`~repro.storage.sharded.ShardedDataStore`, with the
+        BB-forest's leaves striped round-robin across shards).  ``1``
+        (default) is one clustered file on one disk.
     shard_workers:
         Threads fanning the Fetch stage's per-shard page charges and
-        vector reads out across the shards of a
-        :class:`~repro.storage.sharded.ShardedDataStore` (one task per
-        shard; see :mod:`repro.exec`).  ``1`` (default) runs the fan-out
-        sequentially inline.  Ignored on single-disk stores.  Results
-        are bitwise identical for any value.
+        vector reads out across the shards (one task per shard; see
+        :mod:`repro.exec`).  ``1`` (default) runs the fan-out
+        sequentially inline; the pool is never wider than
+        ``n_shards``.  Results are bitwise identical for any value.
     refine_kernel:
         Batch refinement kernel: ``"dense"`` scores the full
         (union x batch) matrix in blocks, ``"sparse"`` scores only real

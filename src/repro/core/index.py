@@ -46,7 +46,6 @@ from ..partitioning.optimizer import (
 from ..pipeline import QueryBatchContext, SearchPipeline
 from ..pipeline.rerank import top_k_stable as _top_k_stable  # noqa: F401 - re-export
 from ..storage.buffer_pool import BufferPool
-from ..storage.datastore import DataStore
 from ..storage.io_stats import DiskAccessTracker
 from ..storage.sharded import ShardedDataStore
 from ..storage.wal import OP_COMMIT, OP_INSERT, Checkpoint, WriteAheadLog
@@ -101,7 +100,7 @@ class BrePartitionIndex:
 
         self.partitioning = None
         self.forest: Optional[BBForest] = None
-        self.datastore: Optional[DataStore] = None
+        self.datastore: Optional[ShardedDataStore] = None
         self.transforms: Optional[SubspaceTransforms] = None
         self.cost_params: Optional[CostModelParams] = None
         self.n_partitions: Optional[int] = None
@@ -224,27 +223,20 @@ class BrePartitionIndex:
         self._points = base.points
         self._refine_conditioner = base.refine_conditioner
 
-    def _make_datastore(self, points: np.ndarray, forest: BBForest):
-        """Lay the point file out on one disk or across config.n_shards."""
-        if self.config.n_shards > 1:
-            store = ShardedDataStore(
-                points,
-                self.config.n_shards,
-                layout_order=forest.layout_order,
-                shard_of=forest.shard_assignment(self.config.n_shards),
-                page_size_bytes=self.config.page_size_bytes,
-                tracker=self.tracker,
-                buffer_pool=self.buffer_pool,
-                replication_factor=self.config.replication_factor,
-            )
-        else:
-            store = DataStore(
-                points,
-                layout_order=forest.layout_order,
-                page_size_bytes=self.config.page_size_bytes,
-                tracker=self.tracker,
-                buffer_pool=self.buffer_pool,
-            )
+    def _make_datastore(self, points: np.ndarray, forest: BBForest) -> ShardedDataStore:
+        """Lay the point file out in the seed tree's leaf order across
+        ``config.n_shards`` simulated disks (leaves striped round-robin;
+        one shard is the paper's single clustered file)."""
+        store = ShardedDataStore(
+            points,
+            self.config.n_shards,
+            layout_order=forest.layout_order,
+            shard_of=forest.shard_assignment(self.config.n_shards),
+            page_size_bytes=self.config.page_size_bytes,
+            tracker=self.tracker,
+            buffer_pool=self.buffer_pool,
+            replication_factor=self.config.replication_factor,
+        )
         if self._fault_injector is not None:
             store.attach_faults(self._fault_injector)
         return store
@@ -587,6 +579,7 @@ class BrePartitionIndex:
             covers_version=covers,
             epoch=base.epoch,
             next_id=self._next_id,
+            fsync=self._wal.fsync,
         )
 
     def _replay_insert(self, pid: int, point: np.ndarray) -> None:
@@ -815,8 +808,8 @@ class BrePartitionIndex:
           node's ball against every active query in one vectorized
           bisection (Plan);
         * candidate vectors are fetched with page reads coalesced across
-          queries -- fanned out per shard on a sharded store -- so
-          overlapping candidate pages are charged once (Fetch);
+          queries -- fanned out one task per shard -- so overlapping
+          candidate pages are charged once (Fetch);
         * all (candidate, query) pairs are scored through the adaptive
           dense/sparse kernel and reranked with the direct kernel
           (Refine, Rerank).
@@ -864,7 +857,6 @@ class BrePartitionIndex:
                 SearchResult(ids=top_ids, divergences=top_divergences, stats=stats)
             )
 
-        sharded = isinstance(snap.datastore, ShardedDataStore)
         batch_stats = BatchQueryStats(
             pages_read=io.pages_read,
             pages_read_unshared=unshared_pages,
@@ -874,7 +866,7 @@ class BrePartitionIndex:
             n_queries=n_queries,
             n_candidates=total_candidates,
             refine_kernel=ctx.refine_kernel,
-            shard_workers=self.config.shard_workers if sharded else 1,
+            shard_workers=min(self.config.shard_workers, snap.datastore.n_shards),
             shard_seconds=ctx.shard_seconds,
             stage_seconds=dict(ctx.stage_seconds),
             cross_batch_hits=ctx.cross_batch_hits,
@@ -915,9 +907,10 @@ class BrePartitionIndex:
         if self._wal is not None:
             self._wal.close()
 
-    def _adjust_radii_batch(self, search_bounds, triples) -> np.ndarray:
+    def _adjust_radii_batch(self, search_bounds, triples, transforms) -> np.ndarray:
         """Plan-stage hook for the approximate extension, which shrinks
-        the ``(B, M)`` radii; exact search returns them as-is."""
+        the ``(B, M)`` radii using ``transforms`` (the pinned snapshot's,
+        which the anchor rows index); exact search returns them as-is."""
         return search_bounds.radii
 
     # ------------------------------------------------------------------

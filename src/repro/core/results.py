@@ -72,12 +72,13 @@ class BatchQueryStats:
     pool absorbs part of the working set (a caching effect, kept
     separate so it is never reported as coalescing).
 
-    On a sharded datastore ``pages_read_per_shard`` records how the
-    coalesced working set fanned out across the simulated disks (its
-    entries sum to ``pages_coalesced``); it stays ``None`` on a
-    single-disk store.  ``shard_seconds`` records each fan-out task's
-    wall-clock time (fetch + slab scoring); with ``shard_workers > 1``
-    tasks overlap, so their sum can exceed ``cpu_seconds``.
+    ``pages_read_per_shard`` records how the coalesced working set
+    fanned out across the simulated disks (its entries sum to
+    ``pages_coalesced``; one entry on a one-shard index).
+    ``shard_seconds`` records each fan-out task's wall-clock time
+    (charge + peek); with ``shard_workers > 1`` tasks overlap, so their
+    sum can exceed ``cpu_seconds``.  Both stay ``None`` for indexes
+    without a Fetch fan-out (the baselines).
     ``refine_kernel`` is the kernel the adaptive dispatcher actually
     ran (``"dense"`` or ``"sparse"``), whatever the configured mode.
 
@@ -95,7 +96,7 @@ class BatchQueryStats:
     pages_read_unshared: int = 0
     #: distinct pages touched by the whole batch (pool-oblivious).
     pages_coalesced: int = 0
-    #: per-shard split of ``pages_coalesced`` (sharded stores only).
+    #: per-shard split of ``pages_coalesced`` (``None``: no fan-out).
     pages_read_per_shard: Optional[List[int]] = None
     #: wall-clock seconds for the whole batch.
     cpu_seconds: float = 0.0
@@ -105,9 +106,10 @@ class BatchQueryStats:
     n_candidates: int = 0
     #: refinement kernel the dispatcher chose ("dense" or "sparse").
     refine_kernel: Optional[str] = None
-    #: thread-pool width the fan-out ran with (1 = sequential).
+    #: thread-pool width the fan-out ran with, at most the shard count
+    #: (1 = sequential).
     shard_workers: int = 1
-    #: per-shard fetch-task seconds (charge + wait + peek; sharded only).
+    #: per-shard fetch-task seconds (charge + peek; ``None``: no fan-out).
     shard_seconds: Optional[List[float]] = None
     #: wall-clock seconds per pipeline stage (plan/fetch/refine/rerank).
     stage_seconds: Optional[Dict[str, float]] = None

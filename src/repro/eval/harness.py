@@ -126,17 +126,17 @@ def run_workload(
 
     With ``shards`` set, the index's point file is re-laid across that
     many simulated disks before the workload (via ``index.reshard``;
-    indexes without one are rejected).  Batch runs then record the
-    per-shard fan-out of the coalesced page reads in
+    indexes without one are rejected).  Batch runs on a BrePartition
+    index record the per-shard fan-out of the coalesced page reads in
     ``extras["shard_pages_read"]``.
 
     ``shard_workers`` sets the fan-out thread-pool width on the index's
-    config (sharded batch runs overlap per-shard fetch + scoring; see
-    :mod:`repro.exec`), and ``refine_kernel`` pins the batch refinement
-    kernel (``auto``/``dense``/``sparse``).  Both require an index with
-    a :class:`~repro.core.config.BrePartitionConfig`; neither changes
-    results, only how they are computed, and batch runs record the
-    kernel actually used in ``extras["refine_kernel"]``.
+    config (per-shard Fetch tasks overlap when the store has more than
+    one shard; see :mod:`repro.exec`), and ``refine_kernel`` pins the
+    refinement kernel (``auto``/``dense``/``sparse``).  Both require
+    an index with a :class:`~repro.core.config.BrePartitionConfig`;
+    neither changes results, only how they are computed, and batch runs
+    record the kernel actually used in ``extras["refine_kernel"]``.
 
     ``replication_factor`` re-lays every shard's pages on that many
     distinct disks (requires ``shards``), and ``hedge_after_ms`` races

@@ -19,7 +19,8 @@ pipeline's Fetch stage (:class:`repro.pipeline.FetchStage`):
    the per-shard tracker mirroring into the shared aggregate under
    locks so totals still sum exactly);
 2. **peek** the shard's slab of union rows into disjoint slices of the
-   union-ordered vector array, which the Refine stage then scores as
+   union-ordered vector array (a shard holding the whole union hands
+   its slab over as that array), which the Refine stage then scores as
    one union slab.
 
 Storage is simulated and compute-only: a charge counts pages, it does

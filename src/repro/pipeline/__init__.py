@@ -8,9 +8,8 @@ holding ``B`` query rows:
     extension's radius-adjustment hook), batched BB-forest traversal and
     the short-candidate widening recovery.
 ``Fetch``
-    Page-union charging and vector materialisation -- coalesced on one
-    disk, fanned out per shard through the
-    :class:`~repro.exec.ShardExecutor` on a sharded store.
+    Page-union charging and vector materialisation, fanned out one
+    task per shard through the :class:`~repro.exec.ShardExecutor`.
 ``Refine``
     Adaptive dense/sparse/auto cross-divergence kernel dispatch over the
     union slab.

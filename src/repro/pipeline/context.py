@@ -74,9 +74,9 @@ class QueryBatchContext:
     vectors: Optional[np.ndarray] = None
     #: distinct pages the batch's working set spans (pool-oblivious).
     pages_coalesced: int = 0
-    #: per-shard split of ``pages_coalesced`` (sharded stores only).
+    #: per-shard split of ``pages_coalesced``.
     pages_per_shard: Optional[List[int]] = None
-    #: per-shard fetch-task wall-clock seconds (sharded stores only).
+    #: per-shard fetch-task wall-clock seconds.
     shard_seconds: Optional[List[float]] = None
     #: pages served from the buffer pool that an *earlier* batch or
     #: query paid for (``None`` without a pool).

@@ -2,12 +2,14 @@
 
 The stage charges the context's candidate-page union once (the
 coalescing primitive of the batch engine; at ``B = 1`` simply the one
-query's pages) and peeks the union's vectors I/O-free.  On a
-:class:`~repro.storage.sharded.ShardedDataStore` the charge-and-peek
-fans out one :class:`~repro.exec.ShardExecutor` task per shard, touched
-or not (so a dead shard fails the context in ``raise`` mode even when
-no candidate lives there): each task charges its shard's slice of the
-page union, then peeks its slab into the union-ordered vector array.
+query's pages) and peeks the union's vectors I/O-free.  The charge and
+peek fan out over the index's
+:class:`~repro.storage.sharded.ShardedDataStore`: one
+:class:`~repro.exec.ShardExecutor` task per shard, touched or not (so a
+dead shard fails the context in ``raise`` mode even when no candidate
+lives there), each charging its shard's slice of the page union and
+then peeking its slab of the union.  A one-shard store runs the same
+code with one task.
 
 The stage also owns the buffer-pool batch epoch: every context opens a
 fresh :meth:`~repro.storage.buffer_pool.BufferPool.begin_batch` epoch,
@@ -20,7 +22,7 @@ page accounting.
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -55,57 +57,25 @@ class FetchStage(PipelineStage):
 
     def run(self, ctx: QueryBatchContext) -> None:
         pool = self.index.buffer_pool
-        store = self._store(ctx)
         if pool is not None:
             epoch = pool.begin_batch()
             if ctx.scope is not None:
                 ctx.scope.pool_epoch = epoch
-        if isinstance(store, ShardedDataStore):
-            self._fetch_fanout(ctx, store)
-        else:
-            self._fetch_single_disk(ctx, store)
+        self._fetch_fanout(ctx, self._store(ctx))
         if pool is not None and ctx.scope is not None:
             # the scope's own counter, not a global delta: exact even
             # with other batches hitting the pool mid-flight
             ctx.cross_batch_hits = ctx.scope.cross_batch_hits
-
-    # ------------------------------------------------------------------
-    # one simulated disk
-    # ------------------------------------------------------------------
-
-    def _retry_counter(self, ctx: QueryBatchContext):
-        """Per-retry callback: count on the context and its scope."""
-
-        def bump() -> None:
-            ctx.io_retries += 1
-            if ctx.scope is not None:
-                ctx.scope.count_retry()
-
-        return bump
-
-    def _fetch_single_disk(self, ctx: QueryBatchContext, store) -> None:
-        ctx.union, ctx.row_of = union_rows(ctx.candidates, store.n_points)
-        executor = self.index._make_executor()
-        # retried charges cannot double-count: the scope's dedup set
-        # keeps every page a prior attempt managed to charge, so a retry
-        # re-bills only the pages the fault interrupted
-        ctx.pages_coalesced = executor.call_with_retry(
-            lambda: store.charge_pages_for(ctx.candidates, scope=ctx.scope),
-            on_retry=self._retry_counter(ctx),
-        )
-        ctx.vectors = store.peek(ctx.union)
-
-    # ------------------------------------------------------------------
-    # sharded fan-out
-    # ------------------------------------------------------------------
 
     def _fetch_fanout(self, ctx: QueryBatchContext, store: ShardedDataStore) -> None:
         """One executor task per shard: charge, then peek the slab.
 
         Tasks scatter into disjoint slices of the union-ordered vector
         array, so the result is bitwise independent of worker count and
-        completion order.  The per-shard page split lands in
-        ``ctx.pages_per_shard`` and task timings in ``ctx.shard_seconds``.
+        completion order; a shard holding the whole union (always, on a
+        one-shard store) hands its slab over as that array instead.  The
+        per-shard page split lands in ``ctx.pages_per_shard`` and task
+        timings in ``ctx.shard_seconds``.
 
         Each task routes through
         :meth:`~repro.exec.ShardExecutor.call_with_failover`: with
@@ -124,7 +94,11 @@ class FetchStage(PipelineStage):
         splits = store.shard_split(ctx.union)
         executor = index._make_executor()
 
-        vectors = np.empty((ctx.union.size, store.dimensionality), dtype=float)
+        shape = (ctx.union.size, store.dimensionality)
+        whole = [positions.size == shape[0] for positions, _ in splits]
+        # no scatter target when one shard's slab is the whole union
+        vectors = None if any(whole) else np.empty(shape, dtype=float)
+        slabs: List[Optional[np.ndarray]] = [None] * store.n_shards
         # one writer per slot (the hedged slot tolerates its two legs
         # racing: both write identical values)
         retries = [0] * store.n_shards
@@ -149,12 +123,12 @@ class FetchStage(PipelineStage):
                     # pages_coalesced; it is this call's own return
                     # value, not a tracker delta, so concurrent batches
                     # sharing the shard trackers never mix counts
-                    distinct = store.charge_shard_replica(
-                        s, r, plan[s], scope=ctx.scope
-                    )
-                    if positions.size:
+                    count = store.charge_shard_replica(s, r, plan[s], scope=ctx.scope)
+                    if whole[s]:
+                        slabs[s] = store.replicas[s][r].peek(local_rows)
+                    elif positions.size:
                         vectors[positions] = store.replicas[s][r].peek(local_rows)
-                    return distinct
+                    return count
 
                 return fetch
 
@@ -185,11 +159,11 @@ class FetchStage(PipelineStage):
         if failed:
             if index.config.shard_failure != "partial":
                 raise next(iter(failed.values()))
+            if vectors is None:
+                vectors = np.empty(shape, dtype=float)
             self._degrade(ctx, store, splits, vectors, failed)
-        ctx.vectors = vectors
+        ctx.vectors = next((slab for slab in slabs if slab is not None), vectors)
         ctx.pages_coalesced = int(sum(p for p in pages if p is not None))
-        # per-shard split from this batch's own task results, not the
-        # store's shared last_charge_per_shard (racy across batches)
         ctx.pages_per_shard = [int(p) if p is not None else 0 for p in pages]
         ctx.shard_seconds = seconds
 

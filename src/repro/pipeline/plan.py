@@ -43,7 +43,7 @@ class PlanStage(PipelineStage):
         ub_tensor = transforms.upper_bound_tensor(triples)
         search_bounds = determine_search_bounds_batch(ub_tensor, k_plan)
         exact_radii = pad_radii(search_bounds.radii)
-        radii = pad_radii(index._adjust_radii_batch(search_bounds, triples))
+        radii = pad_radii(index._adjust_radii_batch(search_bounds, triples, transforms))
 
         sub_matrices = partitioning.split_matrix(queries)
         candidates, forest_stats = forest.range_union_batch(

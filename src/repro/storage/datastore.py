@@ -13,6 +13,7 @@ holds ``page_size_bytes // (8 * d)`` float64 vectors.
 
 from __future__ import annotations
 
+import copy
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -205,10 +206,11 @@ class DataStore:
 
         The extend-mode merge path: the original ``n`` points keep their
         logical ids, physical positions, pages and slots *and* the same
-        simulated fileno, so buffer-pool entries and per-page accounting
-        for the old file remain valid; the appended points fill fresh
-        pages after the old last page.  The receiver is left untouched
-        (snapshots pinned to it keep reading it).
+        simulated fileno, tracker, buffer pool and fault wiring, so
+        buffer-pool entries and per-page accounting for the old file
+        remain valid; the appended points fill fresh pages after the old
+        last page.  The receiver is left untouched (snapshots pinned to
+        it keep reading it).
         """
         new_points = np.atleast_2d(np.asarray(new_points, dtype=float))
         if new_points.shape[1] != self.dimensionality:
@@ -217,19 +219,12 @@ class DataStore:
                 f"got {new_points.shape[1]}"
             )
         n, m = self.n_points, new_points.shape[0]
-        # physical position -> logical id for the existing file
-        old_layout = np.empty(n, dtype=int)
-        old_layout[self._position] = np.arange(n)
-        store = DataStore(
-            np.vstack([self._storage[self._position], new_points]),
-            layout_order=np.concatenate([old_layout, n + np.arange(m)]),
-            page_size_bytes=self.page_size_bytes,
-            tracker=self.tracker,
-            buffer_pool=self.buffer_pool,
-        )
-        store.fileno = self.fileno
-        store.fault = self.fault
-        store.shard_id = self.shard_id
+        store = copy.copy(self)
+        store.n_points = n + m
+        store._storage = np.concatenate([self._storage, new_points])
+        store._position = np.concatenate([self._position, n + np.arange(m)])
+        store._pages = store._position // self.points_per_page
+        store._slots = store._position % self.points_per_page
         return store
 
     def attach_faults(self, injector, shard_id: int = 0) -> None:

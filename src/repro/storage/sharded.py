@@ -1,29 +1,31 @@
 """Sharded storage: the point file partitioned across simulated disks.
 
-ROADMAP "Sharding": the per-query candidate unions of the batch engine
-are independent, so candidate fetches can fan out across disks.
-:class:`ShardedDataStore` splits the dataset over ``S`` shard
+Every :class:`~repro.core.index.BrePartitionIndex` keeps its points in
+a :class:`ShardedDataStore`, which splits the dataset over ``S`` shard
 :class:`~repro.storage.datastore.DataStore` files (each with its own
-fileno, page space and :class:`DiskAccessTracker`) while presenting the
-same I/O-charged interface as a single store -- ``fetch`` / ``peek`` /
-``charge_pages_for`` / ``count_pages_of`` / ``scan`` all accept global
-point ids and route per shard internally.
+fileno, page space and :class:`DiskAccessTracker`) and owns the
+global-id -> ``(shard, local row)`` mapping.  With ``S = 1`` (the
+default) the one shard is the paper's file (Section 6): the full
+vectors clustered in the seed BB-tree's leaf order, page for page.
+The Fetch stage works one shard at a time:
+:meth:`ShardedDataStore.shard_charge_plan` routes a batch's candidate
+groups to shards, :meth:`ShardedDataStore.charge_shard_replica` charges
+one shard's slice, and :meth:`ShardedDataStore.shard_split` says where
+each shard's slab lands in the union-ordered vector array.
 
 Accounting semantics:
 
 * every charged page is counted on its shard's own tracker *and*
   mirrored into the shared aggregate tracker (the one whose
   :class:`~repro.storage.io_stats.QueryScope` objects the search
-  drivers open per query/batch), so existing per-query and batch
-  statistics keep working unchanged;
+  drivers open per query/batch);
 * the aggregate tracker's query-scope deduplication decides whether a
   page is charged at all -- a page deduplicated (or absorbed by the
   shared buffer pool) is charged on *neither* tracker, keeping the sum
   of shard totals equal to the aggregate total;
-* :meth:`ShardedDataStore.charge_pages_for` returns the pool-oblivious
-  distinct page count (exactly like the unsharded store) and records
-  the per-shard split in :attr:`ShardedDataStore.last_charge_per_shard`
-  for batch statistics.
+* :meth:`ShardedDataStore.charge_shard_replica` returns the slice's
+  pool-oblivious distinct page count, from which the Fetch stage builds
+  the batch's coalesced total and per-shard split.
 
 Shard placement defaults to striping *pages* of the global layout order
 round-robin, but callers (the BB-forest) can pass an explicit per-point
@@ -44,13 +46,14 @@ so per-replica lifetime totals still sum to the aggregate total.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence
+import copy
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..exceptions import InvalidParameterError, StorageError
+from ..exceptions import InvalidParameterError
 from .buffer_pool import BufferPool
-from .datastore import Address, DataStore
+from .datastore import DataStore
 from .io_stats import DiskAccessTracker, QueryScope
 
 __all__ = ["ShardTracker", "ShardedDataStore"]
@@ -148,11 +151,10 @@ class ShardedDataStore:
         self.tracker = tracker if tracker is not None else DiskAccessTracker()
         self.buffer_pool = buffer_pool
 
-        # Global layout rank of every logical id (position on the
-        # unsharded disk image); shards preserve this relative order.
+        # Global layout rank of every logical id (position in the
+        # clustering order); shards preserve this relative order.
         rank = np.empty(n, dtype=int)
         rank[layout_order] = np.arange(n)
-        self._layout_rank = rank
 
         if shard_of is None:
             shard_of = (rank // self.points_per_page) % self.n_shards
@@ -182,9 +184,6 @@ class ShardedDataStore:
         self.shards: List[DataStore] = []
         #: global id -> row within its shard's store.
         self._local = np.empty(n, dtype=int)
-        #: per-shard page counts charged by the most recent
-        #: :meth:`charge_pages_for` call (the batch fan-out record).
-        self.last_charge_per_shard: List[int] = [0] * self.n_shards
         for s in range(self.n_shards):
             ids = np.flatnonzero(shard_of == s)
             ids = ids[np.argsort(rank[ids], kind="stable")]
@@ -196,7 +195,7 @@ class ShardedDataStore:
                 mirror = (
                     self.shard_trackers[s] if r == 0 else ShardTracker(self.tracker)
                 )
-                copy = DataStore(
+                replica = DataStore(
                     shard_points,
                     layout_order=np.arange(ids.size),
                     page_size_bytes=self.page_size_bytes,
@@ -206,8 +205,8 @@ class ShardedDataStore:
                 if r > 0:
                     # same logical file: a page charged on any replica
                     # dedups (scope) and caches (pool) as one page
-                    copy.fileno = copies[0].fileno
-                copies.append(copy)
+                    replica.fileno = copies[0].fileno
+                copies.append(replica)
                 mirrors.append(mirror)
             self.replicas.append(copies)
             self.replica_trackers.append(mirrors)
@@ -219,7 +218,7 @@ class ShardedDataStore:
         """Disk hosting replica ``r`` of shard ``s`` (rotating placement).
 
         Replica 0 (the primary) stays on disk ``s``, so unreplicated
-        stores keep the legacy shard -> disk identity.
+        stores keep the shard -> disk identity.
         """
         return (int(shard) + int(replica)) % self.n_shards
 
@@ -238,69 +237,40 @@ class ShardedDataStore:
     # addressing
     # ------------------------------------------------------------------
 
-    def _route(self, ids: np.ndarray):
-        """Route global ids per shard: yields (s, store, mask, local).
+    def shard_split(
+        self, point_ids: Sequence[int]
+    ) -> List[Tuple[np.ndarray, np.ndarray]]:
+        """Split global ids by shard: ``(positions, local_rows)`` per shard.
 
-        ``mask`` selects the rows of ``ids`` living on shard ``s`` and
-        ``local`` holds their row indices within that shard's store --
-        the one place the global-id -> (shard, local row) mapping lives.
+        ``positions`` are indices into ``point_ids`` (ascending) of the
+        ids living on that shard and ``local_rows`` their row indices in
+        the shard's store -- the one place the global-id -> (shard,
+        local row) mapping is applied, and what a fan-out task needs to
+        ``peek`` its slab and scatter it into union-ordered arrays.
         """
+        ids = np.asarray(point_ids, dtype=int)
         shard_of = self.shard_of[ids]
-        for s, store in enumerate(self.shards):
-            mask = shard_of == s
-            yield s, store, mask, self._local[ids[mask]]
+        splits = []
+        for s in range(self.n_shards):
+            positions = np.flatnonzero(shard_of == s)
+            splits.append((positions, self._local[ids[positions]]))
+        return splits
 
     @property
     def n_pages(self) -> int:
         """Total pages across all shards."""
         return sum(store.n_pages for store in self.shards)
 
-    def shard_of_point(self, point_id: int) -> int:
-        """Shard holding a logical point id."""
-        if not 0 <= point_id < self.n_points:
-            raise StorageError(f"point id {point_id} out of range")
-        return int(self.shard_of[point_id])
-
-    def address(self, point_id: int) -> Address:
-        """Global address: page encoded as ``shard + n_shards * local_page``."""
-        shard = self.shard_of_point(point_id)
-        local = self.shards[shard].address(int(self._local[point_id]))
-        return Address(shard + self.n_shards * local.page, local.slot)
-
-    def pages_of(self, point_ids: Iterable[int]) -> np.ndarray:
-        """Distinct global-encoded pages holding the given points (sorted)."""
-        if isinstance(point_ids, (np.ndarray, list, tuple)):
-            ids = np.asarray(point_ids, dtype=int)
-        else:
-            ids = np.fromiter(point_ids, dtype=int)
-        if ids.size == 0:
-            return np.empty(0, dtype=int)
-        pages = []
-        for s, store, _, local in self._route(ids):
-            if local.size:
-                pages.append(s + self.n_shards * store.pages_of(local))
-        return np.sort(np.concatenate(pages)) if pages else np.empty(0, dtype=int)
-
     def count_pages_of(self, point_ids: Sequence[int]) -> int:
         """Distinct pages holding the given points, summed over shards."""
-        ids = np.asarray(point_ids, dtype=int)
         return sum(
-            store.count_pages_of(local) for _, store, _, local in self._route(ids)
+            self.shards[s].count_pages_of(local)
+            for s, (_, local) in enumerate(self.shard_split(point_ids))
         )
 
     # ------------------------------------------------------------------
     # I/O-charged access
     # ------------------------------------------------------------------
-
-    def fetch(
-        self, point_ids: Sequence[int], scope: Optional[QueryScope] = None
-    ) -> np.ndarray:
-        """Read points, charging each shard for its distinct pages."""
-        ids = np.asarray(point_ids, dtype=int)
-        for _, store, _, local in self._route(ids):
-            if local.size:
-                store.charge_pages_for([local], scope=scope)
-        return self.peek(ids)
 
     def shard_charge_plan(
         self, id_groups: Sequence[Sequence[int]]
@@ -308,38 +278,15 @@ class ShardedDataStore:
         """Route a batch's candidate groups into per-shard local groups.
 
         Entry ``s`` holds the shard-local row groups that
-        :meth:`charge_shard` would charge on shard ``s`` -- the unit of
-        work the :class:`~repro.exec.ShardExecutor` fans out, one task
-        per shard.
+        :meth:`charge_shard_replica` charges on shard ``s`` -- the unit
+        of work the :class:`~repro.exec.ShardExecutor` fans out, one
+        task per shard.
         """
         local_groups: List[List[np.ndarray]] = [[] for _ in range(self.n_shards)]
         for ids in id_groups:
-            for s, _, _, local in self._route(np.asarray(ids, dtype=int)):
+            for s, (_, local) in enumerate(self.shard_split(ids)):
                 local_groups[s].append(local)
         return local_groups
-
-    def charge_shard(
-        self,
-        shard: int,
-        local_groups: Sequence[Sequence[int]],
-        scope: Optional[QueryScope] = None,
-    ) -> int:
-        """Charge one shard's slice of the batch's page union.
-
-        ``scope`` is the charging batch's query scope (dedup and
-        per-batch counters live there, so concurrent batches stay
-        exact).  Records the count in :attr:`last_charge_per_shard`
-        (callers fanning out reset the list first via
-        :meth:`begin_charge`) -- a convenience for single-batch callers
-        only; the concurrent engine goes through
-        :meth:`charge_shard_replica`, which leaves the shared list
-        alone.  Thread-safe with respect to other shards: each shard
-        writes its own list slot, and the underlying trackers lock
-        internally.
-        """
-        distinct = self.shards[shard].charge_pages_for(local_groups, scope=scope)
-        self.last_charge_per_shard[shard] = distinct
-        return distinct
 
     def charge_shard_replica(
         self,
@@ -363,77 +310,26 @@ class ShardedDataStore:
             local_groups, scope=scope
         )
 
-    def begin_charge(self) -> None:
-        """Reset the per-shard fan-out record before a set of
-        :meth:`charge_shard` calls (one batch's worth)."""
-        self.last_charge_per_shard = [0] * self.n_shards
-
-    def shard_split(self, point_ids: Sequence[int]):
-        """Split global ids by shard: ``(positions, local_rows)`` per shard.
-
-        ``positions`` are indices into ``point_ids`` (ascending) of the
-        ids living on that shard and ``local_rows`` their row indices in
-        the shard's store -- what a fan-out task needs to ``peek`` its
-        slab and scatter results back into union-ordered arrays.
-        """
-        ids = np.asarray(point_ids, dtype=int)
-        shard_of = self.shard_of[ids]
-        splits = []
-        for s in range(self.n_shards):
-            positions = np.flatnonzero(shard_of == s)
-            splits.append((positions, self._local[ids[positions]]))
-        return splits
-
-    def charge_pages_for(
-        self,
-        id_groups: Sequence[Sequence[int]],
-        scope: Optional[QueryScope] = None,
-    ) -> int:
-        """Fan the batch's page-union charge out across the shards.
-
-        Each shard charges the distinct pages covering its slice of all
-        groups exactly once; the per-shard split is recorded in
-        :attr:`last_charge_per_shard`.  Returns the total distinct page
-        count (pool-oblivious, like the unsharded store).
-        """
-        plan = self.shard_charge_plan(id_groups)
-        self.begin_charge()
-        return sum(
-            self.charge_shard(s, plan[s], scope=scope) for s in range(self.n_shards)
-        )
-
-    def scan(self, scope: Optional[QueryScope] = None) -> np.ndarray:
-        """Read every shard file fully; returns points in logical order."""
-        for store in self.shards:
-            # charge all the shard's pages without materialising its
-            # points (the gather below reads everything once, globally)
-            store.charge_pages_for([np.arange(store.n_points)], scope=scope)
-        return self.peek(np.arange(self.n_points))
-
     def peek(self, point_ids: Sequence[int]) -> np.ndarray:
         """Read points *without* charging I/O (pages already paid for)."""
         ids = np.asarray(point_ids, dtype=int)
         out = np.empty((ids.size, self.dimensionality), dtype=float)
-        for _, store, mask, local in self._route(ids):
+        for s, (positions, local) in enumerate(self.shard_split(ids)):
             if local.size:
-                out[mask] = store.peek(local)
+                out[positions] = self.shards[s].peek(local)
         return out
 
-    def extended(
-        self,
-        new_points: np.ndarray,
-        shard_of_new: Sequence[int] | None = None,
-    ) -> "ShardedDataStore":
+    def extended(self, new_points: np.ndarray) -> "ShardedDataStore":
         """A new sharded store with ``new_points`` appended.
 
-        Extend-mode merge counterpart of :meth:`DataStore.extended`:
-        existing points keep their logical ids, shard placement and
-        shard-local positions (new points get layout ranks *after* every
-        existing rank, so per-shard relative order -- and therefore old
-        local pages -- is preserved), and each shard keeps its fileno
-        and lifetime :class:`ShardTracker`, so buffer-pool entries and
-        per-shard accounting carry over.  ``shard_of_new`` defaults to
-        round-robin placement of the appended points.
+        The extend-mode merge: the appended points are striped
+        round-robin over the shards, and every replica appends its
+        shard's share through :meth:`DataStore.extended`.  Existing
+        points keep their logical ids, shards and pages, and every
+        replica keeps its fileno, lifetime :class:`ShardTracker` mirror
+        and fault wiring, so buffer-pool entries and per-shard
+        accounting carry over.  The receiver is left untouched
+        (snapshots pinned to it keep reading it).
         """
         new_points = np.atleast_2d(np.asarray(new_points, dtype=float))
         if new_points.shape[1] != self.dimensionality:
@@ -442,32 +338,19 @@ class ShardedDataStore:
                 f"got {new_points.shape[1]}"
             )
         n, m = self.n_points, new_points.shape[0]
-        if shard_of_new is None:
-            shard_of_new = np.arange(m) % self.n_shards
-        shard_of_new = np.asarray(shard_of_new, dtype=int)
-        # physical rank -> logical id for the existing global layout
-        old_layout = np.empty(n, dtype=int)
-        old_layout[self._layout_rank] = np.arange(n)
-        store = ShardedDataStore(
-            np.vstack([self.peek(np.arange(n)), new_points]),
-            self.n_shards,
-            layout_order=np.concatenate([old_layout, n + np.arange(m)]),
-            shard_of=np.concatenate([self.shard_of, shard_of_new]),
-            page_size_bytes=self.page_size_bytes,
-            tracker=self.tracker,
-            buffer_pool=self.buffer_pool,
-            replication_factor=self.replication_factor,
-        )
-        # keep shard identities: same filenos (pool keys stay valid) and
-        # the same lifetime per-replica trackers
-        store.shard_trackers = self.shard_trackers
-        store.replica_trackers = self.replica_trackers
-        for s in range(self.n_shards):
-            for r in range(self.replication_factor):
-                store.replicas[s][r].fileno = self.replicas[s][r].fileno
-                store.replicas[s][r].tracker = self.replica_trackers[s][r]
-        if self.fault is not None:
-            store.attach_faults(self.fault)
+        shard_of_new = np.arange(m) % self.n_shards
+        store = copy.copy(self)
+        store.n_points = n + m
+        store.shard_of = np.concatenate([self.shard_of, shard_of_new])
+        store._local = np.concatenate([self._local, np.empty(m, dtype=int)])
+        store.replicas = []
+        for s, copies in enumerate(self.replicas):
+            mine = np.flatnonzero(shard_of_new == s)
+            store._local[n + mine] = copies[0].n_points + np.arange(mine.size)
+            store.replicas.append(
+                [replica.extended(new_points[mine]) for replica in copies]
+            )
+        store.shards = [copies[0] for copies in store.replicas]
         return store
 
     # ------------------------------------------------------------------

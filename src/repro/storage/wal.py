@@ -309,7 +309,8 @@ class WriteAheadLog:
         checkpoint *is* the durable form of the commit).  The rewrite
         goes through a temp file and ``os.replace``, so a crash during
         compaction leaves either the old or the new log -- both
-        recoverable.
+        recoverable.  Under ``fsync`` the temp file is fsynced before
+        the replace and the directory after it.
         """
         with self._lock:
             self._file.flush()
@@ -333,6 +334,8 @@ class WriteAheadLog:
                     os.fsync(fh.fileno())
             self._file.close()
             os.replace(tmp, self.path)
+            if self.fsync:
+                _fsync_dir(self.path)
             self._file = open(self.path, "r+b")
             self._file.seek(0, os.SEEK_END)
             return len(scan.records) - len(keep)
@@ -346,6 +349,16 @@ class WriteAheadLog:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"WriteAheadLog({self.path!r}, last_version={self.last_version})"
+
+
+def _fsync_dir(path: str) -> None:
+    """Fsync the directory holding ``path``, making a rename into it
+    durable."""
+    fd = os.open(os.path.dirname(os.path.abspath(path)), os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 class Checkpoint:
@@ -375,8 +388,15 @@ class Checkpoint:
         covers_version: int,
         epoch: int,
         next_id: int,
+        fsync: bool = False,
     ) -> str:
-        """Atomically (re)write the checkpoint; returns its path."""
+        """Atomically (re)write the checkpoint; returns its path.
+
+        ``fsync`` (the log's policy) makes the new checkpoint durable
+        before the log compaction that follows it drops the records it
+        covers: the temp file is fsynced before ``os.replace`` and the
+        directory after it.
+        """
         path = Checkpoint.path_for(wal_path)
         tmp = path + ".tmp"
         with open(tmp, "wb") as fh:
@@ -388,7 +408,12 @@ class Checkpoint:
                 epoch=np.int64(epoch),
                 next_id=np.int64(next_id),
             )
+            if fsync:
+                fh.flush()
+                os.fsync(fh.fileno())
         os.replace(tmp, path)
+        if fsync:
+            _fsync_dir(path)
         return path
 
     @staticmethod

@@ -61,3 +61,15 @@ def decomposable(request):
     """Parametrised fixture yielding every decomposable divergence (d=8)."""
     mapping = dict(all_decomposable_divergences(8))
     return mapping[request.param]
+
+
+def charge_groups(store, id_groups, scope=None) -> int:
+    """Charge candidate groups on a ``ShardedDataStore`` the way the
+    Fetch stage does: route them with ``shard_charge_plan`` and charge
+    each shard's slice on its primary replica.  Returns the distinct
+    page count."""
+    plan = store.shard_charge_plan(id_groups)
+    return sum(
+        store.charge_shard_replica(s, 0, plan[s], scope=scope)
+        for s in range(store.n_shards)
+    )

@@ -14,6 +14,8 @@ from repro import (
 from repro.core.approximate import BetaXYModel
 from repro.divergences import ExponentialDistance, ItakuraSaito, SquaredEuclidean
 from repro.exceptions import InvalidParameterError, NotFittedError
+from repro.pipeline import QueryBatchContext
+from repro.pipeline.plan import PlanStage
 
 from conftest import points_for
 
@@ -143,3 +145,44 @@ class TestApproximateIndex:
         q = points_for(div, 1, 12, seed=70)[0]
         index.search(q, k=5)
         assert 0.0 < index._last_coefficient <= 1.0
+
+
+class TestPinnedSnapshot:
+    """ABP's radius hook reads the transforms of the snapshot its search
+    pinned, not the live index a merge has since replaced."""
+
+    def _index(self, points):
+        config = BrePartitionConfig(n_partitions=2, seed=0, point_filter=True)
+        return ApproximateBrePartitionIndex(
+            SquaredEuclidean(), probability=0.9, config=config
+        ).build(points)
+
+    def _plan(self, index, snap, queries, k):
+        ctx = QueryBatchContext(queries=queries, k=k, snapshot=snap)
+        PlanStage(index).run(ctx)
+        return ctx.candidates
+
+    @pytest.mark.parametrize("merge", ["compacting", "growing"])
+    def test_plan_on_a_pinned_snapshot_matches_a_never_merged_twin(self, merge):
+        div = SquaredEuclidean()
+        points = points_for(div, 400, 8, seed=71)
+        queries = points_for(div, 4, 8, seed=72)
+        index, twin = self._index(points), self._index(points)
+        for mutated in (index, twin):
+            if merge == "compacting":
+                for pid in range(300):
+                    mutated.delete(pid)
+            else:
+                for vec in points_for(div, 200, 8, seed=73):
+                    mutated.insert(vec)
+        snap = index.snapshot()
+        scope = index.tracker.scope()
+        scope.pin(snap)
+        try:
+            index.merge(mode="rebuild", drain_timeout=0.0)
+            got = self._plan(index, snap, queries, 5)
+        finally:
+            scope.finish()
+        want = self._plan(twin, twin.snapshot(), queries, 5)
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)

@@ -40,7 +40,7 @@ from repro.geometry import (
 from repro.partitioning import ContiguousPartitioner
 from repro.storage import BufferPool, DataStore, DiskAccessTracker, ShardedDataStore
 
-from conftest import all_decomposable_divergences, points_for
+from conftest import all_decomposable_divergences, charge_groups, points_for
 
 N_POINTS = 220
 N_QUERIES = 12
@@ -207,12 +207,15 @@ class TestBatchIO:
         # search reports the same pool-aware charge, not solo pages
         assert index.search(queries[0], K).stats.pages_read == stats.pages_read
 
-    def test_pages_read_per_shard_none_on_single_disk(self):
+    def test_pages_read_per_shard_on_one_shard(self):
         divergence = SquaredEuclidean()
         points = points_for(divergence, N_POINTS, DIM, seed=1)
         queries = points_for(divergence, N_QUERIES, DIM, seed=2)
         index = build_index(divergence, points)
-        assert index.search_batch(queries, K).stats.pages_read_per_shard is None
+        stats = index.search_batch(queries, K).stats
+        assert stats.pages_read_per_shard == [stats.pages_coalesced]
+        assert len(stats.shard_seconds) == 1
+        assert stats.shard_workers == 1
 
     def test_linear_scan_batch_charges_one_scan(self):
         divergence = SquaredEuclidean()
@@ -337,34 +340,55 @@ class TestShardedDataStore:
         points, store = self._store()
         ids = np.array([5, 63, 0, 17, 5])
         np.testing.assert_allclose(store.peek(ids), points[ids])
-        np.testing.assert_allclose(store.fetch(ids), points[ids])
+        # the Fetch stage's read: charge each shard's slice, then peek
+        # its slab and scatter it by the split's positions
+        charge_groups(store, [ids])
+        fetched = np.empty((ids.size, 6))
+        for s, (positions, local) in enumerate(store.shard_split(ids)):
+            fetched[positions] = store.replicas[s][0].peek(local)
+        np.testing.assert_allclose(fetched, points[ids])
 
-    def test_scan_returns_logical_order_and_charges_all(self):
+    def test_shard_charge_plan_fans_out_the_union(self):
         tracker = DiskAccessTracker()
         points, store = self._store(tracker=tracker)
-        np.testing.assert_allclose(store.scan(), points)
-        assert tracker.total_pages_read == store.n_pages
-
-    def test_charge_pages_for_records_fanout(self):
-        points, store = self._store()
         groups = [np.arange(10), np.array([], dtype=int), np.arange(50, 64)]
-        total = store.charge_pages_for(groups)
-        assert total == sum(store.last_charge_per_shard)
-        assert total == store.count_pages_of(np.concatenate(groups))
+        plan = store.shard_charge_plan(groups)
+        per_shard = [
+            store.charge_shard_replica(s, 0, plan[s]) for s in range(store.n_shards)
+        ]
+        assert sum(1 for pages in per_shard if pages > 0) > 1
+        assert sum(per_shard) == store.count_pages_of(np.concatenate(groups))
+        assert store.shard_pages_read == per_shard
+        assert tracker.total_pages_read == sum(per_shard)
 
     def test_count_and_pages_of_empty(self):
         _, store = self._store()
         assert store.count_pages_of([]) == 0
-        assert store.pages_of([]).size == 0
         assert store.peek(np.array([], dtype=int)).shape == (0, 6)
 
     def test_shard_sizes_partition_everything(self):
         _, store = self._store()
         assert sum(store.shard_sizes) == store.n_points
 
+    def test_extended_appends_round_robin(self):
+        points, store = self._store()
+        old_pages = [store.count_pages_of(np.arange(s, 64, 5)) for s in range(5)]
+        extra = np.random.default_rng(23).normal(size=(7, 6))
+        bigger = store.extended(extra)
+        assert store.n_points == 64  # the receiver is untouched
+        assert bigger.n_points == 71
+        np.testing.assert_array_equal(
+            bigger.peek(np.arange(71)), np.vstack([points, extra])
+        )
+        np.testing.assert_array_equal(bigger.shard_of[64:], np.arange(7) % 3)
+        assert [
+            bigger.count_pages_of(np.arange(s, 64, 5)) for s in range(5)
+        ] == old_pages
+        assert bigger.shard_trackers is store.shard_trackers
+
     def test_shard_tracker_reset(self):
         _, store = self._store()
-        store.fetch(np.arange(20))
+        charge_groups(store, [np.arange(20)])
         tracker = store.shard_trackers[0]
         assert tracker.total_pages_read > 0
         tracker.reset()  # zeroes under the existing lock; aggregate untouched

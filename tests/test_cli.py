@@ -150,6 +150,30 @@ class TestSearch:
         index = _make_index(args, dataset)
         assert index.config.point_filter is point_filter
 
+    def test_search_keeps_fanout_and_kernel_flags_without_batch(self, capsys):
+        # search runs the batch pipeline at B=1, shard fan-out and
+        # kernel dispatch included, so neither flag needs --batch
+        code = main(
+            [
+                "search",
+                "fonts",
+                "--n",
+                "300",
+                "--queries",
+                "3",
+                "--shards",
+                "2",
+                "--shard-workers",
+                "2",
+                "--refine-kernel",
+                "sparse",
+            ]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "ignoring" not in out
+        assert "2 fan-out worker(s)" in out
+
     def test_search_reports_partitions(self, capsys):
         main(
             [

@@ -24,6 +24,9 @@ from repro.exceptions import (
     NotFittedError,
 )
 from repro.partitioning import ContiguousPartitioner
+from repro.pipeline import QueryBatchContext
+from repro.pipeline.plan import PlanStage
+from repro.storage import DataStore
 
 from conftest import all_decomposable_divergences, points_for
 
@@ -275,3 +278,57 @@ class TestAlgorithm4:
             sub_div = div.restrict(dims)
             true = sub_div.batch_divergence(points[:, dims], q[dims])
             assert np.all(ub[:, i] >= true - 1e-9)
+
+
+class TestOneShardLayout:
+    """A one-shard index keeps the paper's file (Section 6): the full
+    vectors clustered in the seed tree's leaf order, page for page, so
+    every query touches the same pages as on that one clustered file."""
+
+    D = 12
+    PAGE_BYTES = 8 * 12 * 8  # 8 points per page
+
+    def _reference(self, index, points):
+        return DataStore(
+            points,
+            layout_order=index.forest.layout_order,
+            page_size_bytes=self.PAGE_BYTES,
+        )
+
+    def _candidates(self, index, queries, k):
+        ctx = QueryBatchContext(queries=queries, k=k, snapshot=index.snapshot())
+        PlanStage(index).run(ctx)
+        return ctx.candidates
+
+    def test_pages_match_the_clustered_file(self):
+        div = SquaredEuclidean()
+        points = points_for(div, 300, self.D, seed=43)
+        queries = points_for(div, 8, self.D, seed=44)
+        config = BrePartitionConfig(
+            n_partitions=3, seed=0, page_size_bytes=self.PAGE_BYTES
+        )
+        index = BrePartitionIndex(div, config).build(points)
+        reference = self._reference(index, points)
+        assert index.datastore.n_shards == 1
+        assert index.datastore.n_pages == reference.n_pages
+        for ids in self._candidates(index, queries, 5):
+            assert index.datastore.count_pages_of(ids) == (
+                reference.count_pages_of(ids)
+            )
+
+        # an extend merge appends to that file exactly as the
+        # clustered file's own extension does
+        extra = points_for(div, 20, self.D, seed=45)
+        for vec in extra:
+            index.insert(vec)
+        index.merge(mode="extend")
+        reference = reference.extended(extra)
+        assert index.datastore.n_pages == reference.n_pages
+        for ids in self._candidates(index, queries, 5):
+            assert index.datastore.count_pages_of(ids) == (
+                reference.count_pages_of(ids)
+            )
+        appended = np.arange(300, 320)
+        assert index.datastore.count_pages_of(appended) == (
+            reference.count_pages_of(appended)
+        )

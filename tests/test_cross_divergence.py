@@ -26,7 +26,7 @@ from repro import (
 from repro.core.index import _top_k_stable
 from repro.pipeline import refine as refine_module
 
-from conftest import all_decomposable_divergences, points_for
+from conftest import all_decomposable_divergences, charge_groups, points_for
 
 N_POINTS = 240
 N_QUERIES = 10
@@ -250,7 +250,7 @@ class TestBlockedRefinementParity:
             np.unique(rng.integers(0, N_POINTS, size=rng.integers(K, 60)))
             for _ in range(N_QUERIES)
         ]
-        index.datastore.charge_pages_for(cand_sets)
+        charge_groups(index.datastore, cand_sets)
         blocked = index.pipeline.refine_prefetched(cand_sets, queries, K).refined
         looped = index.pipeline.refine_looped(cand_sets, queries, K)
         for (b_ids, b_divs), (l_ids, l_divs) in zip(blocked, looped):

@@ -290,14 +290,11 @@ def test_search_under_transient_faults_is_exact(decomposable, n_shards):
     assert batch_faulty.stats.pages_read == batch_clean.stats.pages_read
     assert batch_faulty.stats.pages_coalesced == batch_clean.stats.pages_coalesced
     assert faulty.tracker.total_pages_read == clean.tracker.total_pages_read
-    if n_shards > 1:
-        assert batch_faulty.stats.pages_read_per_shard == (
-            batch_clean.stats.pages_read_per_shard
-        )
-        mirrors = sum(
-            t.total_pages_read for t in faulty.datastore.shard_trackers
-        )
-        assert mirrors == faulty.tracker.total_pages_read
+    assert batch_faulty.stats.pages_read_per_shard == (
+        batch_clean.stats.pages_read_per_shard
+    )
+    mirrors = sum(t.total_pages_read for t in faulty.datastore.shard_trackers)
+    assert mirrors == faulty.tracker.total_pages_read
 
     # the single-query path retries too, to the same bits
     for q in queries:
@@ -419,6 +416,24 @@ class TestShardFailurePolicies:
         np.testing.assert_array_equal(
             degraded.results[0].divergences, baseline.results[0].divergences
         )
+
+    def test_partial_mode_on_one_shard_fails_every_query(self):
+        """One shard holds every candidate, so its dead disk dooms every
+        query of the batch and fails a single search."""
+        points = points_for(DIV, 64, 8, seed=31)
+        injector = FaultInjector(seed=0)
+        index = _build(DIV, points, injector=injector, shard_failure="partial")
+        queries = points_for(DIV, 3, 8, seed=34)
+        injector.set_plan(shard=0, broken=True)
+        degraded = index.search_batch(queries, 3)
+        assert set(degraded.failures) == {0, 1, 2}
+        assert degraded.results == [None, None, None]
+        assert degraded.stats.pages_read_per_shard == [0]
+        with pytest.raises(ShardUnavailableError):
+            index.search(queries[0], 3)
+        injector.clear()
+        healed = index.search_batch(queries, 3)
+        assert healed.failures == {}
 
     def test_partial_mode_recovers_after_repair(self):
         index, injector = self._index(shard_failure="partial")

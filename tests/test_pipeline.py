@@ -40,7 +40,7 @@ from repro.pipeline import refine as refine_module
 from repro.serve import MicroBatchConfig, MicroBatcher, make_serving_index
 from repro.storage import BufferPool, DataStore
 
-from conftest import all_decomposable_divergences, points_for
+from conftest import all_decomposable_divergences, charge_groups, points_for
 
 N_POINTS = 240
 N_QUERIES = 12
@@ -227,7 +227,7 @@ class TestStageMechanics:
             np.unique(rng.integers(0, N_POINTS, size=rng.integers(K, 60)))
             for _ in range(N_QUERIES)
         ]
-        index.datastore.charge_pages_for(candidates)
+        charge_groups(index.datastore, candidates)
         staged = index.pipeline.refine_prefetched(candidates, queries, K).refined
         looped = index.pipeline.refine_looped(candidates, queries, K)
         assert_same_refined(staged, looped, N_QUERIES)

@@ -26,7 +26,7 @@ from repro.serve import MicroBatcher, make_serving_index
 from repro.storage import FaultInjector, FaultPlan
 from repro.storage.sharded import ShardedDataStore
 
-from conftest import all_decomposable_divergences, points_for
+from conftest import all_decomposable_divergences, charge_groups, points_for
 
 DIV = all_decomposable_divergences(8)[0][1]
 
@@ -138,7 +138,7 @@ class TestReplicatedLayout:
         for s in range(N_SHARDS):
             assert store.replica_trackers[s][0] is store.shard_trackers[s]
         ids = np.arange(store.n_points)
-        store.fetch(ids)
+        charge_groups(store, [ids])
         assert sum(store.shard_pages_read) == store.tracker.total_pages_read
         assert [sum(row) for row in store.replica_pages_read] == (
             store.shard_pages_read
@@ -159,13 +159,13 @@ class TestReplicatedLayout:
                 local = np.arange(min(2, replica.n_points))
                 if store.replica_disk(s, r) == dead:
                     with pytest.raises(ShardUnavailableError):
-                        replica.fetch(local)
+                        store.charge_shard_replica(s, r, [local])
                 else:
-                    replica.fetch(local)
+                    store.charge_shard_replica(s, r, [local])
 
     def test_extended_preserves_replication(self):
         store = self._store()
-        store.fetch(np.arange(8))
+        charge_groups(store, [np.arange(8)])
         before = store.replica_pages_read
         extra = points_for(DIV, 8, 4, seed=4)
         bigger = store.extended(extra)

@@ -335,7 +335,9 @@ class TestMerge:
         index.merge(mode="extend")
         new_store = index.datastore
         assert new_store is not old_store
-        assert new_store.fileno == old_store.fileno
+        for old_copies, new_copies in zip(old_store.replicas, new_store.replicas):
+            for old_replica, new_replica in zip(old_copies, new_copies):
+                assert new_replica.fileno == old_replica.fileno
         assert new_store.count_pages_of(np.arange(10)) == old_pages
 
     def test_reshard_after_extend_keeps_parity(self):

@@ -7,7 +7,7 @@ mutation prefix -- no acknowledged op lost, no unacknowledged op
 resurrected.  The kill-point matrix drives every crash window the
 merge epilogue has (commit record, checkpoint, compaction) plus torn
 mid-insert tails, across every decomposable divergence and both the
-single-disk and sharded layouts.
+one-shard and four-shard layouts.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from repro.core.config import BrePartitionConfig
 from repro.core.index import BrePartitionIndex
 from repro.exceptions import InvalidParameterError, WALError
 from repro.storage import Checkpoint, FaultInjector, WriteAheadLog
+from repro.storage import wal as wal_module
 from repro.storage.wal import OP_COMMIT, OP_DELETE, OP_INSERT, _MAGIC
 
 from conftest import all_decomposable_divergences, points_for
@@ -196,6 +197,66 @@ class TestLogFormat:
 # ----------------------------------------------------------------------
 # group commit
 # ----------------------------------------------------------------------
+
+
+class TestCheckpointDurability:
+    """Under ``wal_fsync`` a merge makes its checkpoint durable before
+    compaction drops the log records the checkpoint covers."""
+
+    def _record(self, monkeypatch):
+        """Log ``os.fsync`` and ``os.replace`` calls the WAL module
+        makes, identifying files by inode."""
+        events = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            events.append(("fsync", os.fstat(fd).st_ino))
+            real_fsync(fd)
+
+        def replace(src, dst):
+            events.append(("replace", os.stat(src).st_ino, str(dst)))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(wal_module.os, "fsync", fsync)
+        monkeypatch.setattr(wal_module.os, "replace", replace)
+        return events
+
+    def _merge(self, tmp_path, closing, wal_fsync, monkeypatch):
+        div = all_decomposable_divergences(8)[0][1]
+        config = _config(tmp_path, wal_fsync=wal_fsync)
+        index = closing(
+            BrePartitionIndex(div, config).build(points_for(div, 40, 8, seed=81))
+        )
+        events = self._record(monkeypatch)
+        for vec in points_for(div, 3, 8, seed=82):
+            index.insert(vec)
+        index.merge(mode="extend")
+        return events
+
+    def test_merge_fsyncs_checkpoint_before_replacing_it(
+        self, tmp_path, closing, monkeypatch
+    ):
+        events = self._merge(tmp_path, closing, True, monkeypatch)
+        ckpt = Checkpoint.path_for(str(tmp_path / "index.wal"))
+        directory = os.stat(tmp_path).st_ino
+        [at] = [
+            i for i, e in enumerate(events) if e[0] == "replace" and e[2] == ckpt
+        ]
+        assert ("fsync", events[at][1]) in events[:at]
+        assert ("fsync", directory) in events[at:]
+        # the compacted log's rename is made durable too
+        [log_at] = [
+            i
+            for i, e in enumerate(events)
+            if e[0] == "replace" and e[2] == str(tmp_path / "index.wal")
+        ]
+        assert log_at > at
+        assert ("fsync", directory) in events[log_at:]
+
+    def test_default_policy_never_fsyncs(self, tmp_path, closing, monkeypatch):
+        events = self._merge(tmp_path, closing, False, monkeypatch)
+        assert [e for e in events if e[0] == "replace"]
+        assert not [e for e in events if e[0] == "fsync"]
 
 
 class TestGroupCommit:
