@@ -8,26 +8,34 @@ concatenated in leaf order.  A :class:`~repro.bbtree.tree.BBTree` builds
 its view lazily, on the first batched range query, and drops it whenever
 the tree is mutated in place.
 
-:meth:`FlatTree.kept_leaves` decides a batch of range queries in three
-steps:
+A batch of range queries is decided in three steps, one method each
+(:class:`~repro.bbtree.tree.RangeBatch` runs them for a tree):
 
-1. one dense pass evaluates the two bisection-free YES tests for every
-   (node, query) pair (:meth:`BatchRangeProber.fast_yes`);
-2. the remaining pairs are bisected in rounds
-   (:meth:`BatchRangeProber.bisect`).  A round takes every undecided
-   pair that has no ancestor decided NO and at most :data:`LOOKAHEAD`
-   undecided ancestors;
-3. a query keeps a leaf when the leaf and every ancestor decided YES.
+1. :meth:`FlatTree.fast_pass`: one dense pass evaluates the two
+   bisection-free YES tests for every (node, query) pair
+   (:meth:`BatchRangeProber.fast_yes`);
+2. :meth:`FlatTree.bisect_rounds`: the remaining pairs are bisected in
+   rounds (:meth:`BatchRangeProber.bisect`).  A round takes every
+   undecided pair that has no ancestor decided NO and at most
+   :data:`LOOKAHEAD` undecided ancestors.  The rounds may be limited
+   to a node set closed under ancestors (:meth:`FlatTree.root_paths`)
+   and finished later; a decided pair is never bisected again;
+3. :meth:`FlatTree.path_yes`: a query keeps a leaf when the leaf and
+   every ancestor decided YES.
 
 Each pair's decision depends only on that pair, so the rounds decide
-exactly the pairs a top-down walk would reach, with the same arithmetic.
-Pairs bisected ahead of an ancestor that then decides NO are wasted
-work, never a different answer.
+exactly the pairs a top-down walk would reach, with the same arithmetic,
+in whatever order they run.  Pairs bisected ahead of an ancestor that
+then decides NO are wasted work, never a different answer.  Step 3 read
+between steps 1 and 2 gives leaves each query is already proven to
+keep, which is what the forest's covered-batch proof
+(:meth:`~repro.bbtree.forest.BBForest.range_union_batch`) reads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -49,7 +57,7 @@ LOOKAHEAD = 1
 
 # A pair's decision as its cost to the paths through it: a YES node is
 # free, an undecided node uses one level of lookahead, and a NO node
-# (cost ``LOOKAHEAD + 2``, see ``kept_leaves``) blocks every path.
+# (cost ``LOOKAHEAD + 2``, see ``bisect_rounds``) blocks every path.
 _YES, _OPEN = 0, 1
 
 
@@ -111,16 +119,34 @@ class FlatTree:
             leaf_rows=leaf_rows,
         )
 
-    def kept_leaves(self, prober: BatchRangeProber, active: np.ndarray) -> np.ndarray:
-        """``(L, len(active))`` mask of the leaves each active query keeps.
+    def fast_pass(self, prober: BatchRangeProber, active: np.ndarray) -> np.ndarray:
+        """Step 1: ``(N, len(active))`` pair decisions, ``_YES`` where a
+        fast path certifies the pair and ``_OPEN`` everywhere else.
 
         ``active`` indexes the prober's queries; their range radii must
-        be non-negative.
+        be non-negative.  :meth:`bisect_rounds` decides the open pairs
+        in place and :meth:`path_yes` reads the kept leaves off the
+        result.
+        """
+        return np.where(prober.fast_yes(self.balls, active), _YES, _OPEN).astype(np.int8)
+
+    def bisect_rounds(
+        self,
+        prober: BatchRangeProber,
+        active: np.ndarray,
+        cost: np.ndarray,
+        nodes: Optional[np.ndarray] = None,
+    ) -> None:
+        """Step 2: bisect ``cost``'s open pairs in rounds, in place.
+
+        ``nodes``, an ``(N,)`` mask closed under ancestors (see
+        :meth:`root_paths`), limits the rounds to the pairs of those
+        nodes; a later call without it finishes the rest.  Pairs
+        already decided are never bisected again.
         """
         balls, starts, parent = self.balls, self.level_starts, self.parent
         n_levels = starts.size - 1
         no, cap = LOOKAHEAD + 2, LOOKAHEAD + 1
-        cost = np.where(prober.fast_yes(balls, active), _YES, _OPEN).astype(np.int8)
         # above: the summed cost of a pair's strict ancestors, capped at
         # ``cap`` (too deep to bisect this round); down: the same with the
         # node's own cost.  Levels shallower than ``level`` keep current
@@ -143,14 +169,43 @@ class FlatTree:
                     end = hi
                     break
             first = starts[level]
-            node, col = np.nonzero(
-                (cost[first:end] == _OPEN) & (above[first:end] <= LOOKAHEAD)
-            )
+            open_pairs = (cost[first:end] == _OPEN) & (above[first:end] <= LOOKAHEAD)
+            if nodes is not None:
+                open_pairs &= nodes[first:end, None]
+            node, col = np.nonzero(open_pairs)
             if node.size == 0:
                 break
             node += first
             yes = prober.bisect(balls, node, active[col])
             cost[node, col] = np.where(yes, _YES, no)
             level = int(self.depth[node[0]])  # the shallowest level that changed
-        leaves = self.leaf_nodes
-        return (above[leaves] == _YES) & (cost[leaves] == _YES)
+
+    def path_yes(self, cost: np.ndarray) -> np.ndarray:
+        """Step 3: ``(L, A)`` mask of the leaves whose node and every
+        ancestor ``cost`` decides YES.
+
+        After :meth:`bisect_rounds` these are the leaves each query
+        keeps; before, a subset of them (an open pair counts as no).
+        """
+        starts, parent = self.level_starts, self.parent
+        yes = cost == _YES
+        for lv in range(1, starts.size - 1):
+            lo, hi = starts[lv], starts[lv + 1]
+            yes[lo:hi] &= yes[parent[lo:hi]]
+        return yes[self.leaf_nodes]
+
+    def leaf_members(self, leaves: np.ndarray) -> np.ndarray:
+        """Point ids of the leaves an ``(L,)`` mask selects, in leaf order."""
+        return self.leaf_ids[np.repeat(leaves, self.leaf_sizes)]
+
+    def root_paths(self, wanted: np.ndarray) -> np.ndarray:
+        """``(N,)`` mask of the leaves holding an id the id-indexed mask
+        ``wanted`` selects, and of every ancestor of those leaves."""
+        leaf_of = np.repeat(np.arange(self.leaf_nodes.size), self.leaf_sizes)
+        nodes = np.zeros(self.parent.size, dtype=bool)
+        nodes[self.leaf_nodes[leaf_of[wanted[self.leaf_ids]]]] = True
+        starts = self.level_starts
+        for lv in range(starts.size - 2, 0, -1):
+            lo, hi = starts[lv], starts[lv + 1]
+            nodes[self.parent[lo:hi][nodes[lo:hi]]] = True
+        return nodes

@@ -13,25 +13,46 @@ into measured I/O savings.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from ..divergences.base import DecomposableBregmanDivergence
 from ..exceptions import InvalidParameterError, NotFittedError
 from ..partitioning.scheme import Partitioning
-from .tree import BatchRangeResult, BBTree, RangeResult
+from .tree import BBTree, RangeBatch, RangeResult
 
-__all__ = ["BBForest", "ForestRangeStats"]
+__all__ = ["BBForest", "ForestRangeStats", "COVER_GAP"]
+
+#: Largest share of the required pages that the fast pass may leave
+#: unproven for the covered-batch proof to bisect the pairs above them
+#: (the targeted step); past it the batch takes the ordinary rounds.
+#: Measured on perfbench's ``serve`` (sift, 4 shards) and ``audio``
+#: shapes, seeds 1-3, 256 queries each, on a 2-vCPU Xeon with NumPy
+#: 2.4: the fast pass leaves at most 1.8% unproven in every B=32 batch
+#: (35 of 48 none), a median of 1-4% at B=8, 10-11% at B=4 and 25-27%
+#: at B=2.  Plan ms per query (best of 7 interleaved passes) at a share
+#: of 0 / 0.05 / 1 (never / bounded / always targeted): sift B=2 3.8 /
+#: 3.6 / 5.1, B=8 1.6 / 1.3 / 1.4; audio B=2 5.3 / 5.1 / 6.3, B=8 2.6
+#: / 1.1 / 1.2.  Always targeting costs small batches, whose gaps are
+#: wide and rarely close; never targeting leaves B=8 batches with a
+#: few unproven pages on the ordinary rounds.
+COVER_GAP = 0.05
 
 
 @dataclass
 class ForestRangeStats:
-    """Diagnostics for one multi-subspace range query."""
+    """Diagnostics for one multi-subspace range query.
+
+    In a covered batch (``covered``) the query's candidates are every
+    required id: both counts are that number, and ``leaves_visited``
+    counts the leaves the proof showed the query keeps.
+    """
 
     per_subspace_candidates: List[int]
     union_candidates: int
     leaves_visited: int
+    covered: bool = False
 
 
 class BBForest:
@@ -136,14 +157,29 @@ class BBForest:
         query_submatrices: Sequence[np.ndarray],
         radii: np.ndarray,
         point_filter: bool = False,
+        cover: Optional[np.ndarray] = None,
     ) -> tuple[List[np.ndarray], List[ForestRangeStats]]:
         """Batched :meth:`range_union`: one batched range query per tree.
 
         ``query_submatrices[i]`` is the ``(B, d_i)`` stack of the batch's
         subvectors in subspace ``i`` and ``radii[:, i]`` their range
         radii.  Tree ``i`` answers all ``B`` queries in one
-        :meth:`~repro.bbtree.tree.BBTree.range_query_batch` over its flat
-        view.  Returns per-query candidate unions and per-query stats.
+        :class:`~repro.bbtree.tree.RangeBatch` over its flat view.
+        Returns per-query candidate unions and per-query stats.
+
+        ``cover`` turns on the covered-batch proof: each id's page, or
+        ``-1`` for an id no page requires (a dead row).  After the fast
+        pass, the ids in leaves whose whole root path is YES for some
+        query are proven candidates.  If their pages are every page an
+        id requires -- directly, or after bisecting only the pairs above
+        the unproven pages while those are at most :data:`COVER_GAP` of
+        them -- the batch is *covered*: the filter would read every
+        required page, so every query's union is the one array of
+        required ids and no further pair is decided.  Otherwise the
+        rounds finish from the pairs already decided and the unions are
+        exactly what they are without ``cover``.  Only leaf-level
+        candidates can be proven, so ``cover`` needs ``point_filter``
+        off.
         """
         trees = self._require_built()
         m = len(trees)
@@ -165,14 +201,31 @@ class BBForest:
             raise InvalidParameterError(
                 f"radii must have shape (B, M) = ({b}, {m}), got {radii.shape}"
             )
+        if cover is not None and point_filter:
+            raise InvalidParameterError("cover needs point_filter=False")
+        batches = [
+            tree.range_batch(sub_queries, radii[:, i])
+            for i, (tree, sub_queries) in enumerate(zip(trees, subs))
+        ]
+        if cover is not None and _covers(batches, cover):
+            required = np.flatnonzero(cover >= 0)
+            leaves = sum(batch.leaves_kept(batch.kept()) for batch in batches)
+            stats = [
+                ForestRangeStats(
+                    per_subspace_candidates=[required.size] * m,
+                    union_candidates=int(required.size),
+                    leaves_visited=int(leaves[q]),
+                    covered=True,
+                )
+                for q in range(b)
+            ]
+            return [required] * b, stats
         n = self.layout_order.size
         per_counts = np.zeros((b, m), dtype=int)
         leaves = np.zeros(b, dtype=int)
         chunks: List[List[np.ndarray]] = [[] for _ in range(b)]
-        for i, (tree, sub_queries) in enumerate(zip(trees, subs)):
-            result: BatchRangeResult = tree.range_query_batch(
-                sub_queries, radii[:, i], point_filter=point_filter
-            )
+        for i, batch in enumerate(batches):
+            result = batch.result(point_filter)
             leaves += result.leaves_visited
             for q, ids in enumerate(result.point_ids):
                 per_counts[q, i] = ids.size
@@ -262,3 +315,36 @@ class BBForest:
             f"BBForest(M={self.partitioning.n_partitions}, "
             f"leaf_capacity={self.leaf_capacity}, {state})"
         )
+
+
+def _covers(batches: Sequence[RangeBatch], cover: np.ndarray) -> bool:
+    """The covered-batch proof of :meth:`BBForest.range_union_batch`."""
+    live = cover >= 0
+    required = np.zeros(cover.max() + 1, dtype=bool)
+    required[cover[live]] = True
+    gap = _unproven(batches, cover, required)
+    n_gap = int(np.count_nonzero(gap))
+    if n_gap == 0:
+        return True
+    if n_gap > COVER_GAP * np.count_nonzero(required):
+        return False
+    # the targeted step: only the pairs above leaves holding an id on
+    # an unproven page
+    wanted = np.zeros(cover.size, dtype=bool)
+    wanted[live] = gap[cover[live]]
+    for batch in batches:
+        batch.bisect(batch.flat.root_paths(wanted))
+    return not _unproven(batches, cover, required).any()
+
+
+def _unproven(
+    batches: Sequence[RangeBatch], cover: np.ndarray, required: np.ndarray
+) -> np.ndarray:
+    """Required pages holding no id of a leaf some query is proven to keep."""
+    proven = np.zeros(cover.size, dtype=bool)
+    for batch in batches:
+        proven[batch.flat.leaf_members(batch.kept().any(axis=1))] = True
+    pages = cover[proven]
+    have = np.zeros_like(required)
+    have[pages[pages >= 0]] = True
+    return required & ~have

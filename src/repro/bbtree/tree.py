@@ -14,7 +14,8 @@ query.  Two search modes:
   the query, at cluster granularity (the filter step of BrePartition) or
   exact point granularity (``point_filter=True``).
   :meth:`BBTree.range_query_batch` answers many range queries at once
-  over the tree's flat view (:mod:`repro.bbtree.flat`).
+  over the tree's flat view (:mod:`repro.bbtree.flat`), through a
+  :class:`RangeBatch` that also lets the forest act between its steps.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from ..geometry.projection import (
 from .flat import FlatTree
 from .node import BBTreeNode
 
-__all__ = ["BBTree", "KnnStats", "RangeResult", "BatchRangeResult"]
+__all__ = ["BBTree", "KnnStats", "RangeResult", "BatchRangeResult", "RangeBatch"]
 
 #: tie-breaker for the best-first heap (nodes are not comparable).
 _heap_counter = itertools.count()
@@ -73,6 +74,70 @@ class BatchRangeResult:
 
     point_ids: List[np.ndarray]
     leaves_visited: np.ndarray
+
+
+class RangeBatch:
+    """A batch of range queries on one tree, decided in the steps of
+    :mod:`repro.bbtree.flat`.
+
+    Construction runs the dense fast pass; :meth:`bisect` decides open
+    pairs (all of them, or those of a node set) and :meth:`result`
+    finishes the rounds and collects each query's candidates.  Between
+    the steps :meth:`kept` says which leaves each query is already
+    proven to keep -- what the forest's covered-batch proof reads.
+    Queries with a negative radius are inactive and keep nothing.
+    """
+
+    def __init__(self, tree: "BBTree", queries: np.ndarray, radii: np.ndarray) -> None:
+        self.tree = tree
+        self.queries = queries
+        self.radii = radii
+        self.active = np.flatnonzero(radii >= 0.0)
+        self.flat = tree._flat_view()
+        self.prober = BatchRangeProber(
+            tree.divergence, queries, radii, max_iter=tree.lb_max_iter
+        )
+        self.cost = self.flat.fast_pass(self.prober, self.active)
+
+    def bisect(self, nodes: Optional[np.ndarray] = None) -> None:
+        """Bisect the open pairs, or only those of ``nodes`` (an ``(N,)``
+        mask closed under ancestors)."""
+        if self.active.size:
+            self.flat.bisect_rounds(self.prober, self.active, self.cost, nodes)
+
+    def kept(self) -> np.ndarray:
+        """``(L, len(active))`` mask of the leaves each active query is
+        proven to keep so far (all it keeps once every pair is decided)."""
+        return self.flat.path_yes(self.cost)
+
+    def leaves_kept(self, kept: np.ndarray) -> np.ndarray:
+        """``(B,)`` count of each query's leaves in a :meth:`kept` mask."""
+        leaves = np.zeros(self.radii.size, dtype=int)
+        leaves[self.active] = kept.sum(axis=0)
+        return leaves
+
+    def result(self, point_filter: bool = False) -> BatchRangeResult:
+        """Decide every remaining pair and collect the candidates."""
+        self.bisect()
+        flat, tree = self.flat, self.tree
+        kept = self.kept()
+        point_ids = [np.empty(0, dtype=int) for _ in range(self.radii.size)]
+        members = np.repeat(kept.T, flat.leaf_sizes, axis=1)
+        for q, member in zip(self.active, members):
+            ids = flat.leaf_ids[member]
+            if point_filter and ids.size:
+                # batch_divergence scores each row independently of the
+                # others, so one call over all kept leaves selects what
+                # per-leaf calls (and the scalar range_query) would.
+                rows = flat.leaf_rows[member]
+                dists = tree.divergence.batch_divergence(
+                    tree._points[rows], self.queries[q]
+                )
+                ids = ids[dists <= self.radii[q]]
+            point_ids[q] = ids
+        return BatchRangeResult(
+            point_ids=point_ids, leaves_visited=self.leaves_kept(kept)
+        )
 
 
 class BBTree:
@@ -374,12 +439,17 @@ class BBTree:
         Every (node, query) pair is decided by the batched ball test
         (:class:`~repro.geometry.projection.BatchRangeProber`): one dense
         fast-path pass over all nodes, then bisection rounds over the
-        pairs still open (:meth:`FlatTree.kept_leaves`).  A query keeps
+        pairs still open (:mod:`repro.bbtree.flat`).  A query keeps
         a leaf when the leaf and all its ancestors may intersect its
         range; a negative radius keeps nothing.  With ``point_filter``
         the kept leaves' points are then checked exactly, through the
         same ``batch_divergence`` the scalar :meth:`range_query` uses.
         """
+        return self.range_batch(queries, radii).result(point_filter)
+
+    def range_batch(self, queries: np.ndarray, radii: np.ndarray) -> "RangeBatch":
+        """Validate a batch of range queries and run its fast pass; the
+        returned :class:`RangeBatch` finishes it."""
         self._require_built()
         queries = np.atleast_2d(np.asarray(queries, dtype=float))
         radii = np.asarray(radii, dtype=float)
@@ -388,33 +458,9 @@ class BBTree:
             raise InvalidParameterError(
                 f"queries must have shape (B, {d}), got {queries.shape}"
             )
-        b = queries.shape[0]
-        if radii.shape != (b,):
+        if radii.shape != (queries.shape[0],):
             raise InvalidParameterError("radii must supply one radius per query")
-
-        point_ids = [np.empty(0, dtype=int) for _ in range(b)]
-        leaves = np.zeros(b, dtype=int)
-        active = np.flatnonzero(radii >= 0.0)
-        if active.size == 0:
-            return BatchRangeResult(point_ids=point_ids, leaves_visited=leaves)
-        flat = self._flat_view()
-        prober = BatchRangeProber(
-            self.divergence, queries, radii, max_iter=self.lb_max_iter
-        )
-        kept = flat.kept_leaves(prober, active)
-        leaves[active] = kept.sum(axis=0)
-        members = np.repeat(kept.T, flat.leaf_sizes, axis=1)
-        for q, member in zip(active, members):
-            ids = flat.leaf_ids[member]
-            if point_filter and ids.size:
-                # batch_divergence scores each row independently of the
-                # others, so one call over all kept leaves selects what
-                # per-leaf calls (and the scalar range_query) would.
-                rows = flat.leaf_rows[member]
-                dists = self.divergence.batch_divergence(self._points[rows], queries[q])
-                ids = ids[dists <= radii[q]]
-            point_ids[q] = ids
-        return BatchRangeResult(point_ids=point_ids, leaves_visited=leaves)
+        return RangeBatch(self, queries, radii)
 
     # ------------------------------------------------------------------
     # dynamic updates (paper future work; see repro.bbtree.dynamic)

@@ -319,6 +319,11 @@ def _cmd_search(args) -> int:
             f"batch mode: B={args.batch}, coalesced I/O saved "
             f"{saved} page reads across {result.n_queries} queries"
         )
+        print(
+            f"covered batches (every live row refined): "
+            f"{result.extras.get('covered_batches', 0)} of "
+            f"{result.extras.get('batches', 0)}"
+        )
         stage_seconds = result.extras.get("stage_seconds")
         if stage_seconds:
             split = "  ".join(

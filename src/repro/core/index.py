@@ -875,6 +875,7 @@ class BrePartitionIndex:
             n_failed_queries=len(failures),
             n_failovers=ctx.n_failovers,
             n_hedged=ctx.n_hedged,
+            covered=ctx.covered,
         )
         return BatchSearchResult(
             results=results, stats=batch_stats, failures=failures

@@ -12,7 +12,15 @@ __all__ = ["QueryStats", "SearchResult", "BatchQueryStats", "BatchSearchResult"]
 
 @dataclass
 class QueryStats:
-    """Per-query diagnostics common to all indexes in this library."""
+    """Per-query diagnostics common to all indexes in this library.
+
+    In a covered batch (:attr:`BatchQueryStats.covered`) each query's
+    candidate set is the live file: ``n_candidates`` and
+    ``points_evaluated`` count every live frozen row,
+    ``per_subspace_candidates`` repeats that count, ``pages_read`` is
+    the live file's page count, and ``leaves_visited`` counts the
+    leaves the covered-batch proof showed the query keeps.
+    """
 
     #: simulated disk pages read (the paper's "I/O cost" metric).
     pages_read: int = 0
@@ -82,6 +90,15 @@ class BatchQueryStats:
     ``refine_kernel`` is the kernel the adaptive dispatcher actually
     ran (``"dense"`` or ``"sparse"``), whatever the configured mode.
 
+    ``covered`` marks a batch whose Plan proved, from its fast pass,
+    that the filter would read every page holding a live row (see
+    :meth:`~repro.bbtree.forest.BBForest.range_union_batch`).  Each
+    query's candidates are then the whole live file, so its
+    ``pages_read`` is the live file's page count and
+    ``pages_read_unshared`` is ``B`` times that; ``pages_coalesced``
+    and ``pages_read`` are what the filter's union reads, as in any
+    batch.
+
     ``stage_seconds`` breaks ``cpu_seconds`` down by pipeline stage
     (plan / fetch / refine / rerank), and ``cross_batch_hits`` counts
     the pages this batch read from the buffer pool that an *earlier*
@@ -125,15 +142,20 @@ class BatchQueryStats:
     #: queries that returned no result because their candidate pages
     #: live on a permanently failed shard (``shard_failure="partial"``).
     n_failed_queries: int = 0
-    #: replicas passed over (broken disk or open breaker) before a live
-    #: replica served the slice; 0 without replication faults.  A
-    #: failed-over slice re-charges against the same query scope, so it
-    #: never inflates ``pages_read``.
+    #: replicas passed over: each deferred for its open breaker (tried
+    #: last), and each failed attempt routing moved past; 0 without
+    #: replication faults.  A failed-over slice re-charges against the
+    #: same query scope, so it never inflates ``pages_read``.
     n_failovers: int = 0
     #: hedged reads launched (slow replica fetches raced against a
     #: second replica; ``hedge_after_ms``).  Results are bitwise
     #: identical whichever leg wins.
     n_hedged: int = 0
+    #: Plan proved the batch covered and refined every live row for
+    #: every query; ``False`` for single searches, ``point_filter`` or
+    #: ``shard_failure="partial"`` indexes and indexes without the
+    #: staged pipeline.
+    covered: bool = False
 
     @property
     def pages_saved(self) -> int:

@@ -121,8 +121,10 @@ def run_workload(
     reflects the coalesced pages actually charged per query, and the
     result's ``extras`` record the batch totals -- including the
     pipeline's per-stage wall-time split (``extras["stage_seconds"]``,
-    summed over chunks) and, when a buffer pool is attached, the pages
-    reused across batches (``extras["cross_batch_hits"]``).
+    summed over chunks), how many of the ``extras["batches"]`` chunks
+    Plan proved covered (``extras["covered_batches"]``) and, when a
+    buffer pool is attached, the pages reused across batches
+    (``extras["cross_batch_hits"]``).
 
     With ``shards`` set, the index's point file is re-laid across that
     many simulated disks before the workload (via ``index.reshard``;
@@ -199,10 +201,13 @@ def run_workload(
     kernels_used: list[str] = []
     stage_totals: dict[str, float] = {}
     cross_batch_hits: int | None = None
+    n_batches = covered_batches = 0
     for query, (result, batch_stats) in zip(
         queries, _iter_results(index, queries, k, batch_size)
     ):
         if batch_stats is not None:
+            n_batches += 1
+            covered_batches += int(batch_stats.covered)
             batched_pages += batch_stats.pages_read
             batched_pages_unshared += batch_stats.pages_read_unshared
             batched_pages_coalesced += batch_stats.pages_coalesced
@@ -257,6 +262,8 @@ def run_workload(
             "batch_pages_saved": max(
                 batched_pages_unshared - batched_pages_coalesced, 0
             ),
+            "batches": n_batches,
+            "covered_batches": covered_batches,
         }
         if shard_pages is not None:
             extras["shard_pages_read"] = shard_pages

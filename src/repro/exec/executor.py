@@ -281,27 +281,35 @@ class ShardExecutor:
         ``replicas`` is the placement-ordered ``(disk, fn)`` list of a
         shard's replicas, each ``fn`` performing the *same* logical
         fetch against its own copy.  Routing is health-aware: disks
-        whose breaker is open are skipped outright (each skip counts as
-        a failover), closed disks are preferred over half-open probes,
-        and within a class placement order is kept -- so a fault-free
-        store always serves from the primary and stays bitwise identical
-        to the unreplicated path.  Within a replica, transient faults
-        retry via :meth:`call_with_retry`; a permanent
-        :class:`~repro.exceptions.ShardUnavailableError` records a
-        breaker failure and fails over to the next replica
-        (``on_failover`` fires once per replica passed over).  Because
-        replicas share the primary's fileno, a partially-charged failed
-        attempt and its failover re-charge land in the same scope dedup
-        set: page accounting stays exactly the fault-free count.
+        whose breaker is open are deferred, closed disks are preferred
+        over half-open probes, and within a class placement order is
+        kept -- so a fault-free store always serves from the primary and
+        stays bitwise identical to the unreplicated path.  Within a
+        replica, transient faults retry via :meth:`call_with_retry`; a
+        permanent :class:`~repro.exceptions.ShardUnavailableError`
+        records a breaker failure and fails over to the next replica.
+        Deferred replicas are tried last, in placement order, once every
+        other replica has failed: an open breaker may hide a disk that
+        has healed since.  Because replicas share the primary's fileno,
+        a partially-charged failed attempt and its failover re-charge
+        land in the same scope dedup set: page accounting stays exactly
+        the fault-free count.
 
-        With ``hedge_after_seconds`` set and a further live replica
-        available, an attempt still outstanding after the hedge window
-        races that replica (``on_hedge`` fires once per hedge) and the
-        first result wins -- the slow leg keeps running harmlessly: its
-        charges dedup in the same scope and its bytes equal the
-        winner's.  Raises the last replica's error when every replica
-        fails; with every breaker open the placement order is probed
-        anyway (fail-fast is only worth it when an alternative exists).
+        ``on_failover`` fires once per replica passed over: once for
+        each deferred replica, up front, and once for each failed
+        attempt that routing moves past.  A deferred replica that then
+        serves as the last resort counts once (its deferral), as does
+        each replica that failed before it.
+
+        With ``hedge_after_seconds`` set and a further replica that is
+        not deferred, an attempt still outstanding after the hedge
+        window races that replica (``on_hedge`` fires once per hedge)
+        and the first result wins -- the slow leg keeps running
+        harmlessly: its charges dedup in the same scope and its bytes
+        equal the winner's.  Raises the last replica's error when every
+        replica fails; with every breaker open nothing is deferred and
+        the placement order is probed (fail-fast is only worth it when
+        an alternative exists).
         """
         if not replicas:
             raise InvalidParameterError(
@@ -310,32 +318,31 @@ class ShardExecutor:
         health = self.health
         closed: List[Tuple[int, Callable[[], Any]]] = []
         probes: List[Tuple[int, Callable[[], Any]]] = []
-        skipped = 0
+        deferred: List[Tuple[int, Callable[[], Any]]] = []
         for disk, fn in replicas:
             state = health.state(disk) if health is not None else BREAKER_CLOSED
             if state == BREAKER_OPEN:
-                skipped += 1
-                continue
-            (closed if state == BREAKER_CLOSED else probes).append((disk, fn))
-        candidates = closed + probes
-        if not candidates:
+                deferred.append((disk, fn))
+            else:
+                (closed if state == BREAKER_CLOSED else probes).append((disk, fn))
+        routable = closed + probes
+        if not routable:
             # nowhere left to route: probe the placement order anyway.
             # The breaker's job is to fail fast *onto an alternative*;
             # with every breaker open the probe is the only way back
             # (and keeps single-replica stores recovering instantly
             # after a repair, exactly like the pre-breaker behaviour).
-            candidates = list(replicas)
-            skipped = 0
+            routable, deferred = list(replicas), []
         if on_failover is not None:
-            for _ in range(skipped):
+            for _ in deferred:
                 on_failover()
         last_error: Optional[ShardUnavailableError] = None
-        for i, (disk, fn) in enumerate(candidates):
+        for i, (disk, fn) in enumerate(routable + deferred):
             if i > 0 and on_failover is not None:
                 on_failover()
             hedge_with = None
-            if self.hedge_after_seconds is not None and i + 1 < len(candidates):
-                hedge_with = candidates[i + 1]
+            if self.hedge_after_seconds is not None and i + 1 < len(routable):
+                hedge_with = routable[i + 1]
             try:
                 if hedge_with is not None:
                     return self._hedged(disk, fn, hedge_with, on_retry, on_hedge)

@@ -64,6 +64,13 @@ class QueryBatchContext:
     forest_stats: Optional[list] = None
     #: per-query Theorem-1 searching-bound totals, shape ``(B,)``.
     bound_totals: Optional[np.ndarray] = None
+    #: ``True`` when Plan proved the batch covered: the filter would
+    #: read every page holding a live frozen row, so every query's
+    #: ``candidates`` is the one array of all live frozen rows (see
+    #: :meth:`~repro.bbtree.forest.BBForest.range_union_batch`).
+    #: Only batches of two or more queries without ``point_filter``
+    #: or ``shard_failure="partial"`` try the proof.
+    covered: bool = False
 
     # -- Fetch outputs --------------------------------------------------
     #: sorted union of all candidate ids.
@@ -83,8 +90,9 @@ class QueryBatchContext:
     cross_batch_hits: Optional[int] = None
     #: transient-fault retries the fetch absorbed (0 without faults).
     io_retries: int = 0
-    #: replicas passed over (open breaker or permanent failure) before
-    #: a live replica served the slice (0 without replication faults).
+    #: replicas passed over: each deferred for its open breaker, and
+    #: each failed attempt routing moved past (0 without replication
+    #: faults; see :meth:`~repro.exec.ShardExecutor.call_with_failover`).
     n_failovers: int = 0
     #: hedged reads launched: slow replica fetches raced against a
     #: second replica (0 unless ``hedge_after_ms`` is configured).

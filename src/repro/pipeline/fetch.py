@@ -90,8 +90,9 @@ class FetchStage(PipelineStage):
         """
         index = self.index
         ctx.union, ctx.row_of = union_rows(ctx.candidates, store.n_points)
-        plan = store.shard_charge_plan(ctx.candidates)
         splits = store.shard_split(ctx.union)
+        # the groups' distinct pages are the union's: one group per shard
+        plan = [[local_rows] for _, local_rows in splits]
         executor = index._make_executor()
 
         shape = (ctx.union.size, store.dimensionality)

@@ -8,10 +8,12 @@ global-id -> ``(shard, local row)`` mapping.  With ``S = 1`` (the
 default) the one shard is the paper's file (Section 6): the full
 vectors clustered in the seed BB-tree's leaf order, page for page.
 The Fetch stage works one shard at a time:
-:meth:`ShardedDataStore.shard_charge_plan` routes a batch's candidate
-groups to shards, :meth:`ShardedDataStore.charge_shard_replica` charges
-one shard's slice, and :meth:`ShardedDataStore.shard_split` says where
-each shard's slab lands in the union-ordered vector array.
+:meth:`ShardedDataStore.shard_split` routes the batch's candidate union
+to shards (and says where each shard's slab lands in the union-ordered
+vector array), and :meth:`ShardedDataStore.charge_shard_replica`
+charges one shard's slice.  :attr:`ShardedDataStore.page_of` numbers
+every page of every shard once; page counts and Plan's covered-batch
+proof read it.
 
 Accounting semantics:
 
@@ -213,6 +215,7 @@ class ShardedDataStore:
             self.shards.append(copies[0])
 
         self.fault = None
+        self._page_of: Optional[np.ndarray] = None
 
     def replica_disk(self, shard: int, replica: int) -> int:
         """Disk hosting replica ``r`` of shard ``s`` (rotating placement).
@@ -261,32 +264,37 @@ class ShardedDataStore:
         """Total pages across all shards."""
         return sum(store.n_pages for store in self.shards)
 
+    @property
+    def page_of(self) -> np.ndarray:
+        """Each global id's page in one numbering of all shards' pages.
+
+        Shard ``s``'s pages are numbered after shard ``s - 1``'s, in
+        their own order, on the primaries (replicas share their pages).
+        Computed on first use and kept: a store never changes its
+        layout, and :meth:`extended` returns a new store.  Concurrent
+        first callers may each compute it; the arrays are equal.
+        """
+        pages = self._page_of
+        if pages is None:
+            pages = np.empty(self.n_points, dtype=int)
+            offset = 0
+            for s, store in enumerate(self.shards):
+                ids = np.flatnonzero(self.shard_of == s)
+                pages[ids] = offset + store._pages[self._local[ids]]
+                offset += store.n_pages
+            self._page_of = pages
+        return pages
+
     def count_pages_of(self, point_ids: Sequence[int]) -> int:
         """Distinct pages holding the given points, summed over shards."""
-        return sum(
-            self.shards[s].count_pages_of(local)
-            for s, (_, local) in enumerate(self.shard_split(point_ids))
-        )
+        # every page holds a point, so page numbers stay below n_points
+        touched = np.zeros(self.n_points, dtype=bool)
+        touched[self.page_of[np.asarray(point_ids, dtype=int)]] = True
+        return int(np.count_nonzero(touched))
 
     # ------------------------------------------------------------------
     # I/O-charged access
     # ------------------------------------------------------------------
-
-    def shard_charge_plan(
-        self, id_groups: Sequence[Sequence[int]]
-    ) -> List[List[np.ndarray]]:
-        """Route a batch's candidate groups into per-shard local groups.
-
-        Entry ``s`` holds the shard-local row groups that
-        :meth:`charge_shard_replica` charges on shard ``s`` -- the unit
-        of work the :class:`~repro.exec.ShardExecutor` fans out, one
-        task per shard.
-        """
-        local_groups: List[List[np.ndarray]] = [[] for _ in range(self.n_shards)]
-        for ids in id_groups:
-            for s, (_, local) in enumerate(self.shard_split(ids)):
-                local_groups[s].append(local)
-        return local_groups
 
     def charge_shard_replica(
         self,
@@ -351,6 +359,7 @@ class ShardedDataStore:
                 [replica.extended(new_points[mine]) for replica in copies]
             )
         store.shards = [copies[0] for copies in store.replicas]
+        store._page_of = None
         return store
 
     # ------------------------------------------------------------------

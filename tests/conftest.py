@@ -65,10 +65,13 @@ def decomposable(request):
 
 def charge_groups(store, id_groups, scope=None) -> int:
     """Charge candidate groups on a ``ShardedDataStore`` the way the
-    Fetch stage does: route them with ``shard_charge_plan`` and charge
-    each shard's slice on its primary replica.  Returns the distinct
-    page count."""
-    plan = store.shard_charge_plan(id_groups)
+    Fetch stage charges a batch: route each group with ``shard_split``
+    and charge each shard's slice on its primary replica.  Returns the
+    distinct page count."""
+    plan = [[] for _ in range(store.n_shards)]
+    for ids in id_groups:
+        for s, (_, local) in enumerate(store.shard_split(ids)):
+            plan[s].append(local)
     return sum(
         store.charge_shard_replica(s, 0, plan[s], scope=scope)
         for s in range(store.n_shards)

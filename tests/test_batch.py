@@ -38,6 +38,7 @@ from repro.geometry import (
     batch_ball_intersects_range,
 )
 from repro.partitioning import ContiguousPartitioner
+from repro.pipeline import QueryBatchContext
 from repro.storage import BufferPool, DataStore, DiskAccessTracker, ShardedDataStore
 
 from conftest import all_decomposable_divergences, charge_groups, points_for
@@ -313,6 +314,29 @@ class TestShardedBatchIO:
         assert warm.pages_read == 0  # fully absorbed on the second pass
         assert pool.hits - hits_before == warm.pages_coalesced
 
+    def test_fetch_charges_each_shards_union_slice_once(self, monkeypatch):
+        """Fetch charges one group per shard, the shard's slice of the
+        batch's candidate union, not one group per query."""
+        index = self._index()
+        store = index.datastore
+        calls = []
+        original = ShardedDataStore.charge_shard_replica
+
+        def recording(self, shard, replica, local_groups, scope=None):
+            calls.append((shard, [np.asarray(g) for g in local_groups]))
+            return original(self, shard, replica, local_groups, scope=scope)
+
+        monkeypatch.setattr(ShardedDataStore, "charge_shard_replica", recording)
+        ctx = index.pipeline.run(
+            QueryBatchContext(queries=self._queries(), k=K, scope=index.tracker.scope())
+        )
+        assert sorted(shard for shard, _ in calls) == list(range(self.N_SHARDS))
+        splits = store.shard_split(ctx.union)
+        for shard, groups in calls:
+            assert len(groups) == 1
+            np.testing.assert_array_equal(groups[0], splits[shard][1])
+        assert ctx.pages_coalesced == store.count_pages_of(ctx.union)
+
     def test_per_query_solo_pages_sum_sharded(self):
         index = self._index()
         batch = index.search_batch(self._queries(), K)
@@ -348,18 +372,37 @@ class TestShardedDataStore:
             fetched[positions] = store.replicas[s][0].peek(local)
         np.testing.assert_allclose(fetched, points[ids])
 
-    def test_shard_charge_plan_fans_out_the_union(self):
+    def test_charge_shard_replica_fans_out_the_union(self):
         tracker = DiskAccessTracker()
         points, store = self._store(tracker=tracker)
         groups = [np.arange(10), np.array([], dtype=int), np.arange(50, 64)]
-        plan = store.shard_charge_plan(groups)
+        splits = store.shard_split(np.concatenate(groups))
         per_shard = [
-            store.charge_shard_replica(s, 0, plan[s]) for s in range(store.n_shards)
+            store.charge_shard_replica(s, 0, [local])
+            for s, (_, local) in enumerate(splits)
         ]
         assert sum(1 for pages in per_shard if pages > 0) > 1
         assert sum(per_shard) == store.count_pages_of(np.concatenate(groups))
         assert store.shard_pages_read == per_shard
         assert tracker.total_pages_read == sum(per_shard)
+
+    def test_page_of_numbers_every_page_once(self):
+        _, store = self._store()
+        pages = store.page_of
+        np.testing.assert_array_equal(np.unique(pages), np.arange(store.n_pages))
+        offset = 0
+        for s, (_, local) in enumerate(store.shard_split(np.arange(64))):
+            assert set(pages[store.shard_of == s] - offset) == set(
+                store.shards[s].pages_of(local).tolist()
+            )
+            offset += store.shards[s].n_pages
+        # an extended store numbers its own pages; the receiver's map stays
+        bigger = store.extended(np.random.default_rng(23).normal(size=(40, 6)))
+        assert bigger.page_of.size == 104
+        np.testing.assert_array_equal(
+            np.unique(bigger.page_of), np.arange(bigger.n_pages)
+        )
+        assert store.page_of is pages
 
     def test_count_and_pages_of_empty(self):
         _, store = self._store()

@@ -70,6 +70,10 @@ class TestSearch:
         out = capsys.readouterr().out
         assert "io_pages" in out
         assert "batch mode: B=3" in out
+        # six queries in chunks of three; the scan has no Plan to prove one
+        covered = "0 of 2" if method == "scan" else "of 2"
+        assert "covered batches (every live row refined): " in out
+        assert covered in out.split("covered batches")[1].splitlines()[0]
 
     def test_search_batch_rejects_non_positive(self, capsys):
         code = main(

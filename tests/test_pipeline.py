@@ -24,6 +24,7 @@ from repro import (
     SquaredEuclidean,
     brute_force_knn,
 )
+from repro.bbtree import BBForest
 from repro.datasets import load_dataset
 from repro.exceptions import (
     DomainError,
@@ -74,9 +75,18 @@ def fonts_index(n, n_queries, n_partitions):
 
 
 def plan_candidates(index, queries, k):
-    """The Plan stage's filter output: what ``search_batch`` refines."""
+    """Each query's own filter candidates: the Plan stage run with the
+    forest ignoring the covered-batch proof, which would otherwise hand
+    every query of a large batch the whole file."""
+    original = BBForest.range_union_batch
+
+    def filter_only(self, subs, radii, point_filter=False, cover=None):
+        return original(self, subs, radii, point_filter)
+
     plan = SearchPipeline(index, [index.pipeline.stage("plan")])
-    return plan.run(QueryBatchContext(queries=queries, k=k)).candidates
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(BBForest, "range_union_batch", filter_only)
+        return plan.run(QueryBatchContext(queries=queries, k=k)).candidates
 
 
 @pytest.fixture(scope="module")
@@ -85,6 +95,9 @@ def fonts_refine():
     filter output for them and their looped-reference refinement."""
     index, queries = fonts_index(n=2000, n_queries=256, n_partitions=8)
     candidates = plan_candidates(index, queries, 10)
+    # per-query sets, not one shared file: the kernel-parity tests need
+    # the sparse layout's ragged rows
+    assert len({ids.tobytes() for ids in candidates}) > 1
     looped = index.pipeline.refine_looped(candidates, queries, 10)
     return index, queries, candidates, looped
 

@@ -366,6 +366,63 @@ class TestFailoverRouting:
         assert calls == ["backup"]  # disk 0 never attempted
         assert len(failovers) == 1
 
+    def test_open_breaker_is_the_last_resort(self):
+        """A deferred replica is still tried once every alternative has
+        failed: the breaker may hide a disk that has healed since."""
+        health = ShardHealthRegistry(failure_threshold=1, reset_seconds=3600.0)
+        health.record_failure(0)  # disk 0's breaker opens
+        ex = self._executor(health=health)
+        calls = []
+
+        def primary():
+            calls.append("primary")
+            return "primary"
+
+        def backup():
+            calls.append("backup")
+            raise ShardUnavailableError("disk 1 is offline")
+
+        failovers = []
+        result = ex.call_with_failover(
+            [(0, primary), (1, backup)], on_failover=lambda: failovers.append(1)
+        )
+        assert result == "primary"
+        assert calls == ["backup", "primary"]
+        # one for deferring disk 0, one for moving past disk 1's failure
+        assert len(failovers) == 2
+        assert health.state(0) == "closed"  # the success closed it
+        assert health.state(1) == "open"
+
+    def test_healed_replica_behind_open_breaker_serves_end_to_end(self):
+        """Disk 2's breaker opens, disk 2 heals, disk 3 breaks: shard 2
+        (replicas on disks 2 and 3) is served from disk 2 instead of
+        raising, although its breaker cannot reset for an hour."""
+        points = points_for(DIV, 96, 8, seed=33)
+        queries = points_for(DIV, 4, 8, seed=34)
+        clean = _replicated(DIV, points)
+        injector = FaultInjector(seed=0)
+        index = _replicated(
+            DIV, points, injector=injector, breaker_threshold=1, breaker_reset_s=3600.0
+        )
+        want = clean.search_batch(queries, 4)
+
+        injector.set_plan(shard=2, broken=True)
+        got = index.search_batch(queries, 4)
+        for w, g in zip(want.results, got.results):
+            _assert_same(g, w)
+        assert index.shard_health.state(2) == "open"
+
+        injector.heal(2)
+        injector.set_plan(shard=3, broken=True)
+        got = index.search_batch(queries, 4)
+        assert got.failures == {}
+        for w, g in zip(want.results, got.results):
+            _assert_same(g, w)
+        assert got.stats.pages_read == want.stats.pages_read
+        assert got.stats.n_failovers > 0
+        assert index.shard_health.state(2) == "closed"
+        assert index.shard_health.state(3) == "open"
+
     def test_all_breakers_open_probes_placement_order(self):
         """With nowhere live to route, the placement order is probed
         anyway -- a healed single-replica store recovers instantly."""
