@@ -194,6 +194,7 @@ class BrePartitionIndex:
                     transforms=transforms,
                     points=points,
                     refine_conditioner=conditioner,
+                    point_terms=self._point_terms(points, conditioner),
                 )
             )
             self._delta = DeltaBuffer(d)
@@ -222,6 +223,15 @@ class BrePartitionIndex:
         self.transforms = base.transforms
         self._points = base.points
         self._refine_conditioner = base.refine_conditioner
+
+    def _point_terms(self, points: np.ndarray, conditioner) -> tuple:
+        """The refinement kernel's query-independent terms of ``points``
+        (conditioned first): what each published base caches, so Refine
+        pays only per-pair work (the paper's Algorithm 5 rule for the
+        per-point tuples, applied to refinement)."""
+        if conditioner is not None:
+            points = conditioner.transform(points)
+        return self.divergence.point_terms(points)
 
     def _make_datastore(self, points: np.ndarray, forest: BBForest) -> ShardedDataStore:
         """Lay the point file out in the seed tree's leaf order across
@@ -283,18 +293,7 @@ class BrePartitionIndex:
             datastore = self._make_datastore(base.points, base.forest)
             with self._mutate_lock:
                 self._publish(
-                    BaseState(
-                        epoch=base.epoch + 1,
-                        partitioning=base.partitioning,
-                        n_partitions=base.n_partitions,
-                        forest=base.forest,
-                        datastore=datastore,
-                        transforms=base.transforms,
-                        points=base.points,
-                        refine_conditioner=base.refine_conditioner,
-                        global_ids=base.global_ids,
-                        dead_rows=base.dead_rows,
-                    )
+                    base.replaced(epoch=base.epoch + 1, datastore=datastore)
                 )
         return self
 
@@ -481,6 +480,7 @@ class BrePartitionIndex:
             leaf_capacity=self.config.leaf_capacity_for(points.shape[1]),
             rng=self.rng,
         ).build(points)
+        conditioner = self.divergence.refinement_conditioner(points)
         return BaseState(
             epoch=base.epoch + 1,
             partitioning=partitioning,
@@ -489,7 +489,8 @@ class BrePartitionIndex:
             datastore=self._make_datastore(points, forest),
             transforms=SubspaceTransforms(self.divergence, partitioning, points),
             points=points,
-            refine_conditioner=self.divergence.refinement_conditioner(points),
+            refine_conditioner=conditioner,
+            point_terms=self._point_terms(points, conditioner),
             global_ids=gids,
         )
 
@@ -506,11 +507,19 @@ class BrePartitionIndex:
             forest = base.forest.extended(points)
             datastore = base.datastore.extended(cut.points)
             transforms = base.transforms.extended(cut.points)
+            # row terms of the appended rows only: row reductions, so
+            # they equal the terms of the stacked file's last rows
+            appended = self._point_terms(cut.points, base.refine_conditioner)
+            point_terms = tuple(
+                np.concatenate([old, new])
+                for old, new in zip(base.point_terms, appended)
+            )
         else:
             points = base.points
             forest = base.forest
             datastore = base.datastore
             transforms = base.transforms
+            point_terms = base.point_terms
         gids = np.concatenate([base.global_ids, cut.ids])
         dead = None
         if dead_mask is not None and dead_mask.any():
@@ -530,6 +539,7 @@ class BrePartitionIndex:
             # sides of the expansion identically, so reusing the old one
             # keeps old *and* new rows exact
             refine_conditioner=base.refine_conditioner,
+            point_terms=point_terms,
             global_ids=gids,
             dead_rows=dead,
         )
@@ -662,17 +672,7 @@ class BrePartitionIndex:
                 base_gids, base.global_ids
             ):
                 index._publish(
-                    BaseState(
-                        epoch=base_epoch,
-                        partitioning=base.partitioning,
-                        n_partitions=base.n_partitions,
-                        forest=base.forest,
-                        datastore=base.datastore,
-                        transforms=base.transforms,
-                        points=base.points,
-                        refine_conditioner=base.refine_conditioner,
-                        global_ids=base_gids,
-                    )
+                    base.replaced(epoch=base_epoch, global_ids=base_gids)
                 )
             index._next_id = max(index._next_id, next_id)
             index.updates_applied = covers
@@ -825,6 +825,8 @@ class BrePartitionIndex:
 
         failures = dict(ctx.query_errors)
         results: list[Optional[SearchResult]] = []
+        # a covered batch hands every query one array: count it once
+        counted = solo_pages = None
         unshared_pages = 0
         total_candidates = 0
         total_delta = 0
@@ -837,7 +839,8 @@ class BrePartitionIndex:
                 continue
             ids = ctx.candidates[q]
             top_ids, top_divergences = ctx.refined[q]
-            solo_pages = snap.datastore.count_pages_of(ids)
+            if ids is not counted:
+                counted, solo_pages = ids, snap.datastore.count_pages_of(ids)
             unshared_pages += solo_pages
             total_candidates += int(ids.size)
             delta_candidates = ctx.delta_candidates[q]

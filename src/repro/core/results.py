@@ -84,7 +84,7 @@ class BatchQueryStats:
     fanned out across the simulated disks (its entries sum to
     ``pages_coalesced``; one entry on a one-shard index).
     ``shard_seconds`` records each fan-out task's wall-clock time
-    (charge + peek); with ``shard_workers > 1`` tasks overlap, so their
+    (the page charge); with ``shard_workers > 1`` tasks overlap, so their
     sum can exceed ``cpu_seconds``.  Both stay ``None`` for indexes
     without a Fetch fan-out (the baselines).
     ``refine_kernel`` is the kernel the adaptive dispatcher actually
@@ -126,7 +126,7 @@ class BatchQueryStats:
     #: thread-pool width the fan-out ran with, at most the shard count
     #: (1 = sequential).
     shard_workers: int = 1
-    #: per-shard fetch-task seconds (charge + peek; ``None``: no fan-out).
+    #: per-shard fetch-task seconds (the charge; ``None``: no fan-out).
     shard_seconds: Optional[List[float]] = None
     #: wall-clock seconds per pipeline stage (plan/fetch/refine/rerank).
     stage_seconds: Optional[Dict[str, float]] = None

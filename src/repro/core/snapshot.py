@@ -187,7 +187,14 @@ class BaseState:
 
     Every component referenced here is frozen: merges and reshards build
     *new* components and publish a new ``BaseState``; in-flight searches
-    keep reading the one they pinned.  ``global_ids`` maps frozen row ->
+    keep reading the one they pinned.  ``points`` is the frozen rows'
+    full vectors (the bytes the datastore holds; Refine and Rerank read
+    them directly), ``point_terms`` the query-independent expansion
+    terms of the conditioned rows,
+    ``divergence.point_terms(refine_conditioner.transform(points))``,
+    computed once per base (see
+    :class:`~repro.divergences.base.DecomposableBregmanDivergence`).
+    ``global_ids`` maps frozen row ->
     external point id (identity until a merge introduces renumbering);
     ``dead_rows`` marks rows an extend merge retired permanently (their
     ``global_ids`` entry is the ``-1`` sentinel, so external-id lookup
@@ -204,6 +211,7 @@ class BaseState:
         "transforms",
         "points",
         "refine_conditioner",
+        "point_terms",
         "global_ids",
         "dead_rows",
         "identity",
@@ -224,6 +232,7 @@ class BaseState:
         transforms,
         points: np.ndarray,
         refine_conditioner,
+        point_terms: Tuple[np.ndarray, ...],
         global_ids: Optional[np.ndarray] = None,
         dead_rows: Optional[np.ndarray] = None,
     ) -> None:
@@ -235,6 +244,7 @@ class BaseState:
         self.transforms = transforms
         self.points = points
         self.refine_conditioner = refine_conditioner
+        self.point_terms = point_terms
         n = points.shape[0]
         if global_ids is None:
             global_ids = np.arange(n)
@@ -259,6 +269,28 @@ class BaseState:
         self._pin_lock = threading.Lock()
         self._drained = threading.Event()
         self._drained.set()
+
+    def replaced(self, **changes) -> "BaseState":
+        """A new base sharing every component except ``changes`` (the
+        reshard and recovery re-publish; its pins start at zero)."""
+        fields = {
+            name: getattr(self, name)
+            for name in (
+                "epoch",
+                "partitioning",
+                "n_partitions",
+                "forest",
+                "datastore",
+                "transforms",
+                "points",
+                "refine_conditioner",
+                "point_terms",
+                "global_ids",
+                "dead_rows",
+            )
+        }
+        fields.update(changes)
+        return BaseState(**fields)
 
     # ------------------------------------------------------------------
     # id mapping

@@ -23,13 +23,17 @@ Two base classes are provided:
   used by BrePartition.  Subclasses implement only the scalar maps
   ``phi``, ``phi_prime`` and ``phi_prime_inverse`` (all vectorised over
   NumPy arrays); everything else (divergences, gradients, dual-space
-  geodesics, restriction to a dimension subset) is derived here.
+  geodesics, restriction to a dimension subset) is derived here.  A
+  subclass with its own expansion-form refinement kernel states its
+  terms once, in ``point_terms``/``query_terms``/``combine`` (the term
+  contract on the class), and both the dense and the grouped kernel
+  build from them.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Sequence
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -43,8 +47,14 @@ __all__ = [
     "RefinementConditioner",
     "BregmanDivergence",
     "DecomposableBregmanDivergence",
+    "KernelTerms",
     "pair_contract",
 ]
+
+#: one array per expansion-kernel term: per row (``point_terms``) or
+#: per query (``query_terms``), see the term contract on
+#: :class:`DecomposableBregmanDivergence`.
+KernelTerms = Tuple[np.ndarray, ...]
 
 
 def pair_contract(
@@ -93,7 +103,9 @@ class RefinementConditioner:
     ``factor``) recovers the same mathematical values from
     better-conditioned arithmetic.  Both the single-query and blocked
     refinement paths apply the same conditioner elementwise, so their
-    bitwise agreement is unaffected.
+    bitwise agreement is unaffected, and the kernel terms an index
+    caches per row are those of the conditioned rows
+    (``point_terms(transform(rows))``).
 
     Parameters
     ----------
@@ -374,16 +386,81 @@ class DecomposableBregmanDivergence(BregmanDivergence):
         )
         return np.maximum(values, 0.0)
 
-    def cross_divergence(self, points: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    # ------------------------------------------------------------------
+    # expansion kernels: the terms, stated once
+    # ------------------------------------------------------------------
+    #
+    # Term contract.  The inner-product expansion
+    #
+    #     D_f(x, q) = f(x) - f(q) - <x, grad f(q)> + <grad f(q), q>
+    #
+    # splits every pair's value into three parts, which a divergence
+    # with its own expansion overrides and nothing else:
+    #
+    # * point_terms(rows): per-row reductions that depend on no query
+    #   (here f(x)).  They are row reductions, so the terms of a gathered
+    #   row subset equal the same rows' terms computed on the whole array
+    #   bit for bit: a caller may compute them once per dataset and pass
+    #   gathered slices in (the index caches them on each published base,
+    #   for the conditioned rows -- see RefinementConditioner);
+    # * query_terms(queries): the (B, d) operand the point rows are
+    #   contracted against (grad f(q) here; a subclass may move a
+    #   constant factor into combine), then per-query reductions;
+    # * combine(...): the per-pair expression over the aligned terms and
+    #   the contraction <x, operand_q>, applied elementwise.
+    #
+    # The dense and grouped kernels below differ only in how they align
+    # the terms (broadcast over the (n, B) matrix, or gathered per pair)
+    # and how they contract (one einsum, or pair_contract's bucketed
+    # gathers, which reduce the same axis in the same order).
+    # Both run the one combine, so every grouped pair is bitwise equal
+    # to its dense entry, and every entry to the same pair scored in any
+    # other batch, block or row subset.
+
+    def point_terms(self, points: np.ndarray) -> KernelTerms:
+        """Query-independent per-row terms of the expansion kernel."""
+        return (np.sum(self.phi(points), axis=1),)
+
+    def query_terms(self, queries: np.ndarray) -> KernelTerms:
+        """The ``(B, d)`` contraction operand, then per-query terms."""
+        grad_q = self.phi_prime(queries)
+        return (
+            grad_q,
+            np.sum(self.phi(queries), axis=1),
+            np.einsum("bj,bj->b", grad_q, queries),
+        )
+
+    def combine(
+        self,
+        point_terms: KernelTerms,
+        query_terms: KernelTerms,
+        contraction: np.ndarray,
+        dimensionality: int,
+    ) -> np.ndarray:
+        """Raw (unclamped) pair values from aligned terms.
+
+        ``query_terms`` are the per-query terms (the operand already
+        went into ``contraction``); every array broadcasts to the
+        output's shape.
+        """
+        (fx,) = point_terms
+        fq, qdot = query_terms
+        return fx - fq - contraction + qdot
+
+    def cross_divergence(
+        self,
+        points: np.ndarray,
+        queries: np.ndarray,
+        point_terms: KernelTerms | None = None,
+    ) -> np.ndarray:
         """All-pairs ``D_f(x_i, q_b)`` as one matrixised ``(n, B)`` kernel.
 
-        The inner-product expansion
-
-            D_f(x, q) = f(x) - f(q) - <x, grad f(q)> + <grad f(q), q>
-
-        moves all transcendental work (``phi``/``phi'``) to per-point
-        and per-query vectors -- ``O((n + B) d)`` -- leaving a single
-        ``O(n B d)`` sum-of-products contraction per pair.
+        The expansion (see the term contract above) moves all
+        transcendental work (``phi``/``phi'``) to per-point and
+        per-query terms -- ``O((n + B) d)``, or ``O(B d)`` given
+        ``point_terms`` -- leaving a single ``O(n B d)`` sum-of-products
+        contraction.  ``point_terms`` must be :meth:`point_terms` of
+        these very rows (or a gathered slice of a superset's terms).
 
         Contract: column ``b`` is *bitwise* identical for any query
         subset -- ``cross_divergence(points, queries)[:, b] ==
@@ -399,57 +476,16 @@ class DecomposableBregmanDivergence(BregmanDivergence):
         """
         points = np.atleast_2d(np.asarray(points, dtype=float))
         queries = np.atleast_2d(np.asarray(queries, dtype=float))
-        grad_q = self.phi_prime(queries)
-        values = (
-            np.sum(self.phi(points), axis=1)[:, None]
-            - np.sum(self.phi(queries), axis=1)[None, :]
-            - np.einsum("nj,bj->nb", points, grad_q)
-            + np.einsum("bj,bj->b", grad_q, queries)[None, :]
+        if point_terms is None:
+            point_terms = self.point_terms(points)
+        grad_q, *per_query = self.query_terms(queries)
+        values = self.combine(
+            tuple(term[:, None] for term in point_terms),
+            tuple(term[None, :] for term in per_query),
+            np.einsum("nj,bj->nb", points, grad_q),
+            points.shape[1],
         )
         return np.maximum(values, 0.0)
-
-    # ------------------------------------------------------------------
-    # grouped (sparse) kernel
-    # ------------------------------------------------------------------
-    #
-    # Bitwise contract with the dense kernel: for every pair,
-    # cross_divergence_grouped(...)[p] equals
-    # cross_divergence(points, queries)[point_index[p], query_index[p]]
-    # bit-for-bit.  This holds because (a) per-point and per-query terms
-    # are row-reductions, identical whether computed on the full arrays
-    # or gathered rows, (b) the bucketed pair_contract reduces the same
-    # contiguous axis with the same accumulation order as the dense
-    # "nj,bj->nb" entry, and (c) the combining expression applies the
-    # same operations in the same order.  Divergences that override
-    # cross_divergence with a custom expansion MUST override
-    # _grouped_terms/_grouped_pairs to mirror it exactly.
-
-    def _grouped_terms(self, points: np.ndarray, queries: np.ndarray) -> tuple:
-        """Per-point / per-query precomputation for the grouped kernel."""
-        grad_q = self.phi_prime(queries)
-        return (
-            np.sum(self.phi(points), axis=1),
-            np.sum(self.phi(queries), axis=1),
-            grad_q,
-            np.einsum("bj,bj->b", grad_q, queries),
-        )
-
-    def _grouped_pairs(
-        self,
-        terms: tuple,
-        points: np.ndarray,
-        queries: np.ndarray,
-        point_index: np.ndarray,
-        query_index: np.ndarray,
-    ) -> np.ndarray:
-        """Raw (unclamped) pair values, mirroring the dense expression."""
-        point_term, query_term, grad_q, qdot = terms
-        return (
-            point_term[point_index]
-            - query_term[query_index]
-            - pair_contract(points, grad_q, point_index, query_index)
-            + qdot[query_index]
-        )
 
     def cross_divergence_grouped(
         self,
@@ -458,16 +494,19 @@ class DecomposableBregmanDivergence(BregmanDivergence):
         point_index: np.ndarray,
         query_index: np.ndarray,
         pair_block: int | None = None,
+        point_terms: KernelTerms | None = None,
     ) -> np.ndarray:
         """Sparse expansion kernel: score only the listed pairs.
 
         Transcendental work stays ``O((n + B) d)`` exactly as in the
-        dense kernel (per-point and per-query terms are computed once);
-        the per-pair cost is one gathered sum-of-products contraction,
-        so total work is ``O(P d)`` for ``P`` pairs instead of the dense
-        ``O(n B d)``.  ``pair_block`` bounds the ``(block, d)`` gather
-        slabs (default ~2^20 float64 elements); blocking is an output
-        partition and cannot change any value.
+        dense kernel (per-point and per-query terms are computed once,
+        or taken from ``point_terms``); the per-pair cost is one
+        gathered sum-of-products contraction, so total work is
+        ``O(P d)`` for ``P`` pairs instead of the dense ``O(n B d)``.
+        ``pair_block`` bounds the ``(block, d)`` gather slabs (default
+        ~2^20 float64 elements); blocking is an output partition and
+        cannot change any value.  Each pair is bitwise equal to its
+        :meth:`cross_divergence` entry (the term contract above).
         """
         points = np.atleast_2d(np.asarray(points, dtype=float))
         queries = np.atleast_2d(np.asarray(queries, dtype=float))
@@ -482,12 +521,18 @@ class DecomposableBregmanDivergence(BregmanDivergence):
             return np.empty(0, dtype=float)
         if pair_block is None:
             pair_block = max(1, (1 << 20) // max(1, points.shape[1]))
-        terms = self._grouped_terms(points, queries)
+        if point_terms is None:
+            point_terms = self.point_terms(points)
+        grad_q, *per_query = self.query_terms(queries)
         out = np.empty(n_pairs, dtype=float)
         for lo in range(0, n_pairs, pair_block):
-            hi = min(lo + pair_block, n_pairs)
-            out[lo:hi] = self._grouped_pairs(
-                terms, points, queries, point_index[lo:hi], query_index[lo:hi]
+            pi = point_index[lo : lo + pair_block]
+            qi = query_index[lo : lo + pair_block]
+            out[lo : lo + pi.size] = self.combine(
+                tuple(term[pi] for term in point_terms),
+                tuple(term[qi] for term in per_query),
+                pair_contract(points, grad_q, pi, qi),
+                points.shape[1],
             )
         return np.maximum(out, 0.0)
 

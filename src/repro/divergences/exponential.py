@@ -19,8 +19,8 @@ from ..exceptions import DomainError
 from .base import (
     REALS,
     DecomposableBregmanDivergence,
+    KernelTerms,
     RefinementConditioner,
-    pair_contract,
 )
 
 __all__ = ["ExponentialDistance"]
@@ -92,41 +92,21 @@ class ExponentialDistance(DecomposableBregmanDivergence):
         values = np.sum(np.exp(points) - (points - y + 1.0) * ey, axis=1)
         return np.maximum(values, 0.0)
 
-    def cross_divergence(self, points: np.ndarray, queries: np.ndarray) -> np.ndarray:
-        # Expansion sum(e^x - x e^q + (q - 1) e^q): the exponentials move
-        # to per-point / per-query vectors; the only per-pair work is the
-        # <x, e^q> contraction.
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        queries = np.atleast_2d(np.asarray(queries, dtype=float))
+    # Expansion sum(e^x - x e^q + (q - 1) e^q): the exponentials move to
+    # the per-point term sum(e^x) (the inherited point_terms, phi = exp)
+    # and per-query terms; the only per-pair work is the <x, e^q>
+    # contraction.
+    def query_terms(self, queries: np.ndarray) -> KernelTerms:
         eq = np.exp(queries)
-        values = (
-            np.sum(np.exp(points), axis=1)[:, None]
-            - np.einsum("nj,bj->nb", points, eq)
-            + np.einsum("bj,bj->b", queries - 1.0, eq)[None, :]
-        )
-        return np.maximum(values, 0.0)
+        return eq, np.einsum("bj,bj->b", queries - 1.0, eq)
 
-    # grouped kernel: mirrors the e^x - <x, e^q> + <q-1, e^q> expansion
-    # above term-for-term so pair values match the dense matrix bitwise.
-    def _grouped_terms(self, points: np.ndarray, queries: np.ndarray) -> tuple:
-        eq = np.exp(queries)
-        return (
-            np.sum(np.exp(points), axis=1),
-            eq,
-            np.einsum("bj,bj->b", queries - 1.0, eq),
-        )
-
-    def _grouped_pairs(
+    def combine(
         self,
-        terms: tuple,
-        points: np.ndarray,
-        queries: np.ndarray,
-        point_index: np.ndarray,
-        query_index: np.ndarray,
+        point_terms: KernelTerms,
+        query_terms: KernelTerms,
+        contraction: np.ndarray,
+        dimensionality: int,
     ) -> np.ndarray:
-        sum_ex, eq, qconst = terms
-        return (
-            sum_ex[point_index]
-            - pair_contract(points, eq, point_index, query_index)
-            + qconst[query_index]
-        )
+        (sum_ex,) = point_terms
+        (qconst,) = query_terms
+        return sum_ex - contraction + qconst

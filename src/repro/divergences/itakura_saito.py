@@ -16,8 +16,8 @@ import numpy as np
 from .base import (
     POSITIVE_REALS,
     DecomposableBregmanDivergence,
+    KernelTerms,
     RefinementConditioner,
-    pair_contract,
 )
 
 __all__ = ["ItakuraSaito", "BurgEntropy"]
@@ -59,44 +59,25 @@ class ItakuraSaito(DecomposableBregmanDivergence):
         values = np.sum(ratio - np.log(ratio) - 1.0, axis=1)
         return np.maximum(values, 0.0)
 
-    def cross_divergence(self, points: np.ndarray, queries: np.ndarray) -> np.ndarray:
-        # Expansion sum(x/y - log x + log y - 1): the logs move to
-        # per-point / per-query vectors; the only per-pair work is the
-        # <x, 1/q> contraction.
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        queries = np.atleast_2d(np.asarray(queries, dtype=float))
-        values = (
-            np.einsum("nj,bj->nb", points, 1.0 / queries)
-            - np.sum(np.log(points), axis=1)[:, None]
-            + np.sum(np.log(queries), axis=1)[None, :]
-            - points.shape[1]
-        )
-        return np.maximum(values, 0.0)
+    # Expansion sum(x/q - log x + log q - 1): the logs move to per-point
+    # / per-query terms; the only per-pair work is the <x, 1/q>
+    # contraction.
+    def point_terms(self, points: np.ndarray) -> KernelTerms:
+        return (np.sum(np.log(points), axis=1),)
 
-    # grouped kernel: mirrors the <x, 1/q> - log x + log q - d expansion
-    # above term-for-term so pair values match the dense matrix bitwise.
-    def _grouped_terms(self, points: np.ndarray, queries: np.ndarray) -> tuple:
-        return (
-            np.sum(np.log(points), axis=1),
-            1.0 / queries,
-            np.sum(np.log(queries), axis=1),
-        )
+    def query_terms(self, queries: np.ndarray) -> KernelTerms:
+        return 1.0 / queries, np.sum(np.log(queries), axis=1)
 
-    def _grouped_pairs(
+    def combine(
         self,
-        terms: tuple,
-        points: np.ndarray,
-        queries: np.ndarray,
-        point_index: np.ndarray,
-        query_index: np.ndarray,
+        point_terms: KernelTerms,
+        query_terms: KernelTerms,
+        contraction: np.ndarray,
+        dimensionality: int,
     ) -> np.ndarray:
-        log_x, inv_q, log_q = terms
-        return (
-            pair_contract(points, inv_q, point_index, query_index)
-            - log_x[point_index]
-            + log_q[query_index]
-            - points.shape[1]
-        )
+        (log_x,) = point_terms
+        (log_q,) = query_terms
+        return contraction - log_x + log_q - dimensionality
 
 
 #: The Burg-entropy divergence *is* the Itakura-Saito distance; the paper

@@ -28,8 +28,8 @@ from ..exceptions import DomainError, NotDecomposableError
 from .base import (
     POSITIVE_REALS,
     DecomposableBregmanDivergence,
+    KernelTerms,
     RefinementConditioner,
-    pair_contract,
 )
 
 __all__ = ["GeneralizedKL", "SimplexKL"]
@@ -73,45 +73,25 @@ class GeneralizedKL(DecomposableBregmanDivergence):
         values = np.sum(points * np.log(points / y) - points + y, axis=1)
         return np.maximum(values, 0.0)
 
-    def cross_divergence(self, points: np.ndarray, queries: np.ndarray) -> np.ndarray:
-        # Expansion sum(x log x - x log q - x + q): the logs move to
-        # per-point / per-query vectors; the only per-pair work is the
-        # <x, log q> contraction.
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        queries = np.atleast_2d(np.asarray(queries, dtype=float))
-        values = (
-            np.sum(points * np.log(points), axis=1)[:, None]
-            - np.einsum("nj,bj->nb", points, np.log(queries))
-            - np.sum(points, axis=1)[:, None]
-            + np.sum(queries, axis=1)[None, :]
-        )
-        return np.maximum(values, 0.0)
+    # Expansion sum(x log x - x log q - x + q): the logs move to
+    # per-point / per-query terms; the only per-pair work is the
+    # <x, log q> contraction.
+    def point_terms(self, points: np.ndarray) -> KernelTerms:
+        return np.sum(points * np.log(points), axis=1), np.sum(points, axis=1)
 
-    # grouped kernel: mirrors the x log x - <x, log q> - x + q expansion
-    # above term-for-term so pair values match the dense matrix bitwise.
-    def _grouped_terms(self, points: np.ndarray, queries: np.ndarray) -> tuple:
-        return (
-            np.sum(points * np.log(points), axis=1),
-            np.log(queries),
-            np.sum(points, axis=1),
-            np.sum(queries, axis=1),
-        )
+    def query_terms(self, queries: np.ndarray) -> KernelTerms:
+        return np.log(queries), np.sum(queries, axis=1)
 
-    def _grouped_pairs(
+    def combine(
         self,
-        terms: tuple,
-        points: np.ndarray,
-        queries: np.ndarray,
-        point_index: np.ndarray,
-        query_index: np.ndarray,
+        point_terms: KernelTerms,
+        query_terms: KernelTerms,
+        contraction: np.ndarray,
+        dimensionality: int,
     ) -> np.ndarray:
-        xlogx, log_q, sum_x, sum_q = terms
-        return (
-            xlogx[point_index]
-            - pair_contract(points, log_q, point_index, query_index)
-            - sum_x[point_index]
-            + sum_q[query_index]
-        )
+        xlogx, sum_x = point_terms
+        (sum_q,) = query_terms
+        return xlogx - contraction - sum_x + sum_q
 
 
 class SimplexKL(GeneralizedKL):

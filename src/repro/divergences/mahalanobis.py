@@ -28,8 +28,8 @@ from .base import (
     REALS,
     BregmanDivergence,
     DecomposableBregmanDivergence,
+    KernelTerms,
     RefinementConditioner,
-    pair_contract,
 )
 
 __all__ = ["DiagonalMahalanobis", "MahalanobisDivergence"]
@@ -90,40 +90,26 @@ class DiagonalMahalanobis(DecomposableBregmanDivergence):
         diff = points - np.asarray(y, dtype=float)
         return 0.5 * np.einsum("ij,ij,j->i", diff, diff, self.weights)
 
-    def cross_divergence(self, points: np.ndarray, queries: np.ndarray) -> np.ndarray:
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        queries = np.atleast_2d(np.asarray(queries, dtype=float))
-        values = (
-            np.einsum("nj,nj,j->n", points, points, self.weights)[:, None]
-            - 2.0 * np.einsum("nj,bj->nb", points, self.weights * queries)
-            + np.einsum("bj,bj,j->b", queries, queries, self.weights)[None, :]
-        )
-        return np.maximum(0.5 * values, 0.0)
+    # Expansion 1/2 (x^T W x - 2<x, W q> + q^T W q).
+    def point_terms(self, points: np.ndarray) -> KernelTerms:
+        return (np.einsum("nj,nj,j->n", points, points, self.weights),)
 
-    # grouped kernel: mirrors the weighted expansion above term-for-term
-    # (including the trailing 0.5 scale) for bitwise pair parity.
-    def _grouped_terms(self, points: np.ndarray, queries: np.ndarray) -> tuple:
+    def query_terms(self, queries: np.ndarray) -> KernelTerms:
         return (
-            np.einsum("nj,nj,j->n", points, points, self.weights),
             self.weights * queries,
             np.einsum("bj,bj,j->b", queries, queries, self.weights),
         )
 
-    def _grouped_pairs(
+    def combine(
         self,
-        terms: tuple,
-        points: np.ndarray,
-        queries: np.ndarray,
-        point_index: np.ndarray,
-        query_index: np.ndarray,
+        point_terms: KernelTerms,
+        query_terms: KernelTerms,
+        contraction: np.ndarray,
+        dimensionality: int,
     ) -> np.ndarray:
-        xx, weighted_q, qq = terms
-        values = (
-            xx[point_index]
-            - 2.0 * pair_contract(points, weighted_q, point_index, query_index)
-            + qq[query_index]
-        )
-        return 0.5 * values
+        (xx,) = point_terms
+        (qq,) = query_terms
+        return 0.5 * (xx - 2.0 * contraction + qq)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"DiagonalMahalanobis(d={self.weights.size})"

@@ -15,8 +15,8 @@ import numpy as np
 from .base import (
     REALS,
     DecomposableBregmanDivergence,
+    KernelTerms,
     RefinementConditioner,
-    pair_contract,
 )
 
 __all__ = ["SquaredEuclidean"]
@@ -56,35 +56,20 @@ class SquaredEuclidean(DecomposableBregmanDivergence):
         diff = points - np.asarray(y, dtype=float)
         return np.einsum("ij,ij->i", diff, diff)
 
-    def cross_divergence(self, points: np.ndarray, queries: np.ndarray) -> np.ndarray:
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        queries = np.atleast_2d(np.asarray(queries, dtype=float))
-        values = (
-            np.einsum("nj,nj->n", points, points)[:, None]
-            - 2.0 * np.einsum("nj,bj->nb", points, queries)
-            + np.einsum("bj,bj->b", queries, queries)[None, :]
-        )
-        return np.maximum(values, 0.0)
+    # Expansion ||x||^2 - 2<x, q> + ||q||^2.
+    def point_terms(self, points: np.ndarray) -> KernelTerms:
+        return (np.einsum("nj,nj->n", points, points),)
 
-    # grouped kernel: mirrors the ||x||^2 - 2<x,q> + ||q||^2 expansion
-    # above term-for-term so pair values match the dense matrix bitwise.
-    def _grouped_terms(self, points: np.ndarray, queries: np.ndarray) -> tuple:
-        return (
-            np.einsum("nj,nj->n", points, points),
-            np.einsum("bj,bj->b", queries, queries),
-        )
+    def query_terms(self, queries: np.ndarray) -> KernelTerms:
+        return queries, np.einsum("bj,bj->b", queries, queries)
 
-    def _grouped_pairs(
+    def combine(
         self,
-        terms: tuple,
-        points: np.ndarray,
-        queries: np.ndarray,
-        point_index: np.ndarray,
-        query_index: np.ndarray,
+        point_terms: KernelTerms,
+        query_terms: KernelTerms,
+        contraction: np.ndarray,
+        dimensionality: int,
     ) -> np.ndarray:
-        xx, qq = terms
-        return (
-            xx[point_index]
-            - 2.0 * pair_contract(points, queries, point_index, query_index)
-            + qq[query_index]
-        )
+        (xx,) = point_terms
+        (qq,) = query_terms
+        return xx - 2.0 * contraction + qq

@@ -11,28 +11,25 @@ them out across a configurable thread pool
 One task per shard
 ------------------
 
-One fan-out task per shard does the fetch slice of the staged
-pipeline's Fetch stage (:class:`repro.pipeline.FetchStage`):
-
-1. **charge** the shard's distinct candidate pages
-   (:meth:`~repro.storage.sharded.ShardedDataStore.charge_shard_replica`,
-   the per-shard tracker mirroring into the shared aggregate under
-   locks so totals still sum exactly);
-2. **peek** the shard's slab of union rows into disjoint slices of the
-   union-ordered vector array (a shard holding the whole union hands
-   its slab over as that array), which the Refine stage then scores as
-   one union slab.
+One fan-out task per shard does the shard's slice of the staged
+pipeline's Fetch stage (:class:`repro.pipeline.FetchStage`): it
+**charges** the shard's distinct candidate pages
+(:meth:`~repro.storage.sharded.ShardedDataStore.charge_shard_replica`,
+the per-shard tracker mirroring into the shared aggregate under locks
+so totals still sum exactly).  No task copies vectors: the Refine
+stage scores the rows straight from the snapshot's pinned frozen base.
 
 Storage is simulated and compute-only: a charge counts pages, it does
-not wait for a device.  Worker threads therefore overlap only the
-NumPy work that releases the GIL, and whether ``shard_workers > 1``
-pays off on a given host is a measurement, not a given.  With one
-worker the executor degrades to an inline loop in shard order.
+not wait for a device.  A charge is a Python loop over pages that holds
+the GIL, so worker threads overlap almost nothing, and whether
+``shard_workers > 1`` pays off on a given host is a measurement, not a
+given.  With one worker the executor degrades to an inline loop in
+shard order.
 
-Determinism: tasks write to disjoint output slices and every kernel is
-row/pair-bitwise independent, so results are bit-for-bit identical for
-any worker count -- the row parity across batch sizes survives
-parallelism untouched.
+Determinism: each task returns its own shard's page count and the
+scope's dedup decides every charge, so results and page accounting are
+bit-for-bit identical for any worker count -- the row parity across
+batch sizes survives parallelism untouched.
 
 Replication-aware routing (PR 8): on a store with
 ``replication_factor > 1`` each fan-out task routes through

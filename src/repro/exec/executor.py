@@ -453,7 +453,7 @@ class ShardExecutor:
         by a broken shard or wrapping an exhausted transient fault).
         Non-storage exceptions still propagate -- they are bugs, not
         device behaviour.  This is the degraded-mode primitive the Fetch
-        stage uses: one dead shard fails its own slab only, and the
+        stage uses: one dead shard fails its own task only, and the
         caller decides which queries that dooms.
         """
         errors: List[Optional[BaseException]] = [None] * len(tasks)

@@ -8,11 +8,12 @@ holding ``B`` query rows:
     extension's radius-adjustment hook), batched BB-forest traversal and
     the short-candidate widening recovery.
 ``Fetch``
-    Page-union charging and vector materialisation, fanned out one
-    task per shard through the :class:`~repro.exec.ShardExecutor`.
+    Page-union charging, fanned out one task per shard through the
+    :class:`~repro.exec.ShardExecutor`; it copies no vector.
 ``Refine``
     Adaptive dense/sparse/auto cross-divergence kernel dispatch over the
-    union slab.
+    union's rows of the pinned frozen base, with the base's cached
+    query-independent kernel terms.
 ``Rerank``
     Direct-kernel top-k with the adaptive noise-floor buffer.
 

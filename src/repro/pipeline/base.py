@@ -74,22 +74,24 @@ class SearchPipeline:
         """Run Refine -> Rerank over candidates whose pages are already paid.
 
         The entry point of the refinement benchmarks and kernel-parity
-        tests: candidate vectors are read I/O-free via ``peek`` (callers
-        charge pages themselves), then scored and reranked through the
-        same stage objects ``search_batch`` drives, so measured kernels
-        are exactly the production ones.  Returns the finished context
-        (``refined`` holds the per-query top-k pairs).
+        tests: the context captures a snapshot of the index, and the
+        candidates (frozen rows, each array sorted and unique) are
+        scored off its pinned base and reranked through the same stage
+        objects ``search_batch`` drives, so measured kernels are exactly
+        the production ones.  Nothing is charged (callers charge pages
+        themselves).  Returns the finished context (``refined`` holds
+        the per-query top-k pairs).
         """
         from .fetch import union_rows
 
+        snap = self.index.snapshot()
         ctx = QueryBatchContext(
-            queries=np.atleast_2d(np.asarray(queries, dtype=float)), k=k
+            queries=np.atleast_2d(np.asarray(queries, dtype=float)),
+            k=k,
+            snapshot=snap,
         )
         ctx.candidates = [np.asarray(ids, dtype=int) for ids in candidates]
-        ctx.union, ctx.row_of = union_rows(
-            ctx.candidates, self.index.transforms.n_points
-        )
-        ctx.vectors = self.index.datastore.peek(ctx.union)
+        ctx.union, ctx.row_of = union_rows(ctx.candidates, snap.n_frozen)
         self.stage("refine").run(ctx)
         self.stage("rerank").run(ctx)
         return ctx
@@ -104,7 +106,9 @@ class SearchPipeline:
         reference the kernel-parity tests compare
         :meth:`refine_prefetched` against: the two must return bitwise
         equal ``(top_ids, divergences)`` pairs under any kernel choice.
-        Like :meth:`refine_prefetched` it reads through ``peek``.
+        Unlike the stages, it reads the vectors from the store (through
+        ``peek``) and computes fresh kernel terms for them, so it also
+        checks the base's rows and cached terms.
         """
         refine, rerank = self.stage("refine"), self.stage("rerank")
         queries = np.atleast_2d(np.asarray(queries, dtype=float))

@@ -15,7 +15,7 @@ layer, benchmarks and tests call individual stages.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -30,10 +30,12 @@ class QueryBatchContext:
 
     The lifecycle mirrors the stage order.  ``Plan`` fills the filter
     outputs (``candidates`` / ``forest_stats`` / ``bound_totals``),
-    ``Fetch`` the storage outputs (``union`` / ``vectors`` and the page
+    ``Fetch`` the storage outputs (``union`` / ``row_of`` and the page
     accounting), ``Refine`` the expansion scores, and ``Rerank`` the
-    final per-query ``refined`` top-k pairs.  ``stage_seconds`` is
-    filled by the driver with each stage's wall-clock time.
+    final per-query ``refined`` top-k pairs.  No stage copies candidate
+    vectors into the context: Refine and Rerank read them from the
+    snapshot's pinned base.  ``stage_seconds`` is filled by the driver
+    with each stage's wall-clock time.
     """
 
     #: query rows, always 2-D ``(B, d)`` (``B = 1`` for single search).
@@ -53,8 +55,10 @@ class QueryBatchContext:
     #: the immutable ``(frozen base, delta version)`` pair this request
     #: runs against (:meth:`BrePartitionIndex.snapshot`).  Stages read
     #: index components through it so concurrent mutations can never
-    #: tear a search; ``None`` (charge-free partial runs on indexes
-    #: without snapshot support) falls back to the live attributes.
+    #: tear a search.  Refine and Rerank need it -- they score the
+    #: base's rows with its cached kernel terms -- and
+    #: :meth:`SearchPipeline.run` captures one when the caller did not;
+    #: Plan and Fetch, run alone without one, read the live attributes.
     snapshot: Optional[object] = None
 
     # -- Plan outputs ---------------------------------------------------
@@ -73,12 +77,11 @@ class QueryBatchContext:
     covered: bool = False
 
     # -- Fetch outputs --------------------------------------------------
-    #: sorted union of all candidate ids.
+    #: sorted union of all candidate ids (the shared array itself when
+    #: every query holds the same one).
     union: Optional[np.ndarray] = None
     #: global id -> row within ``union``.
     row_of: Optional[np.ndarray] = None
-    #: candidate vectors, union-ordered.
-    vectors: Optional[np.ndarray] = None
     #: distinct pages the batch's working set spans (pool-oblivious).
     pages_coalesced: int = 0
     #: per-shard split of ``pages_coalesced``.
@@ -113,8 +116,10 @@ class QueryBatchContext:
     #: for trace consumers that label Refine spans by backend.
     refine_backend: Optional[str] = None
     #: ``scores_of(q, rows)`` -> query ``q``'s expansion scores in
-    #: candidate order.
-    scores_of: Optional[Callable[[int, np.ndarray], np.ndarray]] = None
+    #: candidate order, where ``rows`` are its candidates' rows within
+    #: ``union`` (``ctx.row_of[ids]``, or ``slice(None)`` for a query
+    #: holding the whole union).
+    scores_of: Optional[Callable[[int, Any], np.ndarray]] = None
 
     # -- Rerank outputs -------------------------------------------------
     #: per-query ``(top_ids, divergences)`` pairs, ascending divergence.

@@ -2,17 +2,25 @@
 
 Owns the adaptive dense/sparse/auto kernel dispatch and the
 conditioner-wrapped cross-divergence kernels, all run in-process.  The
-stage scores the union slab either through the dense blocked kernel
-(full ``(union, B)`` matrix in :func:`refinement_block` row blocks) or
-the sparse grouped kernel (only real pairs, query-bucketed gathers); a
-single search is the same run at ``B = 1``, where ``auto`` always picks
-dense.  Every path produces bitwise-identical scores -- dense columns
-are independent of batch composition and blocking, sparse pair values
-equal the dense matrix entries bit for bit -- so the kernel choice is
-purely a performance decision.
+stage reads the union's rows from the snapshot's pinned frozen base
+(``snap.base.points``; Fetch copies nothing) in
+:func:`refinement_block` row blocks, gathering only when the union is
+not every frozen row, conditions each block, and takes the rows'
+query-independent kernel terms from the base, which computed them
+once (``base.point_terms``), so a batch pays only per-query and
+per-pair work.  It scores either through the dense blocked kernel (the
+full matrix, stored query-major as ``(B, union)`` so each query's scores
+are one contiguous row) or the sparse grouped kernel (only real pairs,
+query-bucketed gathers, over the same gathered rows and cached terms);
+a single search is the same run at ``B = 1``, where ``auto`` always
+picks dense.  Every path produces bitwise-identical scores -- dense
+entries are independent of batch composition, blocking and whether a
+row's terms were cached or fresh, sparse pair values equal the dense
+matrix entries bit for bit -- so the kernel choice is purely a
+performance decision.
 
 A note on the dense kernel's dead cells: the dense path scores the full
-``(union, B)`` matrix even though only ``total_pairs`` cells are real.
+union-by-batch matrix even though only ``total_pairs`` cells are real.
 Gathering only per-query candidate rows instead cannot help -- the
 union is by construction exactly the rows some query touches, and a
 per-query gather of real pairs *is* the sparse grouped kernel, which
@@ -87,12 +95,6 @@ class RefineStage(PipelineStage):
     name = "refine"
 
     def run(self, ctx: QueryBatchContext) -> None:
-        # read the conditioner through the pinned snapshot so a merge
-        # republishing the index mid-flight can't swap it under us
-        snap = ctx.snapshot
-        conditioner = (
-            snap.refine_conditioner if snap is not None else _UNSET
-        )
         n_queries = ctx.n_queries
         if ctx.union is None or ctx.union.size == 0 or n_queries == 0:
             ctx.refine_kernel = None
@@ -100,22 +102,49 @@ class RefineStage(PipelineStage):
         kernel = self.choose_kernel(ctx.candidates, ctx.union.size, n_queries)
         ctx.refine_kernel = kernel
         ctx.refine_backend = "serial"
-        vectors, queries = ctx.vectors, ctx.queries
+        # the pinned base: a merge republishing the index mid-flight
+        # can't swap its rows, terms or conditioner under us
+        base = ctx.snapshot.base
+        union, queries = ctx.union, ctx.queries
+        # a sorted unique union as long as the file is every frozen row:
+        # read the base in place, no gather
+        whole = union.size == base.n_frozen
+
+        def rows(lo: int, hi: int):
+            """Union rows ``lo:hi`` of the base and their cached terms."""
+            sel = slice(lo, hi) if whole else union[lo:hi]
+            return base.points[sel], tuple(t[sel] for t in base.point_terms)
+
         if kernel == "sparse":
+            vectors, terms = rows(0, union.size)
             pair_rows, pair_queries, offsets = build_pairs(ctx.candidates, ctx.row_of)
             flat = self.score_sparse(
-                vectors, queries, pair_rows, pair_queries, conditioner=conditioner
+                vectors,
+                queries,
+                pair_rows,
+                pair_queries,
+                conditioner=base.refine_conditioner,
+                point_terms=terms,
             )
             ctx.scores_of = lambda q, rows: flat[offsets[q] : offsets[q + 1]]
         else:
-            block = refinement_block(n_queries, vectors.shape[1])
-            cross = np.empty((ctx.union.size, n_queries), dtype=float)
-            for lo in range(0, ctx.union.size, block):
-                hi = min(lo + block, ctx.union.size)
-                cross[lo:hi] = self.score_dense(
-                    vectors[lo:hi], queries, conditioner=conditioner
-                )
-            ctx.scores_of = lambda q, rows: cross[rows, q]
+            # query-major, so each query's scores are one contiguous row
+            # for Rerank.  Each block is scored point-major and transposed
+            # in while it is cache-resident: the einsum's point-major loop
+            # reads a block once, a query-major one would stream it once
+            # per query (15-20% slower on the serve shape).
+            block = refinement_block(n_queries, base.points.shape[1])
+            cross = np.empty((n_queries, union.size), dtype=float)
+            for lo in range(0, union.size, block):
+                hi = min(lo + block, union.size)
+                vectors, terms = rows(lo, hi)
+                cross[:, lo:hi] = self.score_dense(
+                    vectors,
+                    queries,
+                    conditioner=base.refine_conditioner,
+                    point_terms=terms,
+                ).T
+            ctx.scores_of = lambda q, rows: cross[q, rows]
 
     # ------------------------------------------------------------------
     # kernel dispatch
@@ -147,7 +176,11 @@ class RefineStage(PipelineStage):
     # ------------------------------------------------------------------
 
     def score_dense(
-        self, vectors: np.ndarray, queries: np.ndarray, conditioner=_UNSET
+        self,
+        vectors: np.ndarray,
+        queries: np.ndarray,
+        conditioner=_UNSET,
+        point_terms=None,
     ) -> np.ndarray:
         """Exact ``(n, B)`` divergences of every (vector, query) pair.
 
@@ -157,7 +190,9 @@ class RefineStage(PipelineStage):
         conditioner's output factor back in.  Conditioning is
         elementwise, so scoring a row subset or block is bitwise
         identical to slicing a full scoring -- the parity the blocked
-        and per-query paths rely on.
+        and per-query paths rely on.  ``point_terms`` are the kernel's
+        terms of the *conditioned* rows (a slice of a base's cached
+        terms); ``None`` computes them fresh.
         """
         index = self.index
         if conditioner is _UNSET:
@@ -165,7 +200,9 @@ class RefineStage(PipelineStage):
         if conditioner is not None:
             vectors = conditioner.transform(vectors)
             queries = conditioner.transform(queries)
-        values = index.divergence.cross_divergence(vectors, queries)
+        values = index.divergence.cross_divergence(
+            vectors, queries, point_terms=point_terms
+        )
         if conditioner is not None and conditioner.factor != 1.0:
             values = values * conditioner.factor
         return values
@@ -177,13 +214,15 @@ class RefineStage(PipelineStage):
         point_index: np.ndarray,
         query_index: np.ndarray,
         conditioner=_UNSET,
+        point_terms=None,
     ) -> np.ndarray:
         """Sparse analogue of :meth:`score_dense`: only the listed pairs.
 
-        Applies the same conditioner and output factor, and the grouped
-        kernel's pair values are bitwise equal to the dense kernel's
-        matrix entries, so routing a query through this path instead of
-        the dense one cannot change a single bit of its scores.
+        Applies the same conditioner, point terms and output factor, and
+        the grouped kernel's pair values are bitwise equal to the dense
+        kernel's matrix entries, so routing a query through this path
+        instead of the dense one cannot change a single bit of its
+        scores.
         """
         index = self.index
         if conditioner is _UNSET:
@@ -197,6 +236,7 @@ class RefineStage(PipelineStage):
             point_index,
             query_index,
             pair_block=refinement_block(1, vectors.shape[1]),
+            point_terms=point_terms,
         )
         if conditioner is not None and conditioner.factor != 1.0:
             values = values * conditioner.factor

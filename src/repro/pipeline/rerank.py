@@ -8,17 +8,23 @@ Every batch size (a single search is ``B = 1``), dense and sparse
 layouts, sequential and fanned-out fetches, and the looped reference
 all converge on one :meth:`RerankStage.topk` implementation, which is
 what makes their tie-breaking -- and therefore the bitwise row parity
-between batch sizes -- identical by construction.
+between batch sizes -- identical by construction.  Each query reads its
+expansion scores as one contiguous row of Refine's query-major matrix
+(in place when it holds the whole union), and the direct kernel's few
+rows are gathered from the snapshot's pinned frozen base -- the same
+bytes the store holds.
 
 Snapshot-aware reranking: when the context's snapshot carries a
 non-identity row -> external-id mapping, candidates are reordered by
 ascending *external* id before the top-k, so positional tie-breaking
-matches a from-scratch index over the live points sorted by id.  When
-the snapshot carries unmerged delta inserts, the frozen top-k is then
-merged with a brute-force direct scoring of the (memory-resident, so
-zero-page) delta points: both sides use the same row-count-independent
-``batch_divergence`` kernel and the same id-sorted ``top_k_stable``
-selection, which keeps every merged result bitwise equal to the oracle.
+matches a from-scratch index over the live points sorted by id; the
+sort runs once per distinct candidate array (a covered batch hands
+every query the same one).  When the snapshot carries unmerged delta
+inserts, the frozen top-k is then merged with a brute-force direct
+scoring of the (memory-resident, so zero-page) delta points: both sides
+use the same row-count-independent ``batch_divergence`` kernel and the
+same id-sorted ``top_k_stable`` selection, which keeps every merged
+result bitwise equal to the oracle.
 """
 
 from __future__ import annotations
@@ -62,8 +68,7 @@ class RerankStage(PipelineStage):
 
     def run(self, ctx: QueryBatchContext) -> None:
         snap = ctx.snapshot
-        delta_n = snap.delta.n_inserts if snap is not None else 0
-        ctx.delta_candidates = [delta_n] * ctx.n_queries
+        ctx.delta_candidates = [snap.delta.n_inserts] * ctx.n_queries
         empty = (np.empty(0, dtype=int), np.empty(0, dtype=float))
         if ctx.union is None or ctx.union.size == 0 or ctx.n_queries == 0:
             # no frozen candidates anywhere; results may still come
@@ -71,25 +76,37 @@ class RerankStage(PipelineStage):
             frozen_pairs = [empty] * ctx.n_queries
         else:
             frozen_pairs = []
-            vectors, row_of = ctx.vectors, ctx.row_of
+            # the direct kernel's few rows come from the pinned base:
+            # the same bytes the store holds
+            points = snap.base.points
+            union, row_of = ctx.union, ctx.row_of
+            shared = ordered = None
             for q, ids in enumerate(ctx.candidates):
                 if q in ctx.query_errors:
-                    # doomed by a dead shard: its union rows hold filler,
-                    # never score them
+                    # doomed by a dead shard: never rank it
                     frozen_pairs.append(None)
                     continue
                 if ids.size == 0:
                     frozen_pairs.append(empty)
                     continue
-                rows = row_of[ids]
-                ids, scores, gather = self._id_ordered(
-                    ids,
-                    ctx.scores_of(q, rows),
-                    snap,
-                    lambda sel, rows=rows: vectors[rows[sel]],
-                )
+                if ids is not shared:
+                    # once per distinct array: a covered batch hands
+                    # every query the same one
+                    shared, ordered = ids, self._id_ordered(ids, snap)
+                ext_ids, frozen_rows, order = ordered
+                # a query holding the whole union reads its scores in place
+                rows = slice(None) if ids.size == union.size else row_of[ids]
+                scores = ctx.scores_of(q, rows)
+                if order is not None:
+                    scores = scores[order]
                 frozen_pairs.append(
-                    self.topk(ids, scores, ctx.queries[q], ctx.k, gather)
+                    self.topk(
+                        ext_ids,
+                        scores,
+                        ctx.queries[q],
+                        ctx.k,
+                        lambda sel, frozen=frozen_rows: points[frozen[sel]],
+                    )
                 )
         ctx.refined = [
             None
@@ -100,22 +117,23 @@ class RerankStage(PipelineStage):
         for q in ctx.query_errors:
             ctx.delta_candidates[q] = 0
 
-    def _id_ordered(self, ids: np.ndarray, scores: np.ndarray, snap, gather):
-        """Reorder candidates so ``topk`` ties break by ascending external id.
+    def _id_ordered(self, ids: np.ndarray, snap):
+        """``(external ids, frozen rows, order)`` with ids ascending, so
+        ``topk`` ties break by ascending external id.
 
         ``ids`` arrive as frozen row numbers sorted ascending; with an
-        identity snapshot (or none) rows *are* external ids and the
-        arrays pass through untouched -- the pre-mutation bitwise
-        contract.  A merged base maps rows to external ids out of order,
-        so here the candidate axis is re-sorted by external id
-        (candidate rows are live, hence their ids are unique and the
-        order is total) and the gather is composed with the permutation.
+        identity base rows *are* external ids and pass through untouched
+        (``order`` is ``None``) -- the pre-mutation bitwise contract.  A
+        merged base maps rows to external ids out of order, so the
+        candidate axis is re-sorted by external id (candidate rows are
+        live, hence their ids are unique and the order is total);
+        callers permute each query's scores by ``order``.
         """
-        if snap is None or snap.base.identity:
-            return ids, scores, gather
+        if snap.base.identity:
+            return ids, ids, None
         ext = snap.base.global_ids[ids]
         order = np.argsort(ext, kind="stable")
-        return ext[order], scores[order], lambda sel: gather(order[sel])
+        return ext[order], ids[order], order
 
     def _merge_delta(self, frozen, query: np.ndarray, k: int, snap):
         """Merge the frozen top-k with a direct scan of the delta inserts.
@@ -127,7 +145,7 @@ class RerankStage(PipelineStage):
         and was filtered in Plan) this reproduces, bit for bit, the
         selection a from-scratch index over the live points would make.
         """
-        if snap is None or not snap.has_delta:
+        if not snap.has_delta:
             return frozen
         delta = snap.delta
         d_div = self.index.divergence.batch_divergence(delta.points, query)

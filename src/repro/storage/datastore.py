@@ -165,8 +165,9 @@ class DataStore:
         """Charge the distinct pages covering all groups exactly once.
 
         The coalescing primitive of the batch engine: a query batch
-        charges the union of its candidates' pages here, then reads the
-        vectors I/O-free via :meth:`peek`.  Returns the distinct page
+        charges the union of its candidates' pages here (and scores the
+        rows from the index's frozen base; other callers read them
+        I/O-free via :meth:`peek`).  Returns the distinct page
         count, pool-oblivious: pages the buffer pool absorbs or
         ``scope`` already holds count here but are not charged again.
         """

@@ -9,9 +9,8 @@ default) the one shard is the paper's file (Section 6): the full
 vectors clustered in the seed BB-tree's leaf order, page for page.
 The Fetch stage works one shard at a time:
 :meth:`ShardedDataStore.shard_split` routes the batch's candidate union
-to shards (and says where each shard's slab lands in the union-ordered
-vector array), and :meth:`ShardedDataStore.charge_shard_replica`
-charges one shard's slice.  :attr:`ShardedDataStore.page_of` numbers
+to shards, and :meth:`ShardedDataStore.charge_shard_replica` charges
+one shard's slice.  :attr:`ShardedDataStore.page_of` numbers
 every page of every shard once; page counts and Plan's covered-batch
 proof read it.
 
@@ -248,8 +247,9 @@ class ShardedDataStore:
         ``positions`` are indices into ``point_ids`` (ascending) of the
         ids living on that shard and ``local_rows`` their row indices in
         the shard's store -- the one place the global-id -> (shard,
-        local row) mapping is applied, and what a fan-out task needs to
-        ``peek`` its slab and scatter it into union-ordered arrays.
+        local row) mapping is applied: a fan-out task charges its
+        ``local_rows``, and :meth:`peek` scatters each shard's slab to
+        its ``positions``.
         """
         ids = np.asarray(point_ids, dtype=int)
         shard_of = self.shard_of[ids]

@@ -364,8 +364,10 @@ class TestShardedDataStore:
         points, store = self._store()
         ids = np.array([5, 63, 0, 17, 5])
         np.testing.assert_allclose(store.peek(ids), points[ids])
-        # the Fetch stage's read: charge each shard's slice, then peek
-        # its slab and scatter it by the split's positions
+        # charge each shard's slice, then read it the way
+        # ShardedDataStore.peek does: peek each shard's slab and scatter
+        # it by the split's positions (the search path reads the index's
+        # frozen base instead)
         charge_groups(store, [ids])
         fetched = np.empty((ids.size, 6))
         for s, (positions, local) in enumerate(store.shard_split(ids)):

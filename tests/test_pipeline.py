@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from repro import (
+    ApproximateBrePartitionIndex,
     BrePartitionConfig,
     BrePartitionIndex,
     ItakuraSaito,
@@ -38,8 +39,10 @@ from repro.pipeline import (
     default_stages,
 )
 from repro.pipeline import refine as refine_module
+from repro.pipeline import rerank as rerank_module
+from repro.pipeline.plan import PlanStage
 from repro.serve import MicroBatchConfig, MicroBatcher, make_serving_index
-from repro.storage import BufferPool, DataStore
+from repro.storage import BufferPool, DataStore, FaultInjector
 
 from conftest import all_decomposable_divergences, charge_groups, points_for
 
@@ -74,18 +77,23 @@ def fonts_index(n, n_queries, n_partitions):
     return index, dataset.queries
 
 
-def plan_candidates(index, queries, k):
-    """Each query's own filter candidates: the Plan stage run with the
-    forest ignoring the covered-batch proof, which would otherwise hand
-    every query of a large batch the whole file."""
+def filter_only_batches(monkeypatch):
+    """Make Plan skip the covered-batch proof: every batch stays uncovered."""
     original = BBForest.range_union_batch
 
     def filter_only(self, subs, radii, point_filter=False, cover=None):
         return original(self, subs, radii, point_filter)
 
+    monkeypatch.setattr(BBForest, "range_union_batch", filter_only)
+
+
+def plan_candidates(index, queries, k):
+    """Each query's own filter candidates: the Plan stage run with the
+    forest ignoring the covered-batch proof, which would otherwise hand
+    every query of a large batch the whole file."""
     plan = SearchPipeline(index, [index.pipeline.stage("plan")])
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(BBForest, "range_union_batch", filter_only)
+        filter_only_batches(mp)
         return plan.run(QueryBatchContext(queries=queries, k=k)).candidates
 
 
@@ -376,6 +384,332 @@ class TestCrossBatchPoolReuse:
         assert pool.cross_batch_hits == 1
         pool.clear()
         assert pool.cross_batch_hits == 0
+
+
+# ----------------------------------------------------------------------
+# Refine reads the pinned base: scores pinned, no vector bytes from store
+# ----------------------------------------------------------------------
+
+BASES = ("fresh", "tombstoned", "extended", "rebuilt", "resharded", "recovered")
+
+
+def index_on_base(divergence, base, tmp_path):
+    """An index over ``N_POINTS`` rows whose published base is ``base``:
+    fresh, tombstoned, extend-merged and then carrying a delta (inserts
+    and tombstones), rebuilt, resharded, or recovered from its WAL."""
+    points = points_for(divergence, N_POINTS + 30, DIM, seed=1)
+    config = dict(page_size_bytes=PAGE_BYTES)
+    if base == "recovered":
+        config["wal_path"] = str(tmp_path / "wal.log")
+    index = build_index(divergence, points[:N_POINTS], **config)
+    if base == "tombstoned":
+        for pid in (3, 50, 111):
+            index.delete(pid)
+    elif base in ("extended", "rebuilt", "recovered"):
+        for point in points[N_POINTS : N_POINTS + 20]:
+            index.insert(point)
+        for pid in (7, 80, N_POINTS + 2):
+            index.delete(pid)
+        index.merge("rebuild" if base == "rebuilt" else "extend")
+        if base != "rebuilt":
+            for point in points[N_POINTS + 20 :]:
+                index.insert(point)
+            for pid in (9, N_POINTS + 4):
+                index.delete(pid)
+    elif base == "resharded":
+        index.reshard(4, replication_factor=2)
+    if base == "recovered":
+        index.close()
+        index = BrePartitionIndex.recover(
+            config["wal_path"], divergence, index.config
+        )
+    return index
+
+
+class _Observer(PipelineStage):
+    """Appended after Rerank: keeps every finished context."""
+
+    name = "observe"
+
+    def __init__(self, index) -> None:
+        super().__init__(index)
+        self.contexts = []
+
+    def run(self, ctx: QueryBatchContext) -> None:
+        self.contexts.append(ctx)
+
+
+def observe(index):
+    observer = _Observer(index)
+    index.pipeline = SearchPipeline(index, default_stages(index) + [observer])
+    return observer.contexts
+
+
+class TestRefineScoresPinned:
+    """Refine's scores themselves, not just the top-k the oracle suites
+    check (a wrong but well-ordered kernel still ranks right and only
+    slows the rerank): every ``ctx.scores_of(q, rows)`` is bitwise
+    ``score_dense`` over the store's own rows (``peek``) with freshly
+    computed kernel terms, on every base a mutation can publish."""
+
+    @pytest.mark.parametrize("base", BASES)
+    @pytest.mark.parametrize("kernel", ["dense", "sparse"])
+    @pytest.mark.parametrize("name,divergence", all_decomposable_divergences(DIM))
+    def test_scores_equal_fresh_terms_over_store_rows(
+        self, name, divergence, kernel, base, tmp_path, monkeypatch
+    ):
+        index = index_on_base(divergence, base, tmp_path)
+        index.config.refine_kernel = kernel
+        queries = points_for(divergence, 32, DIM, seed=2)
+        contexts = observe(index)
+        index.search(queries[0], K)
+        assert index.search_batch(queries, K).stats.covered
+        with monkeypatch.context() as mp:
+            filter_only_batches(mp)
+            assert not index.search_batch(queries[:3], K).stats.covered
+        index.close()
+        assert len(contexts) == 3
+        refine = index.pipeline.stage("refine")
+        for ctx in contexts:
+            snap = ctx.snapshot
+            assert ctx.refine_kernel == kernel
+            for q, ids in enumerate(ctx.candidates):
+                want = refine.score_dense(
+                    snap.datastore.peek(ids),
+                    ctx.queries[q : q + 1],
+                    conditioner=snap.refine_conditioner,
+                )[:, 0]
+                got = ctx.scores_of(q, ctx.row_of[ids])
+                np.testing.assert_array_equal(got, want)
+                if ids.size == ctx.union.size:
+                    # the in-place read Rerank takes for a whole union
+                    np.testing.assert_array_equal(ctx.scores_of(q, slice(None)), want)
+
+    @pytest.mark.parametrize("base", BASES)
+    @pytest.mark.parametrize("name,divergence", all_decomposable_divergences(DIM))
+    def test_direct_kernel_scores_only_the_first_buffer(
+        self, name, divergence, base, tmp_path, monkeypatch
+    ):
+        # the expansion scores agree with the direct kernel to ~ulp on
+        # these inputs, so each query's rerank stops after its first
+        # buffer; a wrong kernel grows it towards every candidate
+        index = index_on_base(divergence, base, tmp_path)
+        queries = points_for(divergence, 32, DIM, seed=2)
+        contexts = observe(index)
+        scored = []
+        direct = divergence.batch_divergence
+
+        def counting(points, y):
+            scored.append(len(points))
+            return direct(points, y)
+
+        monkeypatch.setattr(divergence, "batch_divergence", counting)
+        for batch in (queries[:1], queries[:3], queries):
+            index.search_batch(batch, K)
+        index.close()
+        want = []
+        for ctx in contexts:
+            want += [
+                min(ids.size, max(2 * K, K + rerank_module._RERANK_BUFFER))
+                for ids in ctx.candidates
+            ]
+            if ctx.snapshot.has_delta:
+                want += [ctx.snapshot.delta.n_inserts] * ctx.n_queries
+        assert scored == want
+
+
+class TestSearchPathReadsNoVectors:
+    """Fetch charges pages and copies nothing; Refine and Rerank read
+    the pinned base.  With ``DataStore.peek`` raising, every search path
+    still returns the oracle's bits, and the same pages as without."""
+
+    @staticmethod
+    def _forbid_peek(monkeypatch):
+        def peek(self, point_ids):
+            raise AssertionError("the search path read vectors from the store")
+
+        monkeypatch.setattr(DataStore, "peek", peek)
+
+    def _run(self, index, calls, monkeypatch):
+        """Each call's ``(ids, divergences, pages, failures)``, run
+        normally and then with ``peek`` forbidden: the two must agree."""
+        want = [call(index) for call in calls]
+        with monkeypatch.context() as mp:
+            self._forbid_peek(mp)
+            got = [call(index) for call in calls]
+        assert got == want
+        return got
+
+    @staticmethod
+    def _search(query):
+        def call(index):
+            result = index.search(query, K)
+            return (
+                result.ids.tolist(),
+                result.divergences.tolist(),
+                result.stats.pages_read,
+                None,
+            )
+
+        return call
+
+    @staticmethod
+    def _batch(queries, covered):
+        def call(index):
+            batch = index.search_batch(queries, K)
+            assert batch.stats.covered == covered
+            return (
+                [None if r is None else r.ids.tolist() for r in batch.results],
+                [None if r is None else r.divergences.tolist() for r in batch.results],
+                batch.stats.pages_read,
+                sorted(batch.failures),
+            )
+
+        return call
+
+    @staticmethod
+    def _assert_oracle(divergence, points, queries, outcome):
+        ids, divs = outcome[0], outcome[1]
+        if not isinstance(ids[0], list):
+            ids, divs = [ids], [divs]
+        for query, got_ids, got_divs in zip(queries, ids, divs):
+            if got_ids is None:
+                continue
+            want_ids, want_divs = brute_force_knn(divergence, points, query, K)
+            assert got_ids == want_ids.tolist()
+            assert got_divs == want_divs.tolist()
+
+    def test_search_and_batches(self, monkeypatch):
+        divergence = ItakuraSaito()
+        points = points_for(divergence, N_POINTS, DIM, seed=1)
+        queries = points_for(divergence, 32, DIM, seed=2)
+        index = build_index(divergence, points, page_size_bytes=PAGE_BYTES)
+        search, covered = self._run(
+            index,
+            [self._search(queries[0]), self._batch(queries, covered=True)],
+            monkeypatch,
+        )
+        self._assert_oracle(divergence, points, queries[:1], search)
+        self._assert_oracle(divergence, points, queries, covered)
+        filter_only_batches(monkeypatch)
+        (uncovered,) = self._run(
+            index, [self._batch(queries[:4], covered=False)], monkeypatch
+        )
+        self._assert_oracle(divergence, points, queries[:4], uncovered)
+
+    def test_approximate_index(self, monkeypatch):
+        divergence = SquaredEuclidean()
+        points = points_for(divergence, N_POINTS, DIM, seed=1)
+        queries = points_for(divergence, 8, DIM, seed=2)
+        config = BrePartitionConfig(
+            n_partitions=3, seed=0, page_size_bytes=PAGE_BYTES, point_filter=True
+        )
+        index = ApproximateBrePartitionIndex(
+            divergence, probability=0.9, config=config
+        ).build(points)
+        self._run(
+            index,
+            [self._search(queries[0]), self._batch(queries, covered=False)],
+            monkeypatch,
+        )
+
+    def test_failover_around_a_dead_replica(self, monkeypatch):
+        divergence = SquaredEuclidean()
+        points = points_for(divergence, N_POINTS, DIM, seed=1)
+        queries = points_for(divergence, 8, DIM, seed=2)
+        injector = FaultInjector(seed=0)
+        index = BrePartitionIndex(
+            divergence,
+            BrePartitionConfig(
+                n_partitions=3,
+                seed=0,
+                page_size_bytes=PAGE_BYTES,
+                n_shards=4,
+                replication_factor=2,
+            ),
+        )
+        index.attach_fault_injector(injector)
+        index.build(points)
+        clean = build_index(
+            divergence, points, page_size_bytes=PAGE_BYTES, n_shards=4
+        )
+        injector.set_plan(shard=0, broken=True)
+        calls = [self._search(queries[0]), self._batch(queries, covered=True)]
+        outcomes = self._run(index, calls, monkeypatch)
+        assert outcomes == [call(clean) for call in calls]
+        self._assert_oracle(divergence, points, queries[:1], outcomes[0])
+        self._assert_oracle(divergence, points, queries, outcomes[1])
+
+    def test_hedged_read(self, monkeypatch):
+        divergence = SquaredEuclidean()
+        points = points_for(divergence, N_POINTS, DIM, seed=1)
+        queries = points_for(divergence, 8, DIM, seed=2)
+        injector = FaultInjector(seed=0)
+        index = BrePartitionIndex(
+            divergence,
+            BrePartitionConfig(
+                n_partitions=3,
+                seed=0,
+                page_size_bytes=PAGE_BYTES,
+                n_shards=2,
+                replication_factor=2,
+                hedge_after_ms=2.0,
+            ),
+        )
+        index.attach_fault_injector(injector)
+        index.build(points)
+        injector.set_plan(shard=0, stall_seconds=0.02)
+        with monkeypatch.context() as mp:
+            self._forbid_peek(mp)
+            batch = index.search_batch(queries, K)
+            time.sleep(0.1)  # let the straggling legs finish charging
+        assert batch.stats.n_hedged > 0
+        self._assert_oracle(
+            divergence,
+            points,
+            queries,
+            ([r.ids.tolist() for r in batch], [r.divergences.tolist() for r in batch]),
+        )
+        clean = build_index(
+            divergence, points, page_size_bytes=PAGE_BYTES, n_shards=2
+        )
+        assert batch.stats.pages_read == clean.search_batch(queries, K).stats.pages_read
+
+    def test_partial_mode_with_a_broken_disk(self, monkeypatch):
+        divergence = SquaredEuclidean()
+        points = points_for(divergence, N_POINTS, DIM, seed=1)
+        queries = points_for(divergence, 8, DIM, seed=2)
+        injector = FaultInjector(seed=0)
+        index = BrePartitionIndex(
+            divergence,
+            BrePartitionConfig(
+                n_partitions=3,
+                seed=0,
+                page_size_bytes=PAGE_BYTES,
+                n_shards=4,
+                shard_failure="partial",
+            ),
+        )
+        index.attach_fault_injector(injector)
+        index.build(points)
+        injector.set_plan(shard=1, broken=True)
+        # steer query 0's candidates off the broken shard so one query
+        # survives next to the doomed ones
+        original = PlanStage.run
+
+        def steered(stage, ctx):
+            original(stage, ctx)
+            store = ctx.snapshot.datastore
+            ctx.candidates[0] = ctx.candidates[0][
+                store.shard_of[ctx.candidates[0]] != 1
+            ]
+
+        monkeypatch.setattr(PlanStage, "run", steered)
+        (outcome,) = self._run(
+            index, [self._batch(queries, covered=False)], monkeypatch
+        )
+        assert 0 not in outcome[3]
+        assert outcome[3]  # the broken disk still dooms queries
 
 
 def serve_all(index, k, queries, return_exceptions=False, **batcher_kwargs):
