@@ -10,8 +10,9 @@ Build pipeline (:meth:`BrePartitionIndex.build`, Algorithm 5):
 
 Search pipeline (Algorithm 6): one staged run in :mod:`repro.pipeline`
 -- Plan (bounds, radii, forest traversal), Fetch (page-union charging,
-shard fan-out), Refine (dense/sparse/auto expansion kernels) and Rerank
-(direct-kernel top-k) each transform one shared
+shard fan-out), Refine (dense/sparse/auto expansion estimates, each
+with a certified error bound) and Rerank (the certificate, then
+direct-kernel top-k) each transform one shared
 :class:`~repro.pipeline.QueryBatchContext`.  :meth:`BrePartitionIndex.search`
 is that run at ``B = 1`` and :meth:`BrePartitionIndex.search_batch` at
 any ``B``; both drivers validate inputs, snapshot the index, scope the
@@ -30,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 from ..bbtree.forest import BBForest
-from ..divergences.base import DecomposableBregmanDivergence
+from ..divergences.base import DecomposableBregmanDivergence, RowTerms
 from ..exceptions import (
     InvalidParameterError,
     NotDecomposableError,
@@ -44,6 +45,7 @@ from ..partitioning.optimizer import (
     optimal_partitions,
 )
 from ..pipeline import QueryBatchContext, SearchPipeline
+from ..pipeline.refine import refinement_block
 from ..pipeline.rerank import top_k_stable as _top_k_stable  # noqa: F401 - re-export
 from ..storage.buffer_pool import BufferPool
 from ..storage.io_stats import DiskAccessTracker
@@ -180,8 +182,8 @@ class BrePartitionIndex:
         # Conditioner for the expansion-form refinement kernels: maps
         # candidates and queries into the kernels' well-conditioned
         # regime via the divergence's exact invariance (centring for
-        # SED/Mahalanobis, scaling for ISD/KL).  Conditioning is
-        # elementwise, so every kernel and block size stays bitwise equal.
+        # SED/Mahalanobis, scaling for ISD/KL), which keeps the
+        # certified error bounds tight.
         conditioner = self.divergence.refinement_conditioner(points)
         with self._mutate_lock:
             self._publish(
@@ -194,7 +196,7 @@ class BrePartitionIndex:
                     transforms=transforms,
                     points=points,
                     refine_conditioner=conditioner,
-                    point_terms=self._point_terms(points, conditioner),
+                    row_terms=self._row_terms(points, conditioner),
                 )
             )
             self._delta = DeltaBuffer(d)
@@ -224,14 +226,22 @@ class BrePartitionIndex:
         self._points = base.points
         self._refine_conditioner = base.refine_conditioner
 
-    def _point_terms(self, points: np.ndarray, conditioner) -> tuple:
-        """The refinement kernel's query-independent terms of ``points``
-        (conditioned first): what each published base caches, so Refine
-        pays only per-pair work (the paper's Algorithm 5 rule for the
-        per-point tuples, applied to refinement)."""
-        if conditioner is not None:
-            points = conditioner.transform(points)
-        return self.divergence.point_terms(points)
+    def _row_terms(self, points: np.ndarray, conditioner) -> RowTerms:
+        """The query-independent terms each published base caches for
+        ``points`` (conditioned first): the refinement kernel's and the
+        certified bound's, so Refine pays only per-query and per-pair
+        work (the paper's Algorithm 5 rule for the per-point tuples,
+        applied to refinement).  Row blocks keep the conditioned copy
+        small; the terms are row reductions, so blocking changes no
+        value."""
+        block = refinement_block(1, points.shape[1])
+        blocks = []
+        for lo in range(0, points.shape[0], block):
+            rows = points[lo : lo + block]
+            if conditioner is not None:
+                rows = conditioner.transform(rows)
+            blocks.append(self.divergence.row_terms(rows))
+        return RowTerms.concatenate(blocks)
 
     def _make_datastore(self, points: np.ndarray, forest: BBForest) -> ShardedDataStore:
         """Lay the point file out in the seed tree's leaf order across
@@ -490,7 +500,7 @@ class BrePartitionIndex:
             transforms=SubspaceTransforms(self.divergence, partitioning, points),
             points=points,
             refine_conditioner=conditioner,
-            point_terms=self._point_terms(points, conditioner),
+            row_terms=self._row_terms(points, conditioner),
             global_ids=gids,
         )
 
@@ -509,17 +519,15 @@ class BrePartitionIndex:
             transforms = base.transforms.extended(cut.points)
             # row terms of the appended rows only: row reductions, so
             # they equal the terms of the stacked file's last rows
-            appended = self._point_terms(cut.points, base.refine_conditioner)
-            point_terms = tuple(
-                np.concatenate([old, new])
-                for old, new in zip(base.point_terms, appended)
+            row_terms = RowTerms.concatenate(
+                [base.row_terms, self._row_terms(cut.points, base.refine_conditioner)]
             )
         else:
             points = base.points
             forest = base.forest
             datastore = base.datastore
             transforms = base.transforms
-            point_terms = base.point_terms
+            row_terms = base.row_terms
         gids = np.concatenate([base.global_ids, cut.ids])
         dead = None
         if dead_mask is not None and dead_mask.any():
@@ -539,7 +547,7 @@ class BrePartitionIndex:
             # sides of the expansion identically, so reusing the old one
             # keeps old *and* new rows exact
             refine_conditioner=base.refine_conditioner,
-            point_terms=point_terms,
+            row_terms=row_terms,
             global_ids=gids,
             dead_rows=dead,
         )
@@ -807,12 +815,14 @@ class BrePartitionIndex:
         * each BB-tree is traversed once for the whole batch, testing a
           node's ball against every active query in one vectorized
           bisection (Plan);
-        * candidate vectors are fetched with page reads coalesced across
+        * candidate pages are charged with reads coalesced across
           queries -- fanned out one task per shard -- so overlapping
           candidate pages are charged once (Fetch);
-        * all (candidate, query) pairs are scored through the adaptive
-          dense/sparse kernel and reranked with the direct kernel
-          (Refine, Rerank).
+        * every (candidate, query) pair is estimated through the
+          adaptive dense (one BLAS product per block) or sparse kernel,
+          each estimate with a proved error bound (Refine);
+        * per query, only the rows the bound cannot rule out are scored
+          with the direct kernel, whose top-k is the oracle's (Rerank).
 
         Returns a :class:`BatchSearchResult`; ``result[b]`` is query
         ``b``'s :class:`SearchResult`.  Per-query ``pages_read`` reports

@@ -189,10 +189,13 @@ class BaseState:
     *new* components and publish a new ``BaseState``; in-flight searches
     keep reading the one they pinned.  ``points`` is the frozen rows'
     full vectors (the bytes the datastore holds; Refine and Rerank read
-    them directly), ``point_terms`` the query-independent expansion
-    terms of the conditioned rows,
-    ``divergence.point_terms(refine_conditioner.transform(points))``,
-    computed once per base (see
+    them directly), ``row_terms`` the conditioned rows'
+    query-independent terms,
+    ``divergence.row_terms(refine_conditioner.transform(points))``: the
+    expansion kernel's ``point_terms`` and the certified error bound's
+    ``A`` and ``||x~||`` (two floats per row), computed once per base
+    (see :class:`~repro.divergences.base.RowTerms` and the term and
+    bound contracts on
     :class:`~repro.divergences.base.DecomposableBregmanDivergence`).
     ``global_ids`` maps frozen row ->
     external point id (identity until a merge introduces renumbering);
@@ -211,7 +214,7 @@ class BaseState:
         "transforms",
         "points",
         "refine_conditioner",
-        "point_terms",
+        "row_terms",
         "global_ids",
         "dead_rows",
         "identity",
@@ -232,7 +235,7 @@ class BaseState:
         transforms,
         points: np.ndarray,
         refine_conditioner,
-        point_terms: Tuple[np.ndarray, ...],
+        row_terms,
         global_ids: Optional[np.ndarray] = None,
         dead_rows: Optional[np.ndarray] = None,
     ) -> None:
@@ -244,7 +247,7 @@ class BaseState:
         self.transforms = transforms
         self.points = points
         self.refine_conditioner = refine_conditioner
-        self.point_terms = point_terms
+        self.row_terms = row_terms
         n = points.shape[0]
         if global_ids is None:
             global_ids = np.arange(n)
@@ -284,7 +287,7 @@ class BaseState:
                 "transforms",
                 "points",
                 "refine_conditioner",
-                "point_terms",
+                "row_terms",
                 "global_ids",
                 "dead_rows",
             )

@@ -27,13 +27,16 @@ Two base classes are provided:
   subclass with its own expansion-form refinement kernel states its
   terms once, in ``point_terms``/``query_terms``/``combine`` (the term
   contract on the class), and both the dense and the grouped kernel
-  build from them.
+  build from them.  Beside them it states the magnitudes of its proved
+  error bound (``point_bound_terms``/``query_bound_terms``/``estimable``,
+  the bound contract), which lets refinement contract in any summation
+  order and still certify which rows can be neighbours.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Sequence, Tuple
+from typing import NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -48,6 +51,8 @@ __all__ = [
     "BregmanDivergence",
     "DecomposableBregmanDivergence",
     "KernelTerms",
+    "RowTerms",
+    "error_scale",
     "pair_contract",
 ]
 
@@ -55,6 +60,50 @@ __all__ = [
 #: per query (``query_terms``), see the term contract on
 #: :class:`DecomposableBregmanDivergence`.
 KernelTerms = Tuple[np.ndarray, ...]
+
+#: unit roundoff of float64.
+_UNIT_ROUNDOFF = 2.0**-53
+
+#: the smallest positive (subnormal) float64.
+_SUBNORMAL = 2.0**-1074
+
+
+class RowTerms(NamedTuple):
+    """The query-independent terms of a block of conditioned rows, which
+    each published base caches (:meth:`DecomposableBregmanDivergence.row_terms`):
+    the kernel's ``point_terms``, and the certified bound's per-row
+    magnitude ``A`` and norm ``||x~||`` (the bound contract)."""
+
+    kernel: KernelTerms
+    bound: np.ndarray
+    norm: np.ndarray
+
+    def take(self, rows: np.ndarray) -> "RowTerms":
+        """The terms of a gathered row subset."""
+        return RowTerms(
+            tuple(term[rows] for term in self.kernel), self.bound[rows], self.norm[rows]
+        )
+
+    @classmethod
+    def concatenate(cls, parts: Sequence["RowTerms"]) -> "RowTerms":
+        """The terms of the stacked rows: every term is a row reduction."""
+        return cls(
+            tuple(np.concatenate(column) for column in zip(*(p.kernel for p in parts))),
+            np.concatenate([p.bound for p in parts]),
+            np.concatenate([p.norm for p in parts]),
+        )
+
+
+def error_scale(factor: float, dimensionality: int) -> Tuple[float, float]:
+    """``(scale, floor)`` of the certified bound
+    ``E = scale * (A + B + ||x~|| H) + floor`` (the bound contract on
+    :class:`DecomposableBregmanDivergence`): ``scale = |factor| 64 (d + 8)
+    u`` covers rounding, ``floor = (|factor| + 1) 64 (d + 8) 2^-1074``
+    gradual underflow in the conditioned and the raw frame.  ``factor``
+    is the conditioner's output factor (1.0 without one)."""
+    factor = abs(float(factor))
+    budget = 64.0 * (dimensionality + 8)
+    return factor * budget * _UNIT_ROUNDOFF, (factor + 1.0) * budget * _SUBNORMAL
 
 
 def pair_contract(
@@ -101,11 +150,11 @@ class RefinementConditioner:
     -- translation, per-dimension scaling, or homogeneity -- evaluating
     the kernel on transformed inputs (and rescaling the output by
     ``factor``) recovers the same mathematical values from
-    better-conditioned arithmetic.  Both the single-query and blocked
-    refinement paths apply the same conditioner elementwise, so their
-    bitwise agreement is unaffected, and the kernel terms an index
-    caches per row are those of the conditioned rows
-    (``point_terms(transform(rows))``).
+    better-conditioned arithmetic, and keeps the certified error bounds
+    (which scale with the conditioned magnitudes) tight.  Every
+    refinement path applies the same conditioner elementwise, and the
+    kernel and bound terms an index caches per row are those of the
+    conditioned rows (``row_terms(transform(rows))``).
 
     Parameters
     ----------
@@ -133,12 +182,15 @@ class RefinementConditioner:
         self.scale = scale
         self.factor = float(factor)
 
-    def transform(self, rows: np.ndarray) -> np.ndarray:
-        """Condition an ``(n, d)`` array of kernel inputs."""
+    def transform(
+        self, rows: np.ndarray, out: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Condition an ``(n, d)`` array of kernel inputs (into ``out``,
+        which may be ``rows`` itself, when given)."""
         if self.shift is not None:
-            rows = rows - self.shift
+            rows = np.subtract(rows, self.shift, out=out)
         if self.scale is not None:
-            rows = rows / self.scale
+            rows = np.divide(rows, self.scale, out=out)
         return rows
 
 
@@ -407,7 +459,9 @@ class DecomposableBregmanDivergence(BregmanDivergence):
     #   contracted against (grad f(q) here; a subclass may move a
     #   constant factor into combine), then per-query reductions;
     # * combine(...): the per-pair expression over the aligned terms and
-    #   the contraction <x, operand_q>, applied elementwise.
+    #   the contraction <x, operand_q>, applied elementwise.  It may
+    #   overwrite the contraction array (every caller passes a fresh one,
+    #   or its own output slice) and returns the values.
     #
     # The dense and grouped kernels below differ only in how they align
     # the terms (broadcast over the (n, B) matrix, or gathered per pair)
@@ -416,6 +470,119 @@ class DecomposableBregmanDivergence(BregmanDivergence):
     # Both run the one combine, so every grouped pair is bitwise equal
     # to its dense entry, and every entry to the same pair scored in any
     # other batch, block or row subset.
+    #
+    # Bound contract.  Refinement may also run the same terms and combine
+    # with the contraction in any summation order (BLAS), so its pair
+    # values are estimates, not fixed bits.  Each estimate s of a pair
+    # (x, q) comes with a proved bound on |s - D^|, where D^ is
+    # batch_divergence's *computed* value on the raw pair -- the bits
+    # the brute-force oracle returns:
+    #
+    #     E = |factor| 64 (d + 8) u (A(x~) + B(q~) + ||x~||_2 H(q~))
+    #         + (|factor| + 1) 64 (d + 8) 2^-1074,
+    #
+    # u = 2^-53, x~ and q~ the conditioned inputs and factor the
+    # conditioner's output factor (error_scale gives both scalars).
+    # Higham's inner-product bound (Accuracy and Stability of Numerical
+    # Algorithms, 2nd ed., section 3.1) puts the rounding error of a sum
+    # of d terms, in any order, within about d u times the sum of the
+    # terms' absolute values.  So the first part holds when, in the
+    # conditioned frame, A + B + ||x~|| H dominates (up to a small
+    # constant) the absolute values of every term either computation
+    # rounds:
+    #
+    # * the estimate's point and query terms, its contraction and its
+    #   combine (the output factor is one more rounding);
+    # * the direct kernel's own per-coordinate terms, scaled by
+    #   1/factor;
+    # * each coordinate's exp/log/pow, good to a few ulps of its result
+    #   (NumPy's are not correctly rounded);
+    # * the first-order change of D when the conditioner rounds x~ and
+    #   q~ (one ulp each, times the partial derivatives);
+    # * the survivor comparison's own rounding of s +- E.
+    #
+    # Summed, those stay below 8 (d + 16) u (A + B + ||x~|| H) when each
+    # transcendental is good to 8 ulps, so the constant 64 leaves a
+    # margin of at least 4; the measured one is over a thousand.
+    #
+    # The second part, the floor, covers gradual underflow (IEEE
+    # subnormals; NumPy and OpenBLAS do not flush them to zero), where
+    # a rounding is absolute, not relative: a product or quotient that
+    # underflows is off by up to 2^-1075, an exp/log/pow result by a few
+    # 2^-1074, and a sum or difference of subnormals is exact.  Each
+    # frame rounds at most a few such results per coordinate, so 64
+    # (d + 8) units cover them: in the conditioned frame the output
+    # factor scales them by |factor|, in the raw (direct) frame by 1.
+    # That holds while no underflowed result is then scaled by more than
+    # a small constant -- or by a quantity whose own size already puts
+    # the first part above it (a row coordinate that also enters A, say).
+    # A kernel that would scale one otherwise refuses the query in
+    # estimable: ED's contraction scales e^{q~_j} by x~_j while A may be
+    # subnormal, so ED refuses a query whose e^{q~} would underflow.
+    # Assumed, not checked: no Itakura-Saito or generalized-KL pair has a
+    # coordinate ratio x_j / q_j below 2^-1022 (a log of a subnormal
+    # quotient loses its relative accuracy), and every diagonal
+    # Mahalanobis weight lies in [2^-1022, 8] wherever coordinates or
+    # their differences fall below 1e-150 (a weight then scales an
+    # underflowed square).
+    #
+    # Cauchy-Schwarz turns every pair term sum |x~_j| g_j into
+    # ||x~|| ||g||, which is how per-pair magnitudes split into a
+    # per-row A, a per-query B and H, and the row norm ||x~|| (the index
+    # caches A and ||x~|| per row beside point_terms: row_terms).  A
+    # divergence with its own expansion states, beside its terms and
+    # with the derivation:
+    #
+    # * point_bound_terms(rows): A per (conditioned) row;
+    # * query_bound_terms(queries): (B, H) per (conditioned) query;
+    # * estimable(queries): which conditioned queries keep every term and
+    #   magnitude finite, and no underflow the floor misses.  The others
+    #   get no estimate: every candidate of such a query goes to the
+    #   direct kernel.
+    #
+    # The generic expansion below, which ShannonEntropy and
+    # PNormDivergence use, takes A = sum|phi(x)|, B = sum(|phi(q)| +
+    # |q phi'(q)|) and H = ||phi'(q)||.  Its terms and the direct
+    # kernel's are phi(x), phi(q), x phi'(q) and q phi'(q), covered by
+    # A, B, ||x|| H and B.  Those magnitudes assume no conditioner (the
+    # base class returns none), so there is no conditioner rounding to
+    # cover; a subclass that conditions states its own.  They also
+    # assume each phi/phi' evaluation is good to a few ulps of the
+    # magnitudes it enters.  Shannon's phi'(t) = log t - log1p(-t)
+    # cancels near t = 1/2, but its error there is a few ulps of
+    # |log t| + |log(1-t)| <= |phi'(t)| + 2|phi(t)|, and since
+    # |x_j - q_j| < 1 on the unit interval that lands in ||x|| H + 2B.
+    # An underflowed phi'(q_j) (p-norm at a tiny |q_j|) is scaled by
+    # x_j: by at most 1 when |x_j| <= 1, and within A = sum |x|^p's
+    # share of the first part otherwise.
+
+    def row_terms(self, rows: np.ndarray) -> RowTerms:
+        """Everything a base caches per conditioned row: the kernel's
+        :meth:`point_terms` and the bound's ``A`` and ``||x~||``."""
+        return RowTerms(
+            self.point_terms(rows),
+            self.point_bound_terms(rows),
+            np.sqrt(np.einsum("nj,nj->n", rows, rows)),
+        )
+
+    def point_bound_terms(self, points: np.ndarray) -> np.ndarray:
+        """The bound's per-row magnitude ``A`` (see the bound contract)."""
+        return np.sum(np.abs(self.phi(points)), axis=1)
+
+    def query_bound_terms(
+        self, queries: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """The bound's per-query magnitudes ``(B, H)``."""
+        grad_q = self.phi_prime(queries)
+        magnitude = np.sum(
+            np.abs(self.phi(queries)) + np.abs(queries * grad_q), axis=1
+        )
+        return magnitude, np.sqrt(np.einsum("bj,bj->b", grad_q, grad_q))
+
+    def estimable(self, queries: np.ndarray) -> np.ndarray:
+        """Mask of the conditioned query rows whose expansion and bound
+        terms all stay finite (every row, unless a subclass says not)."""
+        return np.ones(queries.shape[0], dtype=bool)
 
     def point_terms(self, points: np.ndarray) -> KernelTerms:
         """Query-independent per-row terms of the expansion kernel."""
@@ -426,8 +593,7 @@ class DecomposableBregmanDivergence(BregmanDivergence):
         grad_q = self.phi_prime(queries)
         return (
             grad_q,
-            np.sum(self.phi(queries), axis=1),
-            np.einsum("bj,bj->b", grad_q, queries),
+            np.einsum("bj,bj->b", grad_q, queries) - np.sum(self.phi(queries), axis=1),
         )
 
     def combine(
@@ -441,11 +607,14 @@ class DecomposableBregmanDivergence(BregmanDivergence):
 
         ``query_terms`` are the per-query terms (the operand already
         went into ``contraction``); every array broadcasts to the
-        output's shape.
+        output's shape, which is ``contraction``'s.  The values are
+        computed in place in ``contraction``.
         """
         (fx,) = point_terms
-        fq, qdot = query_terms
-        return fx - fq - contraction + qdot
+        (qconst,) = query_terms
+        values = np.subtract(fx, contraction, out=contraction)
+        values += qconst
+        return values
 
     def cross_divergence(
         self,

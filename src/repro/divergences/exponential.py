@@ -13,6 +13,8 @@ configurable cap.
 
 from __future__ import annotations
 
+from typing import Tuple
+
 import numpy as np
 
 from ..exceptions import DomainError
@@ -30,6 +32,15 @@ _DEFAULT_MAX_ABS = 100.0
 
 #: cap on the conditioner shift so its e^shift output factor stays finite.
 _MAX_SHIFT = 700.0
+
+#: largest conditioned query coordinate the expansion estimates: log of
+#: the float64 max (709.78) less 64 of headroom for the bound's
+#: magnitudes (see ``estimable``).
+_EXP_LIMIT = float(np.log(np.finfo(float).max)) - 64.0
+
+#: smallest coordinate whose exp stays a normal float64: log of the
+#: smallest normal (-708.40) plus 1 of headroom (see ``estimable``).
+_EXP_NORMAL = float(np.log(np.finfo(float).tiny)) + 1.0
 
 
 class ExponentialDistance(DecomposableBregmanDivergence):
@@ -109,4 +120,50 @@ class ExponentialDistance(DecomposableBregmanDivergence):
     ) -> np.ndarray:
         (sum_ex,) = point_terms
         (qconst,) = query_terms
-        return sum_ex - contraction + qconst
+        values = np.subtract(sum_ex, contraction, out=contraction)
+        values += qconst
+        return values
+
+    # Bound magnitudes (the bound contract), in the conditioned frame
+    # (factor e^s turns them into raw magnitudes: e^x = e^s e^{x~}):
+    # * estimate: e^{x~} (A), x~ e^{q~} (||x~|| ||e^{q~}||, H) and
+    #   (q~ - 1) e^{q~} (B);
+    # * direct kernel: e^{x~} (A) and (x~ - q~ + 1) e^{q~}, which
+    #   splits into ||x~|| H and (|q~| + 1) e^{q~} (B);
+    # * conditioner: dD/dx~_j = e^{x~_j} - e^{q~_j} times |x~_j| gives
+    #   |x~| e^{x~} (A) and ||x~|| H; dD/dq~_j = (q~_j - x~_j) e^{q~_j}
+    #   times |q~_j| gives q~^2 e^{q~} (B) and ||x~|| ||q~ e^{q~}|| (H).
+    def point_bound_terms(self, points: np.ndarray) -> np.ndarray:
+        return np.sum(np.exp(points) * (1.0 + np.abs(points)), axis=1)
+
+    def query_bound_terms(
+        self, queries: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        # e^{q~} = e^top e^{q~ - top}, top the row max: the norms' squares
+        # stay <= 1 and cannot overflow for any estimable query
+        top = np.max(queries, axis=1)
+        rel = np.exp(queries - top[:, None])
+        abs_q = np.abs(queries)
+        weighted = abs_q * rel
+        scale = np.exp(top)
+        magnitude = np.sum(rel * (1.0 + abs_q + abs_q * abs_q), axis=1)
+        norms = np.sqrt(np.einsum("bj,bj->b", rel, rel)) + np.sqrt(
+            np.einsum("bj,bj->b", weighted, weighted)
+        )
+        return scale * magnitude, scale * norms
+
+    def estimable(self, queries: np.ndarray) -> np.ndarray:
+        # A query far above the data's shift would overflow e^{q~}.  The
+        # test runs before any exp, and keeps e^64 of headroom so the
+        # sums of q~^2 e^{q~} in B and ||x~|| H stay finite too.  A query
+        # far below it would underflow e^{q~_j}, whose absolute error the
+        # contraction then scales by x~_j (up to 2 max_abs) while A may be
+        # subnormal: beyond the floor, so the query is refused.  The raw
+        # frame is the direct kernel's: there (x - y + 1) scales e^{y_j},
+        # which stays normal for every coordinate a cap of at most 707.4
+        # admits; a larger cap estimates nothing.
+        if self.max_abs > -_EXP_NORMAL:
+            return np.zeros(queries.shape[0], dtype=bool)
+        return (np.max(queries, axis=1) <= _EXP_LIMIT) & (
+            np.min(queries, axis=1) >= _EXP_NORMAL
+        )

@@ -19,7 +19,7 @@ Two flavours are provided:
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -109,7 +109,30 @@ class DiagonalMahalanobis(DecomposableBregmanDivergence):
     ) -> np.ndarray:
         (xx,) = point_terms
         (qq,) = query_terms
-        return 0.5 * (xx - 2.0 * contraction + qq)
+        contraction *= -2.0
+        contraction += xx
+        contraction += qq
+        contraction *= 0.5
+        return contraction
+
+    # Bound magnitudes (the bound contract), conditioned frame, factor 1:
+    # * estimate: 1/2 x~^T W x~ (A), <x~, W q~> (||x~|| H) and
+    #   1/2 q~^T W q~ (B);
+    # * direct kernel: 1/2 sum w_j (x_j - q_j)^2 <= A + B;
+    # * conditioner: dD/dx~_j = w_j (x~_j - q~_j) times |x~_j|, and
+    #   dD/dq~_j = w_j (q~_j - x~_j) times |q~_j|, together at most
+    #   A + B + 2 ||x~|| H.
+    def point_bound_terms(self, points: np.ndarray) -> np.ndarray:
+        return np.einsum("nj,nj,j->n", points, points, self.weights)
+
+    def query_bound_terms(
+        self, queries: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        weighted = self.weights * queries
+        return (
+            np.einsum("bj,bj->b", weighted, queries),
+            np.sqrt(np.einsum("bj,bj->b", weighted, weighted)),
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"DiagonalMahalanobis(d={self.weights.size})"

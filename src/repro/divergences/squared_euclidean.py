@@ -10,6 +10,8 @@ the squared Mahalanobis distance from Section 3.1 of the paper.
 
 from __future__ import annotations
 
+from typing import Tuple
+
 import numpy as np
 
 from .base import (
@@ -72,4 +74,24 @@ class SquaredEuclidean(DecomposableBregmanDivergence):
     ) -> np.ndarray:
         (xx,) = point_terms
         (qq,) = query_terms
-        return xx - 2.0 * contraction + qq
+        contraction *= -2.0
+        contraction += xx
+        contraction += qq
+        return contraction
+
+    # Bound magnitudes (the bound contract), conditioned frame, factor 1:
+    # * estimate: ||x~||^2 (A), 2<x~, q~> (||x~|| H) and ||q~||^2 (B);
+    # * direct kernel: sum (x_j - q_j)^2 <= 2 (A + B), since the raw
+    #   difference is the conditioned one up to the conditioner's
+    #   rounding;
+    # * conditioner: dD/dx~_j = 2 (x~_j - q~_j) times |x~_j|, and
+    #   dD/dq~_j = 2 (q~_j - x~_j) times |q~_j|, together at most
+    #   2 (A + B) + 2 ||x~|| H.
+    def point_bound_terms(self, points: np.ndarray) -> np.ndarray:
+        return np.einsum("nj,nj->n", points, points)
+
+    def query_bound_terms(
+        self, queries: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        qq = np.einsum("bj,bj->b", queries, queries)
+        return qq, 2.0 * np.sqrt(qq)

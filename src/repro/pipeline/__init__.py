@@ -11,19 +11,23 @@ holding ``B`` query rows:
     Page-union charging, fanned out one task per shard through the
     :class:`~repro.exec.ShardExecutor`; it copies no vector.
 ``Refine``
-    Adaptive dense/sparse/auto cross-divergence kernel dispatch over the
-    union's rows of the pinned frozen base, with the base's cached
-    query-independent kernel terms.
+    Certified estimates: adaptive dense (BLAS)/sparse/auto expansion
+    kernel dispatch over the union's rows of the pinned frozen base,
+    with the base's cached query-independent kernel and bound terms;
+    each estimate carries a proved error bound.
 ``Rerank``
-    Direct-kernel top-k with the adaptive noise-floor buffer.
+    The certificate (only rows whose bound cannot rule them out
+    survive), then direct-kernel top-k over the survivors.
 
 There is one search path: :meth:`~repro.core.index.BrePartitionIndex.search`
 runs it at ``B = 1`` and ``search_batch`` at any ``B``, and the serving
 layer (:mod:`repro.serve`) and the stage-parity tests call the same
-stages.  Each stage preserves the kernels' row/pair bitwise-independence
-contracts, so a query's results are bitwise identical at every batch
-size and for every divergence, kernel and worker count; each stage's
-wall-clock time is recorded in ``stats.stage_seconds``.
+stages.  Every returned divergence comes from the direct kernel, whose
+rows are bitwise independent of batch composition, and the certificate
+keeps every row that could be a neighbour or a tie, so a query's results
+are bitwise identical at every batch size and for every divergence,
+kernel and worker count; each stage's wall-clock time is recorded in
+``stats.stage_seconds``.
 """
 
 from .base import PipelineStage, SearchPipeline, default_stages
@@ -31,7 +35,7 @@ from .context import QueryBatchContext
 from .fetch import FetchStage, union_rows
 from .plan import PlanStage
 from .refine import RefineStage, build_pairs
-from .rerank import RerankStage, top_k_stable
+from .rerank import RerankStage, survivors, top_k_stable
 
 __all__ = [
     "QueryBatchContext",
@@ -44,5 +48,6 @@ __all__ = [
     "RerankStage",
     "union_rows",
     "build_pairs",
+    "survivors",
     "top_k_stable",
 ]

@@ -76,11 +76,12 @@ class SearchPipeline:
         The entry point of the refinement benchmarks and kernel-parity
         tests: the context captures a snapshot of the index, and the
         candidates (frozen rows, each array sorted and unique) are
-        scored off its pinned base and reranked through the same stage
-        objects ``search_batch`` drives, so measured kernels are exactly
-        the production ones.  Nothing is charged (callers charge pages
-        themselves).  Returns the finished context (``refined`` holds
-        the per-query top-k pairs).
+        estimated off its pinned base, certified and reranked through
+        the same stage objects ``search_batch`` drives, so measured
+        kernels are exactly the production ones.  Nothing is charged
+        (callers charge pages themselves).  Returns the finished context
+        (``refined`` holds the per-query top-k pairs; ``scores_of`` and
+        ``bound_of`` the estimates and their bounds).
         """
         from .fetch import union_rows
 
@@ -99,7 +100,7 @@ class SearchPipeline:
     def refine_looped(
         self, candidates, queries: np.ndarray, k: int
     ) -> List[Tuple[np.ndarray, np.ndarray]]:
-        """Reference refinement: one dense kernel call and one top-k per
+        """Reference refinement: one certified scoring and one top-k per
         query, over per-query gathers.
 
         The loop structure the blocked kernels replaced, kept as the
@@ -107,17 +108,26 @@ class SearchPipeline:
         :meth:`refine_prefetched` against: the two must return bitwise
         equal ``(top_ids, divergences)`` pairs under any kernel choice.
         Unlike the stages, it reads the vectors from the store (through
-        ``peek``) and computes fresh kernel terms for them, so it also
-        checks the base's rows and cached terms.
+        ``peek``), computes fresh kernel and bound terms for them and
+        estimates with the fixed-order ``cross_divergence``
+        (``RefineStage.certify``), then runs the same certificate, so it
+        also checks the base's rows and cached terms.
         """
         refine, rerank = self.stage("refine"), self.stage("rerank")
         queries = np.atleast_2d(np.asarray(queries, dtype=float))
         refined = []
         for q, ids in enumerate(candidates):
             vectors = self.index.datastore.peek(ids)
-            scores = refine.score_dense(vectors, queries[q][None, :])[:, 0]
+            scores, bounds = refine.certify(vectors, queries[q][None, :])
             refined.append(
-                rerank.topk(ids, scores, queries[q], k, lambda sel: vectors[sel])
+                rerank.topk(
+                    ids,
+                    scores[:, 0],
+                    bounds[:, 0],
+                    queries[q],
+                    k,
+                    lambda sel: vectors[sel],
+                )
             )
         return refined
 

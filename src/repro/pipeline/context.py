@@ -31,11 +31,12 @@ class QueryBatchContext:
     The lifecycle mirrors the stage order.  ``Plan`` fills the filter
     outputs (``candidates`` / ``forest_stats`` / ``bound_totals``),
     ``Fetch`` the storage outputs (``union`` / ``row_of`` and the page
-    accounting), ``Refine`` the expansion scores, and ``Rerank`` the
-    final per-query ``refined`` top-k pairs.  No stage copies candidate
-    vectors into the context: Refine and Rerank read them from the
-    snapshot's pinned base.  ``stage_seconds`` is filled by the driver
-    with each stage's wall-clock time.
+    accounting), ``Refine`` the expansion estimates and their certified
+    bounds, and ``Rerank`` the final per-query ``refined`` top-k pairs.
+    No stage copies candidate vectors into the context: Refine and
+    Rerank read them from the snapshot's pinned base.  ``stage_seconds``
+    is filled by :meth:`~repro.pipeline.SearchPipeline.run` with each
+    stage's wall-clock time.
     """
 
     #: query rows, always 2-D ``(B, d)`` (``B = 1`` for single search).
@@ -115,11 +116,22 @@ class QueryBatchContext:
     #: backend) whenever anything was scored, ``None`` otherwise.  Kept
     #: for trace consumers that label Refine spans by backend.
     refine_backend: Optional[str] = None
-    #: ``scores_of(q, rows)`` -> query ``q``'s expansion scores in
+    #: ``scores_of(q, rows)`` -> query ``q``'s expansion estimates in
     #: candidate order, where ``rows`` are its candidates' rows within
     #: ``union`` (``ctx.row_of[ids]``, or ``slice(None)`` for a query
-    #: holding the whole union).
+    #: holding the whole union).  Their summation order is BLAS's, so
+    #: their bits are not fixed: each is certified only to within its
+    #: ``bound_of`` entry of the direct kernel's value.
     scores_of: Optional[Callable[[int, Any], np.ndarray]] = None
+    #: ``bound_of(q, rows)`` -> the proved bound ``E`` on
+    #: ``|estimate - batch_divergence|`` for the same pairs, aligned with
+    #: ``scores_of(q, rows)`` and formed on demand from cached row terms
+    #: and per-query terms (a :class:`~repro.pipeline.refine.ErrorBound`;
+    #: see the bound contract on
+    #: :class:`~repro.divergences.base.DecomposableBregmanDivergence`).
+    #: NaN, like the estimates, for a query the divergence cannot
+    #: estimate: all its candidates reach the direct kernel.
+    bound_of: Optional[Any] = None
 
     # -- Rerank outputs -------------------------------------------------
     #: per-query ``(top_ids, divergences)`` pairs, ascending divergence.

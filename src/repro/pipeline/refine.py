@@ -1,35 +1,39 @@
-"""Refine stage: expansion-kernel scoring of every (candidate, query) pair.
+"""Refine stage: certified estimates of every (candidate, query) pair.
 
-Owns the adaptive dense/sparse/auto kernel dispatch and the
-conditioner-wrapped cross-divergence kernels, all run in-process.  The
-stage reads the union's rows from the snapshot's pinned frozen base
-(``snap.base.points``; Fetch copies nothing) in
-:func:`refinement_block` row blocks, gathering only when the union is
-not every frozen row, conditions each block, and takes the rows'
-query-independent kernel terms from the base, which computed them
-once (``base.point_terms``), so a batch pays only per-query and
-per-pair work.  It scores either through the dense blocked kernel (the
-full matrix, stored query-major as ``(B, union)`` so each query's scores
-are one contiguous row) or the sparse grouped kernel (only real pairs,
-query-bucketed gathers, over the same gathered rows and cached terms);
-a single search is the same run at ``B = 1``, where ``auto`` always
-picks dense.  Every path produces bitwise-identical scores -- dense
-entries are independent of batch composition, blocking and whether a
-row's terms were cached or fresh, sparse pair values equal the dense
-matrix entries bit for bit -- so the kernel choice is purely a
-performance decision.
+The stage estimates each pair's divergence with the divergence's
+expansion terms and pairs it with a proved bound ``E`` on the gap to the
+direct kernel's computed value (the bound contract on
+:class:`~repro.divergences.base.DecomposableBregmanDivergence`).  Rerank
+reads both: only the rows the bound cannot rule out reach the direct
+kernel, so the estimates' bits never reach a result and the contraction
+may run through BLAS in any summation order.
 
-A note on the dense kernel's dead cells: the dense path scores the full
-union-by-batch matrix even though only ``total_pairs`` cells are real.
-Gathering only per-query candidate rows instead cannot help -- the
-union is by construction exactly the rows some query touches, and a
+The stage reads the union's rows from the snapshot's pinned frozen base
+(``snap.base.points``; Fetch copies nothing) in :func:`refinement_block`
+row blocks, gathering only when the union is not every frozen row,
+conditions each block, and takes the rows' query-independent terms from
+the base, which computed them once (``base.row_terms``: the kernel's
+``point_terms`` and the bound's ``A`` and ``||x~||`` per row).  A batch
+pays only per-query and per-pair work.  It estimates either through
+the dense kernel (one BLAS product ``operand @ rows.T`` per block, stored
+query-major as ``(B, union)`` so each query's estimates are one
+contiguous row) or the sparse grouped kernel (only real pairs, through
+``pair_contract``'s query-bucketed gathers, over the same gathered rows
+and cached terms); a single search is the same run at ``B = 1``, where
+``auto`` always picks dense.  Both leave ``ctx.scores_of`` (estimates)
+and ``ctx.bound_of`` (their bounds) on the context.  A query the
+divergence cannot estimate without overflow (``estimable``) gets NaN
+estimates and bounds, so every candidate of it reaches the direct
+kernel.  The kernel choice is purely a performance decision: both
+kernels' estimates hold the same bound, and results come from the
+direct kernel.
+
+A note on the dense kernel's dead cells: the dense path estimates the
+full union-by-batch matrix even though only ``total_pairs`` cells are
+real.  Gathering only per-query candidate rows instead cannot help --
+the union is by construction exactly the rows some query touches, and a
 per-query gather of real pairs *is* the sparse grouped kernel, which
 ``auto`` already routes to below :data:`SPARSE_DENSITY_THRESHOLD`.
-Measured at mid density on a 2-vCPU host (fonts proxy, d=400, B=64,
-a union of 800 rows, density 0.5) the sparse kernel's gather traffic
-loses to the dense kernel's sequential sweep, 21.6 ms against 13.4 ms,
-confirming the threshold; a separate gather path would regress, so
-none exists.
 """
 
 from __future__ import annotations
@@ -38,10 +42,12 @@ from typing import List, Tuple
 
 import numpy as np
 
+from ..divergences.base import RowTerms, error_scale
 from .base import PipelineStage
 from .context import QueryBatchContext
 
 __all__ = [
+    "ErrorBound",
     "RefineStage",
     "build_pairs",
     "refinement_block",
@@ -50,16 +56,19 @@ __all__ = [
 
 #: ``auto`` routes to the sparse kernel when the mean per-query
 #: candidate density over the union, ``mean(|candidates_q|) / |union|``,
-#: is below this.  The sparse kernel pays gather traffic per pair, so
-#: the break-even sits around 1/3 density.  Measured on a 2-vCPU host
-#: with the fonts proxy (d=400): at B=64 and density 0.5 (union 800)
-#: dense took 13.4 ms against sparse 21.6 ms; at B=256 with
-#: Pareto-skewed candidate sets (density 0.018) sparse ran 2.61x
-#: faster than dense.
-SPARSE_DENSITY_THRESHOLD = 0.3
+#: is below this: the break-even of the BLAS dense kernel against the
+#: sparse one, which pays gather traffic and a fixed-order einsum per
+#: pair.  Measured on a 2-vCPU host with one BLAS thread, fonts proxy
+#: (d=400), Refine plus Rerank, best of 9, Pareto-skewed candidate runs
+#: at B=64 unless noted (dense against sparse, ms): density 0.5 (half of
+#: an 800-row pool) 6.3 / 21.2; 0.067 4.1 / 4.7; 0.043 6.8 / 8.2; 0.031
+#: 8.9 / 9.1; 0.025 15.4 / 10.7; 0.020 22.4 / 19.8; 0.008 (B=256) 64.4 /
+#: 33.4.  (Against the fixed-order einsum dense kernel the break-even
+#: sat near 0.3.)
+SPARSE_DENSITY_THRESHOLD = 0.03
 
 #: float64 elements one blocked-kernel call may materialise: the larger
-#: of its ``(block, d)`` point-term slabs and ``(block, B)`` output
+#: of its ``(block, d)`` conditioned rows and ``(B, block)`` output
 #: stays near 2^20 (~8MB), cache-friendly without paying per-block
 #: dispatch for tiny slices.
 _BLOCK_BUDGET_ELEMENTS = 1 << 20
@@ -91,6 +100,40 @@ def refinement_block(n_queries: int, dimensionality: int) -> int:
     return max(1, _BLOCK_BUDGET_ELEMENTS // max(1, n_queries, dimensionality))
 
 
+class ErrorBound:
+    """The certified bound ``E = scale (A + B + ||x~|| H) + floor`` of
+    one batch's estimates (the bound contract on
+    :class:`~repro.divergences.base.DecomposableBregmanDivergence`).
+
+    ``bound(q, rows)`` is query ``q``'s ``E`` over union rows ``rows``,
+    formed on demand from the union's cached row terms (``A``,
+    ``||x~||``) and the batch's query terms (``B``, ``H``, with the
+    floor folded into ``B``'s share), so no second ``(B, union)``
+    matrix exists.  The rounding of assembling ``E`` is inside its
+    margin.
+    """
+
+    __slots__ = ("row_bound", "row_norm", "query_bound", "query_norm")
+
+    def __init__(
+        self, row_terms: RowTerms, query_bound, query_norm, scale: float, floor: float
+    ):
+        self.row_bound = scale * row_terms.bound
+        self.row_norm = scale * row_terms.norm
+        self.query_bound = scale * query_bound + floor
+        self.query_norm = query_norm
+
+    def __call__(self, q: int, rows) -> np.ndarray:
+        bound = self.row_norm[rows] * self.query_norm[q]
+        bound += self.row_bound[rows]
+        bound += self.query_bound[q]
+        return bound
+
+
+def _conditioned(conditioner, rows: np.ndarray, out=None) -> np.ndarray:
+    return rows if conditioner is None else conditioner.transform(rows, out=out)
+
+
 class RefineStage(PipelineStage):
     name = "refine"
 
@@ -105,46 +148,103 @@ class RefineStage(PipelineStage):
         # the pinned base: a merge republishing the index mid-flight
         # can't swap its rows, terms or conditioner under us
         base = ctx.snapshot.base
-        union, queries = ctx.union, ctx.queries
+        union = ctx.union
+        conditioner = base.refine_conditioner
+        factor = 1.0 if conditioner is None else conditioner.factor
+        queries = _conditioned(conditioner, ctx.queries)
+        ok = self.index.divergence.estimable(queries)
         # a sorted unique union as long as the file is every frozen row:
         # read the base in place, no gather
         whole = union.size == base.n_frozen
-
-        def rows(lo: int, hi: int):
-            """Union rows ``lo:hi`` of the base and their cached terms."""
-            sel = slice(lo, hi) if whole else union[lo:hi]
-            return base.points[sel], tuple(t[sel] for t in base.point_terms)
-
+        # the union's cached row terms, aligned with its positions
+        row_terms = base.row_terms if whole else base.row_terms.take(union)
+        ctx.bound_of = self._error_bound(row_terms, queries, ok, factor)
         if kernel == "sparse":
-            vectors, terms = rows(0, union.size)
-            pair_rows, pair_queries, offsets = build_pairs(ctx.candidates, ctx.row_of)
-            flat = self.score_sparse(
-                vectors,
-                queries,
-                pair_rows,
-                pair_queries,
-                conditioner=base.refine_conditioner,
-                point_terms=terms,
+            flat, offsets = self._estimate_sparse(
+                ctx, base, whole, row_terms, queries, ok, factor
             )
             ctx.scores_of = lambda q, rows: flat[offsets[q] : offsets[q + 1]]
         else:
-            # query-major, so each query's scores are one contiguous row
-            # for Rerank.  Each block is scored point-major and transposed
-            # in while it is cache-resident: the einsum's point-major loop
-            # reads a block once, a query-major one would stream it once
-            # per query (15-20% slower on the serve shape).
-            block = refinement_block(n_queries, base.points.shape[1])
-            cross = np.empty((n_queries, union.size), dtype=float)
-            for lo in range(0, union.size, block):
-                hi = min(lo + block, union.size)
-                vectors, terms = rows(lo, hi)
-                cross[:, lo:hi] = self.score_dense(
-                    vectors,
-                    queries,
-                    conditioner=base.refine_conditioner,
-                    point_terms=terms,
-                ).T
+            cross = self._estimate_dense(ctx, base, whole, row_terms, queries, ok, factor)
             ctx.scores_of = lambda q, rows: cross[q, rows]
+
+    def _error_bound(self, row_terms, queries, ok, factor) -> ErrorBound:
+        """The certified bounds of this batch's estimates over the rows
+        of ``row_terms``; NaN for a query without estimates."""
+        query_bound = np.full(queries.shape[0], np.nan)
+        query_norm = np.full(queries.shape[0], np.nan)
+        if ok.any():
+            query_bound[ok], query_norm[ok] = self.index.divergence.query_bound_terms(
+                queries[ok]
+            )
+        return ErrorBound(
+            row_terms, query_bound, query_norm, *error_scale(factor, queries.shape[1])
+        )
+
+    def _estimate_dense(
+        self, ctx, base, whole, row_terms, queries, ok, factor
+    ) -> np.ndarray:
+        """The ``(B, union)`` estimate matrix, one BLAS product per block,
+        each block conditioned in place (in one reused buffer when read
+        from the base in place) and combined in place in its slice of
+        the matrix."""
+        divergence = self.index.divergence
+        union, conditioner = ctx.union, base.refine_conditioner
+        dimensionality = queries.shape[1]
+        cross = np.empty((queries.shape[0], union.size), dtype=float)
+        every = bool(ok.all())
+        if not every:
+            cross[~ok] = np.nan
+            queries = queries[ok]
+        if queries.shape[0] == 0:
+            return cross
+        operand, *per_query = divergence.query_terms(queries)
+        per_query = tuple(term[:, None] for term in per_query)
+        block = refinement_block(queries.shape[0], dimensionality)
+        buffer = np.empty((min(block, union.size), dimensionality))
+        for lo in range(0, union.size, block):
+            hi = min(lo + block, union.size)
+            if whole:
+                rows = _conditioned(conditioner, base.points[lo:hi], out=buffer[: hi - lo])
+            else:
+                rows = base.points[union[lo:hi]]
+                rows = _conditioned(conditioner, rows, out=rows)
+            out = cross[:, lo:hi] if every else np.empty((queries.shape[0], hi - lo))
+            # BLAS may sum in any order: the certified bound holds for
+            # every order, and results come from the direct kernel
+            np.matmul(operand, rows.T, out=out)  # repro: noqa[fixed-order-reduction]
+            values = divergence.combine(
+                tuple(term[None, lo:hi] for term in row_terms.kernel),
+                per_query,
+                out,
+                dimensionality,
+            )
+            if factor != 1.0:
+                values *= factor
+            if values is not out or not every:
+                cross[ok, lo:hi] = values
+        return cross
+
+    def _estimate_sparse(self, ctx, base, whole, row_terms, queries, ok, factor):
+        """Estimates of the real pairs only, query-major in candidate
+        order, and each query's offsets into them."""
+        sel = slice(None) if whole else ctx.union
+        rows = _conditioned(base.refine_conditioner, base.points[sel])
+        pair_rows, pair_queries, offsets = build_pairs(ctx.candidates, ctx.row_of)
+        flat = np.full(pair_rows.size, np.nan)
+        keep = ok[pair_queries]
+        # query numbers among the estimable queries only
+        renumber = np.cumsum(ok) - 1
+        values = self.index.divergence.cross_divergence_grouped(
+            rows,
+            queries[ok],
+            pair_rows[keep],
+            renumber[pair_queries[keep]],
+            pair_block=refinement_block(1, rows.shape[1]),
+            point_terms=row_terms.kernel,
+        )
+        flat[keep] = values * factor if factor != 1.0 else values
+        return flat, offsets
 
     # ------------------------------------------------------------------
     # kernel dispatch
@@ -172,72 +272,32 @@ class RefineStage(PipelineStage):
         return "sparse" if density < SPARSE_DENSITY_THRESHOLD else "dense"
 
     # ------------------------------------------------------------------
-    # conditioner-wrapped kernels
+    # the reference scoring
     # ------------------------------------------------------------------
 
-    def score_dense(
-        self,
-        vectors: np.ndarray,
-        queries: np.ndarray,
-        conditioner=_UNSET,
-        point_terms=None,
-    ) -> np.ndarray:
-        """Exact ``(n, B)`` divergences of every (vector, query) pair.
+    def certify(
+        self, vectors: np.ndarray, queries: np.ndarray, conditioner=_UNSET
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(estimates, bounds)``, both ``(n, B)``, from fresh terms.
 
-        Routes through the divergence's expansion-form cross kernel,
-        first applying its :class:`RefinementConditioner` (centring /
-        scaling into the well-conditioned regime) and folding the
-        conditioner's output factor back in.  Conditioning is
-        elementwise, so scoring a row subset or block is bitwise
-        identical to slicing a full scoring -- the parity the blocked
-        and per-query paths rely on.  ``point_terms`` are the kernel's
-        terms of the *conditioned* rows (a slice of a base's cached
-        terms); ``None`` computes them fresh.
+        The reference the looped refinement and the tests use: the
+        divergence's fixed-order :meth:`cross_divergence` over the
+        conditioned ``vectors`` (its output factor folded back in), and
+        the certified bound from freshly computed row and query terms.
+        Defaults to the index's live conditioner.  A query the
+        divergence cannot estimate gets NaN in both.
         """
-        index = self.index
+        divergence = self.index.divergence
         if conditioner is _UNSET:
-            conditioner = index._refine_conditioner
-        if conditioner is not None:
-            vectors = conditioner.transform(vectors)
-            queries = conditioner.transform(queries)
-        values = index.divergence.cross_divergence(
-            vectors, queries, point_terms=point_terms
+            conditioner = self.index._refine_conditioner
+        factor = 1.0 if conditioner is None else conditioner.factor
+        rows = _conditioned(conditioner, vectors)
+        queries = _conditioned(conditioner, queries)
+        ok = divergence.estimable(queries)
+        estimates = np.full((rows.shape[0], queries.shape[0]), np.nan)
+        estimates[:, ok] = divergence.cross_divergence(rows, queries[ok]) * factor
+        bound_of = self._error_bound(divergence.row_terms(rows), queries, ok, factor)
+        bounds = np.stack(
+            [bound_of(q, slice(None)) for q in range(queries.shape[0])], axis=1
         )
-        if conditioner is not None and conditioner.factor != 1.0:
-            values = values * conditioner.factor
-        return values
-
-    def score_sparse(
-        self,
-        vectors: np.ndarray,
-        queries: np.ndarray,
-        point_index: np.ndarray,
-        query_index: np.ndarray,
-        conditioner=_UNSET,
-        point_terms=None,
-    ) -> np.ndarray:
-        """Sparse analogue of :meth:`score_dense`: only the listed pairs.
-
-        Applies the same conditioner, point terms and output factor, and
-        the grouped kernel's pair values are bitwise equal to the dense
-        kernel's matrix entries, so routing a query through this path
-        instead of the dense one cannot change a single bit of its
-        scores.
-        """
-        index = self.index
-        if conditioner is _UNSET:
-            conditioner = index._refine_conditioner
-        if conditioner is not None:
-            vectors = conditioner.transform(vectors)
-            queries = conditioner.transform(queries)
-        values = index.divergence.cross_divergence_grouped(
-            vectors,
-            queries,
-            point_index,
-            query_index,
-            pair_block=refinement_block(1, vectors.shape[1]),
-            point_terms=point_terms,
-        )
-        if conditioner is not None and conditioner.factor != 1.0:
-            values = values * conditioner.factor
-        return values
+        return estimates, bounds

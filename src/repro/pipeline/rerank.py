@@ -1,18 +1,24 @@
-"""Rerank stage: direct-kernel top-k over the preselected expansion scores.
+"""Rerank stage: the certificate, then direct-kernel top-k.
 
-The expansion kernel can lose precision to cancellation, so final
-results are drawn from an adaptively-sized preselection buffer and
-re-scored with the divergence's direct (well-conditioned)
-``batch_divergence`` -- the same formula the brute-force oracle uses.
-Every batch size (a single search is ``B = 1``), dense and sparse
-layouts, sequential and fanned-out fetches, and the looped reference
-all converge on one :meth:`RerankStage.topk` implementation, which is
-what makes their tie-breaking -- and therefore the bitwise row parity
-between batch sizes -- identical by construction.  Each query reads its
-expansion scores as one contiguous row of Refine's query-major matrix
-(in place when it holds the whole union), and the direct kernel's few
-rows are gathered from the snapshot's pinned frozen base -- the same
-bytes the store holds.
+Refine leaves estimates and their proved error bounds ``E``; the
+estimates' bits never reach a result.  Per query, :func:`survivors`
+takes ``tau``, the largest ``estimate + E`` among the query's ``k``
+smallest estimates, and keeps the rows with ``estimate - E <= tau``.
+Any ``k`` rows have direct values at most their ``estimate + E``, so
+``tau`` is at least the oracle's ``k``-th value, and a pruned row's
+direct value is strictly above it: it is neither a neighbour nor a tie.
+The survivors are re-scored with the divergence's direct
+``batch_divergence`` -- the same formula the brute-force oracle uses --
+and :func:`top_k_stable` picks by value, then id.  Results are therefore
+bitwise the oracle's by proof, whatever order Refine summed in.  Every
+batch size (a single search is ``B = 1``), dense and sparse layouts and
+the looped reference converge on one :meth:`RerankStage.topk`, which is
+what makes their tie-breaking -- and the bitwise row parity between batch
+sizes -- identical by construction.  Each query reads its estimates as
+one contiguous row of Refine's query-major matrix (in place when it
+holds the whole union) and forms its bounds from cached row and query
+terms; the direct kernel's few rows are gathered from the snapshot's
+pinned frozen base -- the same bytes the store holds.
 
 Snapshot-aware reranking: when the context's snapshot carries a
 non-identity row -> external-id mapping, candidates are reordered by
@@ -34,11 +40,7 @@ import numpy as np
 from .base import PipelineStage
 from .context import QueryBatchContext
 
-__all__ = ["RerankStage", "top_k_stable"]
-
-#: extra candidates (beyond k) preselected by the fast expansion kernel
-#: and re-scored with the direct kernel before the final top-k.
-_RERANK_BUFFER = 16
+__all__ = ["RerankStage", "survivors", "top_k_stable"]
 
 
 def top_k_stable(values: np.ndarray, k: int) -> np.ndarray:
@@ -61,6 +63,28 @@ def top_k_stable(values: np.ndarray, k: int) -> np.ndarray:
     else:
         pool = np.arange(values.size)
     return pool[np.argsort(values[pool], kind="stable")][:k_eff]
+
+
+def survivors(estimates: np.ndarray, bounds: np.ndarray, k: int) -> np.ndarray:
+    """Ascending positions of the rows the certificate cannot rule out.
+
+    ``bounds`` are the estimates' proved errors ``E``, aligned with
+    ``estimates``.  With ``k`` or fewer rows every row survives.
+    Otherwise ``tau`` is the largest ``estimate + E`` among the ``k``
+    smallest estimates, and a row is pruned only when its finite
+    ``estimate - E`` exceeds ``tau``; a row whose estimate or bound is
+    not finite survives, and so does every row when one of the ``k`` has
+    no finite ``estimate + E``.  The rounding of ``estimate +- E`` is
+    inside ``E`` (the bound contract).
+    """
+    if estimates.size <= k:
+        return np.arange(estimates.size)
+    first = np.argpartition(estimates, k - 1)[:k]
+    upper = estimates[first] + bounds[first]
+    if not np.isfinite(upper).all():
+        return np.arange(estimates.size)
+    lower = estimates - bounds
+    return np.flatnonzero(~(lower > upper.max()) | np.isinf(lower))
 
 
 class RerankStage(PipelineStage):
@@ -94,15 +118,19 @@ class RerankStage(PipelineStage):
                     # every query the same one
                     shared, ordered = ids, self._id_ordered(ids, snap)
                 ext_ids, frozen_rows, order = ordered
-                # a query holding the whole union reads its scores in place
-                rows = slice(None) if ids.size == union.size else row_of[ids]
+                # a query holding the whole union reads its estimates in
+                # place
+                whole = ids.size == union.size
+                rows = slice(None) if whole else row_of[ids]
                 scores = ctx.scores_of(q, rows)
                 if order is not None:
                     scores = scores[order]
+                    rows = order if whole else rows[order]
                 frozen_pairs.append(
                     self.topk(
                         ext_ids,
                         scores,
+                        ctx.bound_of(q, rows),
                         ctx.queries[q],
                         ctx.k,
                         lambda sel, frozen=frozen_rows: points[frozen[sel]],
@@ -159,45 +187,25 @@ class RerankStage(PipelineStage):
         self,
         ids: np.ndarray,
         scores: np.ndarray,
+        bounds: np.ndarray,
         query: np.ndarray,
         k: int,
         gather,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Final top-k: preselect by expansion score, rerank directly.
+        """Final top-k: the certificate's survivors, scored directly.
 
+        ``scores`` are estimates and ``bounds`` their proved errors, as
+        :func:`survivors` takes them.
         ``gather(positions)`` materialises candidate vectors for
         positions into ``ids``; every path passes a fresh contiguous
-        gather of the same rows, so looped, blocked and fanned-out
-        refinement rerank identical arrays and stay bitwise-equal.
-        Ties resolve by ascending id (``ids`` is sorted, positions are
-        sorted back before scoring).
-
-        The buffer is *adaptive*: reranking the preselection also
-        measures the expansion kernel's noise floor on this query -- the
-        largest |expansion - direct| disagreement over the buffer.  When
-        more candidates tie within that floor of the preselection
-        boundary than the buffer holds, any of them could be a true
-        neighbour the noisy preselection ranked out, so the buffer grows
-        to cover the tie set and reranks again instead of silently
-        risking a dropped result.  On well-conditioned data the measured
-        floor is ~ulp-sized and the loop exits first pass; in the worst
-        case the rerank degrades to a direct-kernel scan of all
-        candidates, which is exactly the safe fallback.
+        gather of the same rows, so looped, blocked and sparse refinement
+        score identical arrays with the direct kernel and stay bitwise
+        equal.  Ties resolve by ascending id (``ids`` is sorted and the
+        survivors keep its order).
         """
         if ids.size == 0:
             return (np.empty(0, dtype=int), np.empty(0, dtype=float))
-        divergence = self.index.divergence
-        buffer = min(ids.size, max(2 * k, k + _RERANK_BUFFER))
-        while True:
-            pre = np.sort(top_k_stable(scores, buffer))
-            exact = divergence.batch_divergence(gather(pre), query)
-            if buffer >= ids.size:
-                break
-            noise = float(np.max(np.abs(scores[pre] - exact)))
-            boundary = float(np.max(scores[pre]))
-            tied = int(np.count_nonzero(scores <= boundary + noise))
-            if tied <= buffer:
-                break
-            buffer = min(ids.size, max(tied, 2 * buffer))
+        keep = survivors(scores, bounds, k)
+        exact = self.index.divergence.batch_divergence(gather(keep), query)
         order = top_k_stable(exact, k)
-        return ids[pre][order], exact[order]
+        return ids[keep][order], exact[order]

@@ -26,6 +26,7 @@ from repro.datasets import load_dataset
 from repro.exceptions import InvalidParameterError
 from repro.exec import ShardExecutor
 from repro.pipeline import refine as refine_module
+from repro.pipeline import survivors
 from repro.storage import BufferPool, DiskAccessTracker, ShardedDataStore
 
 from conftest import all_decomposable_divergences, points_for
@@ -246,7 +247,10 @@ class TestConcurrentAccounting:
 
 
 class TestAdaptiveRerankBuffer:
-    """Satellite: the rerank buffer grows past noise-floor tie sets."""
+    """Adversarial estimates under the certificate.  (The
+    adaptive noise-floor buffer these inputs were built against is gone;
+    the certificate keeps every row its bound cannot rule out.  The test
+    names are kept.)"""
 
     def _index(self, points):
         return BrePartitionIndex(
@@ -254,10 +258,10 @@ class TestAdaptiveRerankBuffer:
         ).build(points)
 
     def test_tied_preselection_grows_buffer_to_true_neighbour(self):
-        # 40 candidates whose expansion scores all tie at 0.0 (total
+        # 40 candidates whose estimates all tie at 0.0 (total
         # cancellation); the direct kernel ranks the true nearest last
-        # by id.  A fixed buffer of max(2k, k+16) = 19 would rerank only
-        # the 19 lowest ids and silently drop it.
+        # by id.  A fixed buffer of the k lowest ids would silently drop
+        # it; under the certificate every tied row survives.
         rng = np.random.default_rng(0)
         points = rng.normal(size=(60, DIM))
         query = rng.normal(size=DIM)
@@ -267,28 +271,30 @@ class TestAdaptiveRerankBuffer:
         vectors = query + np.linspace(2.0, 3.0, 40)[:, None] * np.ones(DIM)
         vectors[39] = query + 1e-3
         scores = np.zeros(40)  # expansion floor: everything tied
+        _, bounds = index.pipeline.stage("refine").certify(vectors, query[None, :])
+        assert survivors(scores, bounds[:, 0], 3).size == 40
         top_ids, top_divs = index.pipeline.stage("rerank").topk(
-            ids, scores, query, 3, lambda sel: vectors[sel]
+            ids, scores, bounds[:, 0], query, 3, lambda sel: vectors[sel]
         )
         assert top_ids[0] == 39
         oracle = SquaredEuclidean().batch_divergence(vectors[top_ids], query)
         np.testing.assert_array_equal(top_divs, oracle)
 
     def test_accurate_scores_keep_buffer_small(self):
-        # when expansion and direct kernels agree to ~ulp, the measured
-        # noise floor cannot sweep extra candidates into the buffer and
-        # the first-pass rerank stands
+        # when the estimates are accurate their bound is tight: exactly
+        # k rows survive, and the direct kernel's top-k is the oracle's
         rng = np.random.default_rng(1)
         points = rng.normal(size=(80, DIM))
         query = rng.normal(size=DIM)
         index = self._index(points)
         ids = np.arange(80)
         vectors = points[:80]
-        scores = index.pipeline.stage("refine").score_dense(
+        scores, bounds = index.pipeline.stage("refine").certify(
             vectors, query[None, :]
-        )[:, 0]
+        )
+        assert survivors(scores[:, 0], bounds[:, 0], K).size == K
         top_ids, top_divs = index.pipeline.stage("rerank").topk(
-            ids, scores, query, K, lambda sel: vectors[sel]
+            ids, scores[:, 0], bounds[:, 0], query, K, lambda sel: vectors[sel]
         )
         oracle_ids, oracle_divs = brute_force_knn(
             SquaredEuclidean(), vectors, query, K
@@ -297,10 +303,11 @@ class TestAdaptiveRerankBuffer:
         np.testing.assert_array_equal(top_divs, oracle_divs)
 
     def test_spread_data_with_oversized_tie_set_matches_oracle(self):
-        # two clusters at +-1e8: the conditioned expansion's noise floor
-        # (~eps * 1e16 * d) dwarfs genuine gaps of O(1), so *every*
-        # cluster candidate ties -- far more than the fixed buffer.  The
-        # adaptive rerank must still recover the exact oracle answer.
+        # two clusters at +-1e8: the conditioned expansion's rounding
+        # (~eps * 1e16 * d) dwarfs genuine gaps of O(1), so the bound
+        # keeps *every* near-cluster candidate -- far more than k -- and
+        # only the far cluster is pruned.  The direct kernel must still
+        # recover the exact oracle answer.
         rng = np.random.default_rng(4)
         near = rng.normal(1e8, 1e-4, size=(40, DIM))  # 40-way noise tie
         far = rng.normal(-1e8, 1.0, size=(40, DIM))

@@ -21,6 +21,7 @@ from repro import (
     ApproximateBrePartitionIndex,
     BrePartitionConfig,
     BrePartitionIndex,
+    ExponentialDistance,
     ItakuraSaito,
     SquaredEuclidean,
     brute_force_knn,
@@ -311,8 +312,9 @@ class TestKernelsOnSynthesizedCandidates:
 
     def test_pareto_skewed(self):
         # per-query candidate sets Pareto-distributed over contiguous id
-        # runs: most keep a few dozen rows, a heavy tail up to the file
-        index, queries = fonts_index(n=600, n_queries=64, n_partitions=8)
+        # runs: most keep a few dozen rows, a heavy tail up to the file.
+        # At n=6,000 the density is ~0.02, below the BLAS break-even.
+        index, queries = fonts_index(n=6000, n_queries=64, n_partitions=8)
         n = index.n_points
         rng = np.random.default_rng(1)
         sizes = np.minimum(n, (8 * (1.0 + rng.pareto(1.3, size=64))).astype(int))
@@ -446,11 +448,15 @@ def observe(index):
 
 
 class TestRefineScoresPinned:
-    """Refine's scores themselves, not just the top-k the oracle suites
-    check (a wrong but well-ordered kernel still ranks right and only
-    slows the rerank): every ``ctx.scores_of(q, rows)`` is bitwise
-    ``score_dense`` over the store's own rows (``peek``) with freshly
-    computed kernel terms, on every base a mutation can publish."""
+    """Refine's estimates themselves, not just the top-k the oracle
+    suites check (a wrong but well-ordered kernel still ranks right and
+    only slows the rerank).  Estimates run through BLAS, so their bits
+    are not pinned; their certificate is: every ``ctx.scores_of(q,
+    rows)`` is within the context's ``ctx.bound_of(q, rows)`` of
+    ``batch_divergence`` over the store's own rows (``peek``), and that
+    bound is the one freshly computed terms give (``certify``), on every
+    base a mutation can publish.  (Until the certificate, this pinned
+    the fixed-order scores bitwise; the test names are kept.)"""
 
     @pytest.mark.parametrize("base", BASES)
     @pytest.mark.parametrize("kernel", ["dense", "sparse"])
@@ -474,25 +480,32 @@ class TestRefineScoresPinned:
             snap = ctx.snapshot
             assert ctx.refine_kernel == kernel
             for q, ids in enumerate(ctx.candidates):
-                want = refine.score_dense(
-                    snap.datastore.peek(ids),
+                vectors = snap.datastore.peek(ids)
+                direct = divergence.batch_divergence(vectors, ctx.queries[q])
+                fresh, fresh_bound = refine.certify(
+                    vectors,
                     ctx.queries[q : q + 1],
                     conditioner=snap.refine_conditioner,
-                )[:, 0]
-                got = ctx.scores_of(q, ctx.row_of[ids])
-                np.testing.assert_array_equal(got, want)
+                )
+                rows = ctx.row_of[ids]
+                got, bound = ctx.scores_of(q, rows), ctx.bound_of(q, rows)
+                np.testing.assert_allclose(bound, fresh_bound[:, 0], rtol=1e-12)
+                assert np.all(np.abs(got - direct) <= bound)
+                assert np.all(np.abs(fresh[:, 0] - direct) <= bound)
                 if ids.size == ctx.union.size:
                     # the in-place read Rerank takes for a whole union
-                    np.testing.assert_array_equal(ctx.scores_of(q, slice(None)), want)
+                    np.testing.assert_array_equal(ctx.scores_of(q, slice(None)), got)
+                    np.testing.assert_array_equal(ctx.bound_of(q, slice(None)), bound)
 
     @pytest.mark.parametrize("base", BASES)
     @pytest.mark.parametrize("name,divergence", all_decomposable_divergences(DIM))
     def test_direct_kernel_scores_only_the_first_buffer(
         self, name, divergence, base, tmp_path, monkeypatch
     ):
-        # the expansion scores agree with the direct kernel to ~ulp on
-        # these inputs, so each query's rerank stops after its first
-        # buffer; a wrong kernel grows it towards every candidate
+        # the direct kernel scores exactly the certificate's survivors,
+        # and on these well-separated inputs the bound is tight enough
+        # that exactly k rows per query survive; a wrong kernel or a
+        # loose bound lets more through
         index = index_on_base(divergence, base, tmp_path)
         queries = points_for(divergence, 32, DIM, seed=2)
         contexts = observe(index)
@@ -509,13 +522,115 @@ class TestRefineScoresPinned:
         index.close()
         want = []
         for ctx in contexts:
-            want += [
-                min(ids.size, max(2 * K, K + rerank_module._RERANK_BUFFER))
-                for ids in ctx.candidates
-            ]
+            for q, ids in enumerate(ctx.candidates):
+                rows = ctx.row_of[ids]
+                kept = rerank_module.survivors(
+                    ctx.scores_of(q, rows), ctx.bound_of(q, rows), K
+                )
+                assert kept.size == min(ids.size, K)
+                want.append(kept.size)
             if ctx.snapshot.has_delta:
                 want += [ctx.snapshot.delta.n_inserts] * ctx.n_queries
         assert scored == want
+
+
+class TestOverflowingQueries:
+    """A query whose conditioned terms would overflow gets no estimate:
+    every candidate of it goes to the direct kernel.  Exponential
+    distance with ``max_abs`` above ~355: the conditioner shifts by the
+    data max (about -600 here), so a query coordinate in [100, 300]
+    conditions to about 900 and ``e^900`` overflows.  Row estimates
+    became inf, the row holding the data max NaN (``0 * inf``), and the
+    true nearest neighbour could be dropped; under ``-W
+    error::RuntimeWarning`` the search raised instead."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("kernel", ["dense", "sparse"])
+    def test_far_query_coordinates_match_the_oracle(self, kernel, monkeypatch):
+        divergence = ExponentialDistance(max_abs=700.0)
+        rng = np.random.default_rng(0)
+        points = rng.uniform(-690.0, -600.0, size=(300, 8))
+        queries = rng.uniform(-690.0, -600.0, size=(20, 8))
+        far = rng.integers(0, 8, size=20)
+        queries[np.arange(20), far] = rng.uniform(100.0, 300.0, size=20)
+        index = build_index(divergence, points, n_partitions=1, refine_kernel=kernel)
+        oracle = [brute_force_knn(divergence, points, query, K) for query in queries]
+        results = [index.search(query, K) for query in queries]
+        batch = index.search_batch(queries, K)
+        assert batch.stats.covered
+        results += list(batch)
+        with monkeypatch.context() as mp:
+            filter_only_batches(mp)
+            batch = index.search_batch(queries, K)
+            assert not batch.stats.covered
+            results += list(batch)
+        for result, (ids, divs) in zip(results, oracle * 3):
+            np.testing.assert_array_equal(result.ids, ids)
+            np.testing.assert_array_equal(result.divergences, divs)
+
+
+class TestUnderflowingTerms:
+    """Gradual underflow is absolute, not relative, error: the certified
+    bound carries a floor for it, and a query whose kernel would scale
+    an underflowed term by a large coordinate is refused.  Exponential
+    distance at ``max_abs=700``: rows (700, -100), (-44.95, -44.95) and
+    (-44.07, -100) condition (shift 700) to exps that are subnormal or
+    zero, which the output factor ``e^700`` scales back up, so the
+    estimates of the two small rows were off by far more than the
+    rounding part of their bound, and the true nearest row was pruned.
+    Squared Euclidean near 1e-162: every product underflows, and the
+    rounding part of the bound is zero."""
+
+    def _check(self, divergence, points, queries, kernel, monkeypatch, k):
+        index = build_index(divergence, points, n_partitions=1, refine_kernel=kernel)
+        oracle = [brute_force_knn(divergence, points, query, k) for query in queries]
+        results = [index.search(query, k) for query in queries]
+        batch = index.search_batch(queries, k)
+        assert batch.stats.covered
+        results += list(batch)
+        with monkeypatch.context() as mp:
+            filter_only_batches(mp)
+            batch = index.search_batch(queries, k)
+            assert not batch.stats.covered
+            results += list(batch)
+        for result, (ids, divs) in zip(results, oracle * 3):
+            np.testing.assert_array_equal(result.ids, ids)
+            np.testing.assert_array_equal(result.divergences, divs)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("kernel", ["dense", "sparse"])
+    def test_subnormal_exponentials_match_the_oracle(self, kernel, monkeypatch):
+        divergence = ExponentialDistance(max_abs=700.0)
+        points = np.array([[700.0, -100.0], [-44.95, -44.95], [-44.07, -100.0]])
+        queries = np.array([[-100.0, -100.0], [-90.0, -100.0], [-5.0, -5.0]])
+        self._check(divergence, points, queries, kernel, monkeypatch, k=1)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_subnormal_query_exponentials_are_refused(self):
+        # conditioned query coordinates near -745: e^{q~_j} is subnormal,
+        # and the contraction would scale its absolute rounding error by
+        # x~_j (about -1400) past the floor, so such a query gets no
+        # estimate (NaN); every estimate given must hold its bound
+        divergence = ExponentialDistance(max_abs=700.0)
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            points = np.vstack([[700.0, 700.0], rng.uniform(-700.0, -690.0, (60, 2))])
+            queries = rng.uniform(-46.0, -44.0, (100, 2))
+            index = build_index(divergence, points, n_partitions=1)
+            estimates, bounds = index.pipeline.stage("refine").certify(points, queries)
+            for q, query in enumerate(queries):
+                direct = divergence.batch_divergence(points, query)
+                assert np.isnan(estimates[:, q]).all() or np.all(
+                    np.abs(estimates[:, q] - direct) <= bounds[:, q]
+                )
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("kernel", ["dense", "sparse"])
+    def test_subnormal_products_match_the_oracle(self, kernel, monkeypatch):
+        rng = np.random.default_rng(0)
+        points = rng.normal(0.0, 1e-162, size=(200, 6))
+        queries = rng.normal(0.0, 1e-162, size=(8, 6))
+        self._check(SquaredEuclidean(), points, queries, kernel, monkeypatch, k=K)
 
 
 class TestSearchPathReadsNoVectors:
