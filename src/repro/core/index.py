@@ -38,7 +38,7 @@ from ..exceptions import (
     NotFittedError,
     WALError,
 )
-from ..exec.executor import ShardExecutor, ShardHealthRegistry
+from ..exec.executor import FanoutPool, ShardExecutor, ShardHealthRegistry
 from ..partitioning.optimizer import (
     CostModelParams,
     calibrate_cost_model,
@@ -132,12 +132,15 @@ class BrePartitionIndex:
         #: (including merge/reshard rebuilds) is wired to.
         self._fault_injector = None
         #: per-disk health and circuit breakers, shared by every
-        #: short-lived fetch executor so breaker state persists across
+        #: per-call fetch executor so breaker state persists across
         #: searches (and across merge/reshard datastore rebuilds).
         self.shard_health = ShardHealthRegistry(
             failure_threshold=self.config.breaker_threshold,
             reset_seconds=self.config.breaker_reset_s,
         )
+        #: Fetch's shard fan-out threads, started by the first call
+        #: that needs them and kept across calls until :meth:`close`.
+        self._fanout = FanoutPool()
         #: the staged Plan -> Fetch -> Refine -> Rerank engine both
         #: search drivers (and the serving layer) run.
         self.pipeline = SearchPipeline(self)
@@ -510,18 +513,37 @@ class BrePartitionIndex:
         Old rows keep their positions, pages and bounds bitwise; the
         cut's tombstones become permanently dead rows whose global id is
         retired to the ``-1`` sentinel (so the same external id may
-        reappear as an appended row).
+        reappear as an appended row).  The refinement conditioner and
+        the old rows' cached terms are kept too, unless an appended
+        row's terms would not be finite under it
+        (:meth:`~repro.divergences.base.DecomposableBregmanDivergence.cacheable`):
+        then the conditioner is re-derived over every row and every
+        row's terms recomputed.
         """
+        conditioner = base.refine_conditioner
         if cut.n_inserts:
             points = np.vstack([base.points, cut.points])
             forest = base.forest.extended(points)
             datastore = base.datastore.extended(cut.points)
             transforms = base.transforms.extended(cut.points)
-            # row terms of the appended rows only: row reductions, so
-            # they equal the terms of the stacked file's last rows
-            row_terms = RowTerms.concatenate(
-                [base.row_terms, self._row_terms(cut.points, base.refine_conditioner)]
-            )
+            appended = cut.points
+            if conditioner is not None:
+                appended = conditioner.transform(appended)
+            if self.divergence.cacheable(appended).all():
+                # exact invariance: the conditioner only shifts/scales
+                # both sides of the expansion identically, so the old
+                # one keeps old *and* new rows exact.  Row terms of the
+                # appended rows only: row reductions, so they equal the
+                # terms of the stacked file's last rows
+                row_terms = RowTerms.concatenate(
+                    [base.row_terms, self._row_terms(cut.points, conditioner)]
+                )
+            else:
+                # an appended row's terms would overflow under the old
+                # conditioner: re-derive it over every row, as build and
+                # rebuild do
+                conditioner = self.divergence.refinement_conditioner(points)
+                row_terms = self._row_terms(points, conditioner)
         else:
             points = base.points
             forest = base.forest
@@ -543,10 +565,7 @@ class BrePartitionIndex:
             datastore=datastore,
             transforms=transforms,
             points=points,
-            # exact invariance: the conditioner only shifts/scales both
-            # sides of the expansion identically, so reusing the old one
-            # keeps old *and* new rows exact
-            refine_conditioner=base.refine_conditioner,
+            refine_conditioner=conditioner,
             row_terms=row_terms,
             global_ids=gids,
             dead_rows=dead,
@@ -809,9 +828,12 @@ class BrePartitionIndex:
         ``queries`` (same ids and divergences), but the whole pipeline is
         amortized across the batch:
 
-        * the ``(B, n, M)`` Theorem-1 bound tensor is one broadcasted
-          NumPy expression, and all per-query radii come from a single
-          ``np.argpartition`` over the ``(B, n)`` totals (Plan);
+        * the Theorem-1 bound tensor is one broadcasted NumPy
+          expression over the rows that can hold a query's ``k``
+          smallest bounds (at ``M = 1`` the base's k-skyband in
+          ``(alpha, gamma)``, a few percent of ``n``; every row at
+          ``M > 1``), and all per-query radii come from a single
+          ``np.argpartition`` over its ``(B, rows)`` totals (Plan);
         * each BB-tree is traversed once for the whole batch, testing a
           node's ball against every active query in one vectorized
           bisection (Plan);
@@ -908,16 +930,20 @@ class BrePartitionIndex:
             backoff_cap_seconds=self.config.io_backoff_cap_ms / 1000.0,
             health=self.shard_health,
             hedge_after_seconds=hedge / 1000.0 if hedge is not None else None,
+            pool=self._fanout,
         )
 
     def close(self) -> None:
-        """Release the write-ahead log's file handle, if any.
+        """Release the write-ahead log's file handle, if any, and join
+        the shard fan-out threads.
 
-        Searches keep working.  On a WAL-backed index every later
-        insert or delete raises :class:`~repro.exceptions.WALError`,
-        because it can no longer be logged before it is acknowledged.
-        Safe to call repeatedly.
+        Searches keep working (one that needs fan-out threads starts
+        them again).  On a WAL-backed index every later insert or
+        delete raises :class:`~repro.exceptions.WALError`, because it
+        can no longer be logged before it is acknowledged.  Safe to
+        call repeatedly.
         """
+        self._fanout.close()
         if self._wal is not None:
             self._wal.close()
 

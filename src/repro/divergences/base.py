@@ -538,7 +538,11 @@ class DecomposableBregmanDivergence(BregmanDivergence):
     # * estimable(queries): which conditioned queries keep every term and
     #   magnitude finite, and no underflow the floor misses.  The others
     #   get no estimate: every candidate of such a query goes to the
-    #   direct kernel.
+    #   direct kernel;
+    # * cacheable(rows): which conditioned rows keep their cached terms
+    #   (row_terms) finite.  Build conditions every row it caches; an
+    #   extend merge conditions appended rows with the old conditioner,
+    #   and re-derives it over all rows when one is not cacheable.
     #
     # The generic expansion below, which ShannonEntropy and
     # PNormDivergence use, takes A = sum|phi(x)|, B = sum(|phi(q)| +
@@ -583,6 +587,12 @@ class DecomposableBregmanDivergence(BregmanDivergence):
         """Mask of the conditioned query rows whose expansion and bound
         terms all stay finite (every row, unless a subclass says not)."""
         return np.ones(queries.shape[0], dtype=bool)
+
+    def cacheable(self, rows: np.ndarray) -> np.ndarray:
+        """Mask of the conditioned rows whose :meth:`row_terms` all stay
+        finite, decided before computing any (every row, unless a
+        subclass says not)."""
+        return np.ones(rows.shape[0], dtype=bool)
 
     def point_terms(self, points: np.ndarray) -> KernelTerms:
         """Query-independent per-row terms of the expansion kernel."""

@@ -33,9 +33,10 @@ _DEFAULT_MAX_ABS = 100.0
 #: cap on the conditioner shift so its e^shift output factor stays finite.
 _MAX_SHIFT = 700.0
 
-#: largest conditioned query coordinate the expansion estimates: log of
-#: the float64 max (709.78) less 64 of headroom for the bound's
-#: magnitudes (see ``estimable``).
+#: largest conditioned query coordinate the expansion estimates, and
+#: row coordinate whose terms a base caches: log of the float64 max
+#: (709.78) less 64 of headroom for the bound's magnitudes (see
+#: ``estimable`` and ``cacheable``).
 _EXP_LIMIT = float(np.log(np.finfo(float).max)) - 64.0
 
 #: smallest coordinate whose exp stays a normal float64: log of the
@@ -167,3 +168,11 @@ class ExponentialDistance(DecomposableBregmanDivergence):
         return (np.max(queries, axis=1) <= _EXP_LIMIT) & (
             np.min(queries, axis=1) >= _EXP_NORMAL
         )
+
+    def cacheable(self, rows: np.ndarray) -> np.ndarray:
+        # A row far above the conditioner's shift would overflow e^{x~}
+        # in its cached kernel term and A.  Build conditions with the
+        # data max, so only an extend merge's appended rows (conditioned
+        # with the old shift) can get here.  Underflow needs no test:
+        # the bound's floor covers subnormal row exps.
+        return np.max(rows, axis=1) <= _EXP_LIMIT

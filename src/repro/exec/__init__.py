@@ -5,8 +5,13 @@ parallel -- each shard owns a disjoint slice of the candidate union, its
 own simulated disk file and its own mirrored
 :class:`~repro.storage.io_stats.DiskAccessTracker` -- but until this
 subsystem they ran strictly sequentially.  :class:`ShardExecutor` fans
-them out across a configurable thread pool
-(:attr:`~repro.core.config.BrePartitionConfig.shard_workers`).
+them out across a configurable number of threads
+(:attr:`~repro.core.config.BrePartitionConfig.shard_workers`) of the
+index's :class:`FanoutPool`.  The pool starts with the first batch that
+needs threads and keeps them across calls, so a batch pays no thread
+start or join; a change to ``shard_workers`` restarts it at the new
+width, and :meth:`~repro.core.index.BrePartitionIndex.close` joins its
+threads.  Concurrent batches share it.
 
 One task per shard
 ------------------
@@ -24,7 +29,8 @@ not wait for a device.  A charge is a Python loop over pages that holds
 the GIL, so worker threads overlap almost nothing, and whether
 ``shard_workers > 1`` pays off on a given host is a measurement, not a
 given.  With one worker the executor degrades to an inline loop in
-shard order.
+shard order.  Hedged reads race on threads of their own, not the
+pool's.
 
 Determinism: each task returns its own shard's page count and the
 scope's dedup decides every charge, so results and page accounting are
@@ -42,6 +48,6 @@ Compute stays in-process: the Refine stage's NumPy kernels run on the
 calling thread after the fan-out returns.
 """
 
-from .executor import ShardExecutor, ShardHealthRegistry
+from .executor import FanoutPool, ShardExecutor, ShardHealthRegistry
 
-__all__ = ["ShardExecutor", "ShardHealthRegistry"]
+__all__ = ["FanoutPool", "ShardExecutor", "ShardHealthRegistry"]

@@ -4,12 +4,14 @@ See the package docstring (:mod:`repro.exec`) for the pipeline this
 executor powers.  The executor itself is deliberately small: it knows
 nothing about shards or kernels -- it runs a list of callables, either
 inline (``n_workers == 1``, the sequential-fan-out baseline) or on a
-short-lived :class:`~concurrent.futures.ThreadPoolExecutor` and
-records each task's wall-clock seconds.
+:class:`FanoutPool`, and records each task's wall-clock seconds.  The
+index owns one pool and keeps its threads across calls, so a batch
+pays no thread start or join; an executor built without a pool starts
+a private one per call and joins it before returning.
 
 Replication-aware routing lives here too.  A
 :class:`ShardHealthRegistry` (owned by the index, shared across the
-short-lived per-call executors) keeps one circuit breaker per simulated
+per-call executors) keeps one circuit breaker per simulated
 disk: ``failure_threshold`` consecutive permanent failures open the
 breaker, an open breaker is skipped outright (fail-fast, no retries
 against a disk known dead), and after ``reset_seconds`` it reports
@@ -26,10 +28,11 @@ bytes, and accounting is exact because both land in the same scope).
 
 from __future__ import annotations
 
+import functools
 import queue
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..exceptions import (
@@ -38,7 +41,7 @@ from ..exceptions import (
     TransientIOError,
 )
 
-__all__ = ["ShardExecutor", "ShardHealthRegistry"]
+__all__ = ["FanoutPool", "ShardExecutor", "ShardHealthRegistry"]
 
 #: circuit-breaker states reported by :meth:`ShardHealthRegistry.state`.
 BREAKER_CLOSED = "closed"
@@ -180,6 +183,62 @@ class ShardHealthRegistry:
         )
 
 
+class FanoutPool:
+    """A fan-out thread pool whose threads outlive the calls that use it.
+
+    Started lazily, with all its threads, at the width of the first call
+    that needs threads; a call that asks for another width retires it
+    and starts one of that width; :meth:`close` retires it for good (a
+    later call starts a fresh one).  Submission holds the pool's lock,
+    so no call ever submits to a pool a concurrent retirement has shut
+    down, and a retired pool still runs what was submitted before.
+    Retiring joins the pool's threads once their queued tasks finish.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._pool: Optional[ThreadPoolExecutor] = None
+        self._width = 0
+
+    def submit(self, width: int, fns: Sequence[Callable[[], Any]]) -> List[Future]:
+        """Submit every callable to the pool of ``width`` threads."""
+        retired = None
+        with self._lock:
+            if self._pool is None or self._width != width:
+                retired, self._pool = self._pool, self._start(width)
+                self._width = width
+            futures = [self._pool.submit(fn) for fn in fns]
+        if retired is not None:
+            retired.shutdown(wait=True)
+        return futures
+
+    @staticmethod
+    def _start(width: int) -> ThreadPoolExecutor:
+        """A pool with all ``width`` threads running: the executor starts
+        a thread per submission only while none is idle, and these
+        warm-up tasks wait for each other, so no later call starts one."""
+        pool = ThreadPoolExecutor(max_workers=width, thread_name_prefix="repro-fanout")
+        barrier = threading.Barrier(width)
+        try:
+            warm_up = [pool.submit(barrier.wait) for _ in range(width)]
+        except BaseException:
+            # a thread failed to start: release the ones already waiting
+            barrier.abort()
+            pool.shutdown(wait=True)
+            raise
+        for future in warm_up:
+            future.result()
+        return pool
+
+    def close(self) -> None:
+        """Shut the pool down and join its threads.  Safe to call
+        repeatedly."""
+        with self._lock:
+            retired, self._pool, self._width = self._pool, None, 0
+        if retired is not None:
+            retired.shutdown(wait=True)
+
+
 class ShardExecutor:
     """Run shard tasks concurrently on up to ``n_workers`` threads.
 
@@ -208,6 +267,11 @@ class ShardExecutor:
         :meth:`call_with_failover` hedges: a replica attempt still
         outstanding after this long races the next replica, first
         result wins.  ``None`` (default) never hedges.
+    pool:
+        Optional shared :class:`FanoutPool` (the index's) that
+        :meth:`run` submits to when it needs threads; ``None`` starts a
+        private pool per call.  Hedged reads race on their own threads
+        either way.
     """
 
     def __init__(
@@ -218,6 +282,7 @@ class ShardExecutor:
         backoff_cap_seconds: float = 0.05,
         health: Optional[ShardHealthRegistry] = None,
         hedge_after_seconds: Optional[float] = None,
+        pool: Optional[FanoutPool] = None,
     ) -> None:
         if n_workers < 1:
             raise InvalidParameterError(f"n_workers must be >= 1, got {n_workers}")
@@ -235,6 +300,7 @@ class ShardExecutor:
         self.backoff_cap_seconds = float(backoff_cap_seconds)
         self.health = health
         self.hedge_after_seconds = hedge_after_seconds
+        self.pool = pool
 
     def backoff_for(self, attempt: int) -> float:
         """Sleep before retry ``attempt`` (0-based): capped exponential."""
@@ -433,12 +499,18 @@ class ShardExecutor:
                 timed(index)
             return results, seconds
 
-        with ThreadPoolExecutor(
-            max_workers=min(self.n_workers, len(tasks))
-        ) as pool:
-            futures = [pool.submit(timed, index) for index in range(len(tasks))]
+        pool = self.pool if self.pool is not None else FanoutPool()
+        try:
+            futures = pool.submit(
+                min(self.n_workers, len(tasks)),
+                [functools.partial(timed, index) for index in range(len(tasks))],
+            )
+            wait(futures)
             for future in futures:
                 future.result()
+        finally:
+            if pool is not self.pool:
+                pool.close()
         return results, seconds
 
     def run_guarded(

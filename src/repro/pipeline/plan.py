@@ -1,14 +1,14 @@
 """Plan stage: Theorem-1 bounds, Algorithm-4 radii, forest traversal.
 
 Covers Algorithm 6 steps 1-3 for every query of the context at once:
-batched query triples, one ``(B, n, M)`` bound tensor, all search radii
-from one ``argpartition`` (including the index's
-``_adjust_radii_batch`` hook, which the approximate extension
-overrides), one batched range query per BB-forest tree (a dense
-fast-path pass over the tree's flat node array, then bisection rounds
-over the (node, query) pairs still open; see :mod:`repro.bbtree.flat`),
-and the per-query widening recovery when adjusted radii return fewer
-than ``k`` candidates.  A single search is the same run at ``B = 1``.
+batched query triples, one bound tensor, all search radii from one
+``argpartition`` (including the index's ``_adjust_radii_batch`` hook,
+which the approximate extension overrides), one batched range query
+per BB-forest tree (a dense fast-path pass over the tree's flat node
+array, then bisection rounds over the (node, query) pairs still open;
+see :mod:`repro.bbtree.flat`), and the per-query widening recovery
+when adjusted radii return fewer than ``k`` candidates.  A single
+search is the same run at ``B = 1``.
 
 Covered batches: a batch of two or more queries without
 ``point_filter`` first tries to prove, from the fast pass, that its
@@ -30,6 +30,15 @@ without ``point_filter`` (its shrunken radii can miss true
 neighbours) a covered batch refines every live row, so it returns the
 exact kNN at the filter's page cost.
 
+The bound tensor spans only the rows that can hold a query's ``k_plan``
+smallest Theorem-1 bounds
+(:meth:`~repro.core.transforms.SubspaceTransforms.search_bounds_batch`):
+at ``M = 1`` the base's k-skyband, the rows fewer than ``k_plan``
+others dominate in ``(alpha, gamma)``, which the base ordered once when
+it was published; every row at ``M > 1``.  Radii and totals are the
+full tensor's bit for bit, and the anchor ids are base rows, which the
+approximate extension's radius hook indexes.
+
 Snapshot semantics: all components (transforms, partitioning, forest)
 are read through ``ctx.snapshot`` so a concurrent merge can never swap
 structures mid-plan.  When the snapshot carries tombstones, Algorithm
@@ -38,14 +47,16 @@ then guarantees at least ``k_plan`` frozen candidates, of which at most
 ``n_dead`` are dead, so at least ``k`` live ones survive the tombstone
 filter applied after traversal (or all remaining live frozen points,
 when fewer than ``k`` exist -- the delta merge in Rerank supplies the
-rest).
+rest).  Dead rows keep their place in the domination order, so the
+k-skyband at ``k_plan`` stays exact on tombstoned and extend-merged
+bases.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..core.transforms import determine_search_bounds_batch, pad_radii
+from ..core.transforms import pad_radii
 from .base import PipelineStage
 from .context import QueryBatchContext
 
@@ -57,20 +68,21 @@ class PlanStage(PipelineStage):
 
     def run(self, ctx: QueryBatchContext) -> None:
         index = self.index
-        transforms, partitioning, forest, k_plan = self._components(ctx)
+        snap = ctx.snapshot
+        transforms, forest = snap.transforms, snap.forest
+        k_plan = min(snap.n_frozen, ctx.k + snap.n_dead)
         queries = ctx.queries
         triples = transforms.query_triples_batch(queries)
-        ub_tensor = transforms.upper_bound_tensor(triples)
-        search_bounds = determine_search_bounds_batch(ub_tensor, k_plan)
+        search_bounds = transforms.search_bounds_batch(triples, k_plan)
         exact_radii = pad_radii(search_bounds.radii)
         radii = pad_radii(index._adjust_radii_batch(search_bounds, triples, transforms))
 
-        sub_matrices = partitioning.split_matrix(queries)
+        sub_matrices = snap.partitioning.split_matrix(queries)
         point_filter = index.config.point_filter
         cover = None
         partial = index.config.shard_failure == "partial"
         if ctx.n_queries >= 2 and not point_filter and not partial:
-            cover = self._required_pages(ctx)
+            cover = self._required_pages(snap)
         candidates, forest_stats = forest.range_union_batch(
             sub_matrices, radii, point_filter=point_filter, cover=cover
         )
@@ -88,36 +100,19 @@ class PlanStage(PipelineStage):
                         candidates[q],
                         forest_stats[q],
                     )
-                candidates[q] = self._filter_live(ctx, candidates[q])
+                candidates[q] = snap.filter_live(candidates[q])
         ctx.candidates = candidates
         ctx.forest_stats = forest_stats
         ctx.bound_totals = np.asarray(search_bounds.totals, dtype=float)
 
-    def _components(self, ctx: QueryBatchContext):
-        """(transforms, partitioning, forest, k_plan) for this context."""
-        snap = ctx.snapshot
-        if snap is None:
-            index = self.index
-            return index.transforms, index.partitioning, index.forest, ctx.k
-        k_plan = min(snap.n_frozen, ctx.k + snap.n_dead)
-        return snap.transforms, snap.partitioning, snap.forest, k_plan
-
-    def _required_pages(self, ctx: QueryBatchContext) -> np.ndarray:
-        """Each frozen row's page on the context's store, ``-1`` for
-        rows the snapshot holds dead: the covered-batch proof's map."""
-        snap = ctx.snapshot
-        if snap is None:
-            return self.index.datastore.page_of
+    @staticmethod
+    def _required_pages(snap) -> np.ndarray:
+        """Each frozen row's page on the snapshot's store, ``-1`` for
+        rows it holds dead: the covered-batch proof's map."""
         pages = snap.datastore.page_of
         if snap.dead_mask is None:
             return pages
         return np.where(snap.dead_mask, -1, pages)
-
-    def _filter_live(self, ctx: QueryBatchContext, candidates: np.ndarray):
-        snap = ctx.snapshot
-        if snap is None:
-            return candidates
-        return snap.filter_live(candidates)
 
     def widen_if_short(
         self, forest, sub_queries, radii, exact_radii, k, candidates, forest_stats

@@ -15,10 +15,10 @@ private :class:`~repro.storage.io_stats.QueryScope` per call -- each
 batch dedups and counts pages against its own scope, so per-batch
 ``pages_read`` stays exact and per-shard totals still sum to the
 aggregate (``1``, the default, serializes batches exactly as before).
-Inside each call the sharded Fetch stage still fans out across its own
-:class:`~repro.exec.ShardExecutor` pool.  Storage is compute-only, so
-overlapping batches gains only what the GIL-releasing NumPy work lets
-threads share.
+Inside each call the sharded Fetch stage fans out over the index's
+:class:`~repro.exec.FanoutPool`, whose threads every batch shares and
+none starts anew.  Storage is compute-only, so overlapping batches
+gains only what the GIL-releasing NumPy work lets threads share.
 
 Overload is bounded: at most ``max_queue_depth`` requests may wait for
 dispatch.  Arrivals beyond that either await admission (``overflow

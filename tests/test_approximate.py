@@ -12,6 +12,7 @@ from repro import (
     brute_force_knn,
 )
 from repro.core.approximate import BetaXYModel
+from repro.core.transforms import SubspaceTransforms, determine_search_bounds_batch
 from repro.divergences import ExponentialDistance, ItakuraSaito, SquaredEuclidean
 from repro.exceptions import InvalidParameterError, NotFittedError
 from repro.pipeline import QueryBatchContext
@@ -186,3 +187,42 @@ class TestPinnedSnapshot:
         want = self._plan(twin, twin.snapshot(), queries, 5)
         for g, w in zip(got, want):
             np.testing.assert_array_equal(g, w)
+
+
+class TestSkybandRadii:
+    """At ``M = 1`` Plan bounds only the k-skyband; ABP's radius hook
+    reads the anchor's ``(alpha, gamma)``, which with duplicate rows
+    tied at the ``k``-th total is the same pair whichever duplicate
+    anchors, so its radii are the full tensor's bit for bit."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 5, 8])
+    def test_radii_with_duplicate_rows_equal_the_full_tensor(self, k, monkeypatch):
+        div = ExponentialDistance()
+        base = points_for(div, 80, 8, seed=81)
+        points = np.vstack([base, base[:40], base[:20]])  # rows repeated up to 3x
+        config = BrePartitionConfig(n_partitions=1, seed=0, point_filter=True)
+        index = ApproximateBrePartitionIndex(div, probability=0.8, config=config)
+        index.build(points)
+        queries = np.vstack([base[:6] + 0.01, points_for(div, 10, 8, seed=82)])
+        transforms = index.snapshot().transforms
+        triples = transforms.query_triples_batch(queries)
+        rows = transforms.bound_rows(triples, k)
+        assert rows is not None and rows.size < points.shape[0]
+        band = transforms.search_bounds_batch(triples, k)
+        full = determine_search_bounds_batch(transforms.upper_bound_tensor(triples), k)
+        np.testing.assert_array_equal(band.totals, full.totals)
+        np.testing.assert_array_equal(
+            index._adjust_radii_batch(band, triples, transforms),
+            index._adjust_radii_batch(full, triples, transforms),
+        )
+        # and end to end: the full-tensor Plan returns the same bits
+        def run():
+            singles = [index.search(q, k) for q in queries]
+            return singles + list(index.search_batch(queries, k))
+
+        results = run()
+        monkeypatch.setattr(SubspaceTransforms, "bound_rows", lambda self, t, k: None)
+        for a, b in zip(results, run()):
+            np.testing.assert_array_equal(a.ids, b.ids)
+            np.testing.assert_array_equal(a.divergences, b.divergences)
+            assert a.stats.pages_read == b.stats.pages_read

@@ -11,7 +11,9 @@ exactly to the aggregate even when charges race on worker threads.
 
 from __future__ import annotations
 
+import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -24,7 +26,7 @@ from repro import (
 )
 from repro.datasets import load_dataset
 from repro.exceptions import InvalidParameterError
-from repro.exec import ShardExecutor
+from repro.exec import FanoutPool, ShardExecutor
 from repro.pipeline import refine as refine_module
 from repro.pipeline import survivors
 from repro.storage import BufferPool, DiskAccessTracker, ShardedDataStore
@@ -109,6 +111,167 @@ class TestShardExecutor:
 
     def test_empty_task_list(self):
         assert ShardExecutor(4).run([]) == ([], [])
+
+
+class TestFanoutPool:
+    """The index keeps Fetch's fan-out threads across calls: they start
+    with the first batch that needs them, a worker-count change restarts
+    them at the new width, and ``close()`` joins them.  Results, pages
+    and the per-shard split are those of one worker."""
+
+    DIV = SquaredEuclidean()
+
+    def _index(self, workers):
+        points = points_for(self.DIV, N_POINTS, DIM, seed=1)
+        return sharded_index(self.DIV, points, shard_workers=workers)
+
+    def _queries(self, n=N_QUERIES, seed=2):
+        return points_for(self.DIV, n, DIM, seed=seed)
+
+    @staticmethod
+    def _started(monkeypatch):
+        """Every thread started from now on."""
+        started = []
+        original = threading.Thread.start
+
+        def start(self):
+            started.append(self)
+            original(self)
+
+        monkeypatch.setattr(threading.Thread, "start", start)
+        return started
+
+    @staticmethod
+    def _assert_same(a, b):
+        assert a.stats.pages_read == b.stats.pages_read
+        assert a.stats.pages_coalesced == b.stats.pages_coalesced
+        assert a.stats.pages_read_per_shard == b.stats.pages_read_per_shard
+        assert a.stats.io_retries == b.stats.io_retries == 0
+        assert a.stats.n_failovers == b.stats.n_failovers == 0
+        assert len(a.stats.shard_seconds) == len(b.stats.shard_seconds)
+        for x, y in zip(a, b):
+            np.testing.assert_array_equal(x.ids, y.ids)
+            np.testing.assert_array_equal(x.divergences, y.divergences)
+
+    def test_threads_start_only_on_the_first_call(self, monkeypatch):
+        index = self._index(2)
+        queries = self._queries()
+        started = self._started(monkeypatch)
+        counts = []
+        for _ in range(5):
+            index.search_batch(queries, K)
+            counts.append(len(started))
+        assert counts == [2] * 5
+        assert all(thread.is_alive() for thread in started)
+        index.close()
+        assert not any(thread.is_alive() for thread in started)
+
+    def test_worker_count_change_takes_effect(self, monkeypatch):
+        index, reference = self._index(2), self._index(1)
+        queries = self._queries()
+        want = reference.search_batch(queries, K)
+        started = self._started(monkeypatch)
+        self._assert_same(index.search_batch(queries, K), want)
+        assert len(started) == 2
+        index.config.shard_workers = 4
+        batch = index.search_batch(queries, K)
+        assert batch.stats.shard_workers == 4
+        self._assert_same(batch, want)
+        assert len(started) == 6
+        # the two-thread pool was retired and joined
+        assert not any(thread.is_alive() for thread in started[:2])
+        index.config.shard_workers = 1
+        batch = index.search_batch(queries, K)
+        assert batch.stats.shard_workers == 1
+        self._assert_same(batch, want)
+        assert len(started) == 6  # one worker is an inline loop
+        index.close()
+        assert not any(thread.is_alive() for thread in started)
+
+    def test_results_and_pages_match_one_worker(self):
+        index, reference = self._index(2), self._index(1)
+        for n, seed in ((1, 3), (3, 4), (N_QUERIES, 5), (40, 6)):
+            queries = self._queries(n, seed)
+            self._assert_same(
+                index.search_batch(queries, K), reference.search_batch(queries, K)
+            )
+        index.close()
+
+    def test_searches_work_after_close(self):
+        index = self._index(2)
+        queries = self._queries()
+        want = index.search_batch(queries, K)
+        index.close()
+        self._assert_same(index.search_batch(queries, K), want)
+        index.close()
+        index.close()
+
+    def test_concurrent_batches_never_meet_a_retired_pool(self):
+        # three batch threads (more than this host's cores) while the
+        # main thread flips the worker count and closes the index under
+        # them; a batch that submitted to a shut-down pool would raise
+        index = self._index(2)
+        queries = self._queries()
+        want = self._index(1).search_batch(queries, K)
+        errors, served, stop = [], [], threading.Event()
+
+        def serve():
+            try:
+                while not stop.is_set():
+                    self._assert_same(index.search_batch(queries, K), want)
+                    served.append(1)
+            except Exception as exc:  # reported below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=serve) for _ in range(3)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for i in range(40):
+                index.config.shard_workers = (2, 3, 4)[i % 3]
+                if i % 4 == 0:
+                    index.close()
+                time.sleep(0.002)
+        finally:
+            stop.set()
+            for thread in threads:
+                thread.join(timeout=60.0)
+            sys.setswitchinterval(interval)
+            index.close()
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert served
+
+    def test_pool_submits_and_closes_from_many_threads(self):
+        pool, errors, done = FanoutPool(), [], []
+
+        def submit(width):
+            try:
+                for _ in range(50):
+                    futures = pool.submit(width, [lambda: 7] * 3)
+                    assert [future.result() for future in futures] == [7] * 3
+                    done.append(width)
+                    if width == 3:
+                        pool.close()
+            except Exception as exc:  # reported below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=submit, args=(w,)) for w in (2, 2, 3)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+            pool.close()
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(done) == 150
 
 
 class TestParallelParityMatrix:

@@ -447,6 +447,42 @@ def observe(index):
     return observer.contexts
 
 
+def assert_scores_certified(index, contexts):
+    """Each context's estimates are within their bounds of
+    ``batch_divergence`` over the store's own rows, and those bounds are
+    the ones freshly computed terms give; a query the divergence does
+    not estimate has NaN estimates and bounds."""
+    divergence = index.divergence
+    refine = index.pipeline.stage("refine")
+    for ctx in contexts:
+        snap = ctx.snapshot
+        conditioner = snap.refine_conditioner
+        conditioned = ctx.queries if conditioner is None else conditioner.transform(
+            ctx.queries
+        )
+        estimable = divergence.estimable(conditioned)
+        for q, ids in enumerate(ctx.candidates):
+            rows = ctx.row_of[ids]
+            got, bound = ctx.scores_of(q, rows), ctx.bound_of(q, rows)
+            if not estimable[q]:
+                assert np.isnan(got).all() and np.isnan(bound).all()
+                continue
+            vectors = snap.datastore.peek(ids)
+            direct = divergence.batch_divergence(vectors, ctx.queries[q])
+            fresh, fresh_bound = refine.certify(
+                vectors,
+                ctx.queries[q : q + 1],
+                conditioner=snap.refine_conditioner,
+            )
+            np.testing.assert_allclose(bound, fresh_bound[:, 0], rtol=1e-12)
+            assert np.all(np.abs(got - direct) <= bound)
+            assert np.all(np.abs(fresh[:, 0] - direct) <= bound)
+            if ids.size == ctx.union.size:
+                # the in-place read Rerank takes for a whole union
+                np.testing.assert_array_equal(ctx.scores_of(q, slice(None)), got)
+                np.testing.assert_array_equal(ctx.bound_of(q, slice(None)), bound)
+
+
 class TestRefineScoresPinned:
     """Refine's estimates themselves, not just the top-k the oracle
     suites check (a wrong but well-ordered kernel still ranks right and
@@ -475,27 +511,8 @@ class TestRefineScoresPinned:
             assert not index.search_batch(queries[:3], K).stats.covered
         index.close()
         assert len(contexts) == 3
-        refine = index.pipeline.stage("refine")
-        for ctx in contexts:
-            snap = ctx.snapshot
-            assert ctx.refine_kernel == kernel
-            for q, ids in enumerate(ctx.candidates):
-                vectors = snap.datastore.peek(ids)
-                direct = divergence.batch_divergence(vectors, ctx.queries[q])
-                fresh, fresh_bound = refine.certify(
-                    vectors,
-                    ctx.queries[q : q + 1],
-                    conditioner=snap.refine_conditioner,
-                )
-                rows = ctx.row_of[ids]
-                got, bound = ctx.scores_of(q, rows), ctx.bound_of(q, rows)
-                np.testing.assert_allclose(bound, fresh_bound[:, 0], rtol=1e-12)
-                assert np.all(np.abs(got - direct) <= bound)
-                assert np.all(np.abs(fresh[:, 0] - direct) <= bound)
-                if ids.size == ctx.union.size:
-                    # the in-place read Rerank takes for a whole union
-                    np.testing.assert_array_equal(ctx.scores_of(q, slice(None)), got)
-                    np.testing.assert_array_equal(ctx.bound_of(q, slice(None)), bound)
+        assert all(ctx.refine_kernel == kernel for ctx in contexts)
+        assert_scores_certified(index, contexts)
 
     @pytest.mark.parametrize("base", BASES)
     @pytest.mark.parametrize("name,divergence", all_decomposable_divergences(DIM))
@@ -567,6 +584,68 @@ class TestOverflowingQueries:
         for result, (ids, divs) in zip(results, oracle * 3):
             np.testing.assert_array_equal(result.ids, ids)
             np.testing.assert_array_equal(result.divergences, divs)
+
+
+class TestOverflowingExtendMerge:
+    """An extend merge whose appended row's cached terms would overflow
+    under the old conditioner re-derives the conditioner over every row
+    first.  Exponential distance with ``max_abs=700``: the conditioner
+    shifts by the data max (about -600 here), so an inserted row with a
+    coordinate at 150 conditions to about 750, and ``e^750`` overflows:
+    the base cached inf kernel and bound terms, and under ``-W
+    error::RuntimeWarning`` the merge raised."""
+
+    def _index(self, inserted):
+        divergence = ExponentialDistance(max_abs=700.0)
+        rng = np.random.default_rng(0)
+        points = rng.uniform(-690.0, -600.0, size=(300, 8))
+        queries = rng.uniform(-690.0, -600.0, size=(20, 8))
+        queries[:4] = inserted + rng.uniform(-1.0, 1.0, size=(4, 8))
+        index = build_index(divergence, points, n_partitions=1)
+        return index, np.vstack([points, inserted]), queries
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_row_re_derives_the_conditioner(self, monkeypatch):
+        inserted = np.random.default_rng(1).uniform(-690.0, -600.0, size=8)
+        inserted[3] = 150.0
+        index, points, queries = self._index(inserted)
+        index.insert(inserted)
+        index.merge("extend")
+        base = index.snapshot().base
+        assert base.refine_conditioner.shift == 150.0
+        fresh = index.divergence.row_terms(base.refine_conditioner.transform(points))
+        for got, want in zip(base.row_terms.kernel, fresh.kernel):
+            np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(base.row_terms.bound, fresh.bound)
+        np.testing.assert_array_equal(base.row_terms.norm, fresh.norm)
+
+        divergence = index.divergence
+        oracle = [brute_force_knn(divergence, points, query, K) for query in queries]
+        contexts = observe(index)
+        results = [index.search(query, K) for query in queries]
+        batch = index.search_batch(queries, K)
+        assert batch.stats.covered
+        results += list(batch)
+        with monkeypatch.context() as mp:
+            filter_only_batches(mp)
+            batch = index.search_batch(queries, K)
+            assert not batch.stats.covered
+            results += list(batch)
+        for result, (ids, divs) in zip(results, oracle * 3):
+            np.testing.assert_array_equal(result.ids, ids)
+            np.testing.assert_array_equal(result.divergences, divs)
+        assert_scores_certified(index, contexts)
+
+    def test_cacheable_rows_keep_the_old_conditioner(self):
+        inserted = np.random.default_rng(1).uniform(-690.0, -600.0, size=8)
+        index, _, _ = self._index(inserted)
+        old = index.snapshot().base
+        index.insert(inserted)
+        index.merge("extend")
+        base = index.snapshot().base
+        assert base.refine_conditioner is old.refine_conditioner
+        for got, want in zip(base.row_terms.kernel, old.row_terms.kernel):
+            np.testing.assert_array_equal(got[: old.n_frozen], want)
 
 
 class TestUnderflowingTerms:
