@@ -13,7 +13,8 @@ A batch of range queries is decided in three steps, one method each
 
 1. :meth:`FlatTree.fast_pass`: one dense pass evaluates the two
    bisection-free YES tests for every (node, query) pair
-   (:meth:`BatchRangeProber.fast_yes`);
+   (:meth:`BatchRangeProber.fast_yes`), over the pairs' center
+   divergences, which the batch computes before any radius;
 2. :meth:`FlatTree.bisect_rounds`: the remaining pairs are bisected in
    rounds (:meth:`BatchRangeProber.bisect`).  A round takes every
    undecided pair that has no ancestor decided NO and at most
@@ -47,13 +48,18 @@ __all__ = ["FlatTree", "LOOKAHEAD"]
 #: in the current round.  At 0 the rounds are the level-by-level walk: one
 #: bisection call per tree level.  More lookahead means fewer rounds but
 #: more pairs bisected under an ancestor that later decides NO.  Measured
-#: as the forest range query time per perfbench ``mutate`` search (B=1)
-#: / ``serve`` batch (B=32), seed-1 inputs, medians of 15 interleaved
-#: passes on a 2-vCPU Xeon with NumPy 2.4: 7.7 / 52.2 ms at 0, 6.5 / 47.3
-#: at 1, 5.4 / 50.4 at 2, 4.7 / 55.5 at 5 and 4.2 / 96.5 ms with every
-#: undecided pair in one round.  Batches pay for the speculative pairs,
-#: and 1 is where ``serve`` is fastest.
-LOOKAHEAD = 1
+#: as the forest range decisions per call (center divergences, fast pass,
+#: rounds and candidate collection; ms, best of 5 interleaved passes) on
+#: perfbench's shapes at seed 11, on a 2-vCPU x86-64 host with Python
+#: 3.11 and NumPy 2.4, at lookahead 1 / 2 / every undecided pair in one
+#: round: a B=1 ``mutate`` search under its seed radius 1.39 / 1.25 /
+#: 1.29 and under Theorem-1 radii 1.83 / 1.56 / 1.17; an uncovered B=8
+#: ``serve`` batch 5.90 / 5.44 / 6.03 and B=32 15.96 / 15.90 / 29.52; a
+#: ``batch`` call (B=64, M=16) 103.5 / 95.9 / 113.5.  The decisions do
+#: not depend on the schedule, so candidates and pages are the same at
+#: every setting.  2 is fastest or level in every case but a Theorem-1
+#: single search, which only the seed rule's fallbacks still run.
+LOOKAHEAD = 2
 
 # A pair's decision as its cost to the paths through it: a YES node is
 # free, an undecided node uses one level of lookahead, and a NO node
@@ -77,6 +83,9 @@ class FlatTree:
     leaf_nodes: np.ndarray
     #: (L,) number of point ids in each leaf.
     leaf_sizes: np.ndarray
+    #: (L + 1,) offset of each leaf's ids in ``leaf_ids``; the last is
+    #: their count.
+    leaf_starts: np.ndarray
     #: the leaves' point ids, concatenated in leaf order.
     leaf_ids: np.ndarray
     #: the tree's storage row of each entry of ``leaf_ids``.
@@ -101,6 +110,7 @@ class FlatTree:
         starts = np.asarray(level_starts)
         leaves = [i for i, node in enumerate(nodes) if node.is_leaf]
         leaf_ids = np.concatenate([nodes[i].point_ids for i in leaves])
+        leaf_sizes = np.array([nodes[i].point_ids.size for i in leaves])
         # Live ids are unique in ``_ids``, so the first match is the row.
         order = np.argsort(tree._ids, kind="stable")
         leaf_rows = order[np.searchsorted(tree._ids[order], leaf_ids)]
@@ -114,26 +124,38 @@ class FlatTree:
                 np.array([node.ball.radius for node in nodes]),
             ),
             leaf_nodes=np.asarray(leaves),
-            leaf_sizes=np.array([nodes[i].point_ids.size for i in leaves]),
+            leaf_sizes=leaf_sizes,
+            leaf_starts=np.concatenate([[0], np.cumsum(leaf_sizes)]),
             leaf_ids=leaf_ids,
             leaf_rows=leaf_rows,
         )
 
-    def fast_pass(self, prober: BatchRangeProber, active: np.ndarray) -> np.ndarray:
+    def fast_pass(
+        self,
+        prober: BatchRangeProber,
+        active: np.ndarray,
+        radii: np.ndarray,
+        divergences,
+    ) -> np.ndarray:
         """Step 1: ``(N, len(active))`` pair decisions, ``_YES`` where a
         fast path certifies the pair and ``_OPEN`` everywhere else.
 
-        ``active`` indexes the prober's queries; their range radii must
-        be non-negative.  :meth:`bisect_rounds` decides the open pairs
-        in place and :meth:`path_yes` reads the kept leaves off the
-        result.
+        ``active`` indexes the prober's queries and ``radii`` (one range
+        radius per query), which must be non-negative there.
+        ``divergences`` are the pairs'
+        :meth:`~BatchRangeProber.center_divergences` over this tree's
+        balls for ``active``.  :meth:`bisect_rounds` decides the open
+        pairs in place and :meth:`path_yes` reads the kept leaves off
+        the result.
         """
-        return np.where(prober.fast_yes(self.balls, active), _YES, _OPEN).astype(np.int8)
+        yes = prober.fast_yes(self.balls, active, radii, divergences)
+        return np.where(yes, _YES, _OPEN).astype(np.int8)
 
     def bisect_rounds(
         self,
         prober: BatchRangeProber,
         active: np.ndarray,
+        radii: np.ndarray,
         cost: np.ndarray,
         nodes: Optional[np.ndarray] = None,
     ) -> None:
@@ -176,7 +198,7 @@ class FlatTree:
             if node.size == 0:
                 break
             node += first
-            yes = prober.bisect(balls, node, active[col])
+            yes = prober.bisect(balls, node, active[col], radii)
             cost[node, col] = np.where(yes, _YES, no)
             level = int(self.depth[node[0]])  # the shallowest level that changed
 
@@ -193,6 +215,10 @@ class FlatTree:
             lo, hi = starts[lv], starts[lv + 1]
             yes[lo:hi] &= yes[parent[lo:hi]]
         return yes[self.leaf_nodes]
+
+    def leaf_points(self, leaf: int) -> np.ndarray:
+        """Point ids of leaf number ``leaf``."""
+        return self.leaf_ids[self.leaf_starts[leaf] : self.leaf_starts[leaf + 1]]
 
     def leaf_members(self, leaves: np.ndarray) -> np.ndarray:
         """Point ids of the leaves an ``(L,)`` mask selects, in leaf order."""

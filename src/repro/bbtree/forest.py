@@ -164,8 +164,9 @@ class BBForest:
         ``query_submatrices[i]`` is the ``(B, d_i)`` stack of the batch's
         subvectors in subspace ``i`` and ``radii[:, i]`` their range
         radii.  Tree ``i`` answers all ``B`` queries in one
-        :class:`~repro.bbtree.tree.RangeBatch` over its flat view.
-        Returns per-query candidate unions and per-query stats.
+        :class:`~repro.bbtree.tree.RangeBatch` over its flat view
+        (:meth:`range_batches`, then :meth:`range_unions`).  Returns
+        per-query candidate unions and per-query stats.
 
         ``cover`` turns on the covered-batch proof: each id's page, or
         ``-1`` for an id no page requires (a dead row).  After the fast
@@ -181,6 +182,14 @@ class BBForest:
         candidates can be proven, so ``cover`` needs ``point_filter``
         off.
         """
+        batches = self.range_batches(query_submatrices)
+        return self.range_unions(batches, radii, point_filter, cover)
+
+    def range_batches(self, query_submatrices: Sequence[np.ndarray]) -> List[RangeBatch]:
+        """One :class:`~repro.bbtree.tree.RangeBatch` per tree over the
+        batch's subvectors (shaped as :meth:`range_union_batch` takes
+        them), with its center divergences computed and no radius
+        applied yet."""
         trees = self._require_built()
         m = len(trees)
         if len(query_submatrices) != m:
@@ -196,6 +205,19 @@ class BBForest:
                     f"query_submatrices[{i}] must have shape (B, {dims.size}), "
                     f"with the same B in every subspace, got {sub.shape}"
                 )
+        return [tree.range_batch(sub) for tree, sub in zip(trees, subs)]
+
+    def range_unions(
+        self,
+        batches: Sequence[RangeBatch],
+        radii: np.ndarray,
+        point_filter: bool = False,
+        cover: Optional[np.ndarray] = None,
+    ) -> tuple[List[np.ndarray], List[ForestRangeStats]]:
+        """:meth:`range_union_batch` over :meth:`range_batches`' output,
+        each started at its column of ``radii``."""
+        m = len(batches)
+        b = batches[0].queries.shape[0]
         radii = np.asarray(radii, dtype=float)
         if radii.shape != (b, m):
             raise InvalidParameterError(
@@ -203,10 +225,8 @@ class BBForest:
             )
         if cover is not None and point_filter:
             raise InvalidParameterError("cover needs point_filter=False")
-        batches = [
-            tree.range_batch(sub_queries, radii[:, i])
-            for i, (tree, sub_queries) in enumerate(zip(trees, subs))
-        ]
+        for i, batch in enumerate(batches):
+            batch.start(radii[:, i])
         if cover is not None and _covers(batches, cover):
             required = np.flatnonzero(cover >= 0)
             leaves = sum(batch.leaves_kept(batch.kept()) for batch in batches)

@@ -80,30 +80,49 @@ class RangeBatch:
     """A batch of range queries on one tree, decided in the steps of
     :mod:`repro.bbtree.flat`.
 
-    Construction runs the dense fast pass; :meth:`bisect` decides open
-    pairs (all of them, or those of a node set) and :meth:`result`
-    finishes the rounds and collects each query's candidates.  Between
-    the steps :meth:`kept` says which leaves each query is already
-    proven to keep -- what the forest's covered-batch proof reads.
-    Queries with a negative radius are inactive and keep nothing.
+    Construction computes every (node, query) pair's center divergences
+    ``D(q, c)`` and ``D(c, q)``, which need no radius
+    (:meth:`~repro.geometry.projection.BatchRangeProber.center_divergences`);
+    :meth:`nearest_leaves` orders the leaves by the second, which is
+    where Plan takes a single search's seed rows before it knows the
+    radius.  :meth:`start` runs the dense fast pass at given radii;
+    :meth:`bisect` decides open pairs (all of them, or those of a node
+    set) and :meth:`result` finishes the rounds and collects each
+    query's candidates.  Between the steps :meth:`kept` says which
+    leaves each query is already proven to keep -- what the forest's
+    covered-batch proof reads.  Queries with a negative radius are
+    inactive and keep nothing.
     """
 
-    def __init__(self, tree: "BBTree", queries: np.ndarray, radii: np.ndarray) -> None:
+    def __init__(self, tree: "BBTree", queries: np.ndarray) -> None:
         self.tree = tree
         self.queries = queries
+        self.flat = tree._flat_view()
+        self.prober = BatchRangeProber(tree.divergence, queries, tree.lb_max_iter)
+        self.divergences = self.prober.center_divergences(
+            self.flat.balls, np.arange(queries.shape[0])
+        )
+
+    def nearest_leaves(self, q: int) -> np.ndarray:
+        """Leaf numbers by ascending ``D(center, query q)``, ties in leaf
+        order."""
+        return np.argsort(self.divergences[1][self.flat.leaf_nodes, q], kind="stable")
+
+    def start(self, radii: np.ndarray) -> "RangeBatch":
+        """Run the fast pass at one range radius per query."""
         self.radii = radii
         self.active = np.flatnonzero(radii >= 0.0)
-        self.flat = tree._flat_view()
-        self.prober = BatchRangeProber(
-            tree.divergence, queries, radii, max_iter=tree.lb_max_iter
-        )
-        self.cost = self.flat.fast_pass(self.prober, self.active)
+        divergences = self.divergences
+        if self.active.size < radii.size:
+            divergences = tuple(pairs[:, self.active] for pairs in divergences)
+        self.cost = self.flat.fast_pass(self.prober, self.active, radii, divergences)
+        return self
 
     def bisect(self, nodes: Optional[np.ndarray] = None) -> None:
         """Bisect the open pairs, or only those of ``nodes`` (an ``(N,)``
         mask closed under ancestors)."""
         if self.active.size:
-            self.flat.bisect_rounds(self.prober, self.active, self.cost, nodes)
+            self.flat.bisect_rounds(self.prober, self.active, self.radii, self.cost, nodes)
 
     def kept(self) -> np.ndarray:
         """``(L, len(active))`` mask of the leaves each active query is
@@ -445,22 +464,23 @@ class BBTree:
         the kept leaves' points are then checked exactly, through the
         same ``batch_divergence`` the scalar :meth:`range_query` uses.
         """
-        return self.range_batch(queries, radii).result(point_filter)
+        batch = self.range_batch(queries)
+        radii = np.asarray(radii, dtype=float)
+        if radii.shape != (batch.queries.shape[0],):
+            raise InvalidParameterError("radii must supply one radius per query")
+        return batch.start(radii).result(point_filter)
 
-    def range_batch(self, queries: np.ndarray, radii: np.ndarray) -> "RangeBatch":
-        """Validate a batch of range queries and run its fast pass; the
-        returned :class:`RangeBatch` finishes it."""
+    def range_batch(self, queries: np.ndarray) -> "RangeBatch":
+        """Validate a batch of range queries and compute its center
+        divergences; :meth:`RangeBatch.start` runs it at given radii."""
         self._require_built()
         queries = np.atleast_2d(np.asarray(queries, dtype=float))
-        radii = np.asarray(radii, dtype=float)
         d = self._points.shape[1]
         if queries.ndim != 2 or queries.shape[1] != d:
             raise InvalidParameterError(
                 f"queries must have shape (B, {d}), got {queries.shape}"
             )
-        if radii.shape != (queries.shape[0],):
-            raise InvalidParameterError("radii must supply one radius per query")
-        return RangeBatch(self, queries, radii)
+        return RangeBatch(self, queries)
 
     # ------------------------------------------------------------------
     # dynamic updates (paper future work; see repro.bbtree.dynamic)

@@ -155,6 +155,13 @@ class ApproximateBrePartitionIndex(BrePartitionIndex):
         evaluations per query) remains a scalar loop.  ``transforms`` is
         the pinned snapshot's: the anchor ids are rows of its base, which
         a concurrent merge may already have replaced on the index.
+
+        On a single search Plan takes its radius from exactly scored
+        seed rows and scales it, subspace by subspace, by the factor
+        these radii shrank the Theorem-1 radii by (see
+        :mod:`repro.pipeline.plan`): it reads no more than the exact
+        index, and less as ``p`` falls, but Proposition 1's probability
+        is proved for the Theorem-1 anchor only.
         """
         anchors = search_bounds.anchor_ids
         gamma_rows = transforms.gamma[anchors]  # (B, M)

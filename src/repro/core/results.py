@@ -28,7 +28,11 @@ class QueryStats:
     cpu_seconds: float = 0.0
     #: number of candidate points refined.
     n_candidates: int = 0
-    #: total searching bound (BrePartition; 0 for other indexes).
+    #: total radius the query's range ran with (BrePartition; 0 for
+    #: other indexes): on a single search the seed radius, at least its
+    #: k-th frozen neighbour's divergence and below the Theorem-1 total,
+    #: unless the seed rule declines (:mod:`repro.pipeline.plan`); else,
+    #: and in a batch of two or more queries, the Theorem-1 total.
     search_bound: float = 0.0
     #: candidates produced by each subspace before the union.
     per_subspace_candidates: List[int] = field(default_factory=list)

@@ -59,9 +59,7 @@ class SearchPipeline:
             # capture one atomic (frozen base, delta) pair so every stage
             # reads a single consistent index state even when callers
             # (benchmarks, tests) drive the pipeline without a driver
-            take = getattr(self.index, "snapshot", None)
-            if callable(take):
-                ctx.snapshot = take()
+            ctx.snapshot = self.index.snapshot()
         for stage in self.stages:
             start = time.perf_counter()
             stage.run(ctx)

@@ -54,12 +54,10 @@ class QueryBatchContext:
     #: ``None`` for charge-free partial runs (``refine_prefetched``).
     scope: Optional[QueryScope] = None
     #: the immutable ``(frozen base, delta version)`` pair this request
-    #: runs against (:meth:`BrePartitionIndex.snapshot`).  Stages read
-    #: index components through it so concurrent mutations can never
-    #: tear a search.  Refine and Rerank need it -- they score the
-    #: base's rows with its cached kernel terms -- and
-    #: :meth:`SearchPipeline.run` captures one when the caller did not;
-    #: Plan and Fetch, run alone without one, read the live attributes.
+    #: runs against (:meth:`BrePartitionIndex.snapshot`).  Every stage
+    #: reads index components through it, so concurrent mutations can
+    #: never tear a search; :meth:`SearchPipeline.run` captures one when
+    #: the caller did not, and a stage run on its own needs one set.
     snapshot: Optional[object] = None
 
     # -- Plan outputs ---------------------------------------------------
@@ -67,7 +65,11 @@ class QueryBatchContext:
     candidates: Optional[List[np.ndarray]] = None
     #: per-query forest traversal statistics.
     forest_stats: Optional[list] = None
-    #: per-query Theorem-1 searching-bound totals, shape ``(B,)``.
+    #: per-query total radius the query's range ran with, shape
+    #: ``(B,)``, before the rounding slack and the approximate
+    #: extension's shrink: a single search's seed radius, or the
+    #: Theorem-1 searching-bound total (every query of a batch, and a
+    #: single search that keeps it; see :mod:`repro.pipeline.plan`).
     bound_totals: Optional[np.ndarray] = None
     #: ``True`` when Plan proved the batch covered: the filter would
     #: read every page holding a live frozen row, so every query's

@@ -58,19 +58,14 @@ def union_rows(
 class FetchStage(PipelineStage):
     name = "fetch"
 
-    def _store(self, ctx: QueryBatchContext):
-        """The context's datastore: the pinned snapshot's (immutable
-        under concurrent merges) or the live attribute without one."""
-        snap = ctx.snapshot
-        return snap.datastore if snap is not None else self.index.datastore
-
     def run(self, ctx: QueryBatchContext) -> None:
         pool = self.index.buffer_pool
         if pool is not None:
             epoch = pool.begin_batch()
             if ctx.scope is not None:
                 ctx.scope.pool_epoch = epoch
-        store = self._store(ctx)
+        # the pinned snapshot's store: immutable under concurrent merges
+        store = ctx.snapshot.datastore
         ctx.union, ctx.row_of = union_rows(ctx.candidates, store.n_points)
         self._charge_fanout(ctx, store)
         if pool is not None and ctx.scope is not None:

@@ -50,6 +50,8 @@ __all__ = [
     "ErrorBound",
     "RefineStage",
     "build_pairs",
+    "certified_scores",
+    "error_bound",
     "refinement_block",
     "SPARSE_DENSITY_THRESHOLD",
 ]
@@ -134,6 +136,50 @@ def _conditioned(conditioner, rows: np.ndarray, out=None) -> np.ndarray:
     return rows if conditioner is None else conditioner.transform(rows, out=out)
 
 
+def error_bound(divergence, row_terms: RowTerms, queries, ok, factor) -> ErrorBound:
+    """The certified bounds of estimates over the rows of ``row_terms``
+    against the conditioned ``queries``; NaN for a query ``ok`` refuses."""
+    query_bound = np.full(queries.shape[0], np.nan)
+    query_norm = np.full(queries.shape[0], np.nan)
+    if ok.any():
+        query_bound[ok], query_norm[ok] = divergence.query_bound_terms(queries[ok])
+    return ErrorBound(
+        row_terms, query_bound, query_norm, *error_scale(factor, queries.shape[1])
+    )
+
+
+def certified_scores(
+    divergence, vectors: np.ndarray, queries: np.ndarray, conditioner, row_terms=None
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(estimates, bounds)``, both ``(n, B)``, of raw ``vectors``
+    against raw ``queries``.
+
+    The estimates are the divergence's fixed-order
+    :meth:`cross_divergence` over the rows and queries conditioned by
+    ``conditioner`` (its output factor folded back in), so their bits
+    depend on no BLAS; the bounds are the certified ``E``.
+    ``row_terms`` are the conditioned rows' cached terms (a base's
+    ``row_terms.take(rows)``), computed fresh when ``None``.  A query
+    the divergence cannot estimate gets NaN in both.
+    """
+    factor = 1.0 if conditioner is None else conditioner.factor
+    rows = _conditioned(conditioner, vectors)
+    queries = _conditioned(conditioner, queries)
+    ok = divergence.estimable(queries)
+    if row_terms is None:
+        row_terms = divergence.row_terms(rows)
+    estimates = np.full((rows.shape[0], queries.shape[0]), np.nan)
+    estimates[:, ok] = (
+        divergence.cross_divergence(rows, queries[ok], point_terms=row_terms.kernel)
+        * factor
+    )
+    bound_of = error_bound(divergence, row_terms, queries, ok, factor)
+    bounds = np.stack(
+        [bound_of(q, slice(None)) for q in range(queries.shape[0])], axis=1
+    )
+    return estimates, bounds
+
+
 class RefineStage(PipelineStage):
     name = "refine"
 
@@ -158,7 +204,7 @@ class RefineStage(PipelineStage):
         whole = union.size == base.n_frozen
         # the union's cached row terms, aligned with its positions
         row_terms = base.row_terms if whole else base.row_terms.take(union)
-        ctx.bound_of = self._error_bound(row_terms, queries, ok, factor)
+        ctx.bound_of = error_bound(self.index.divergence, row_terms, queries, ok, factor)
         if kernel == "sparse":
             flat, offsets = self._estimate_sparse(
                 ctx, base, whole, row_terms, queries, ok, factor
@@ -167,19 +213,6 @@ class RefineStage(PipelineStage):
         else:
             cross = self._estimate_dense(ctx, base, whole, row_terms, queries, ok, factor)
             ctx.scores_of = lambda q, rows: cross[q, rows]
-
-    def _error_bound(self, row_terms, queries, ok, factor) -> ErrorBound:
-        """The certified bounds of this batch's estimates over the rows
-        of ``row_terms``; NaN for a query without estimates."""
-        query_bound = np.full(queries.shape[0], np.nan)
-        query_norm = np.full(queries.shape[0], np.nan)
-        if ok.any():
-            query_bound[ok], query_norm[ok] = self.index.divergence.query_bound_terms(
-                queries[ok]
-            )
-        return ErrorBound(
-            row_terms, query_bound, query_norm, *error_scale(factor, queries.shape[1])
-        )
 
     def _estimate_dense(
         self, ctx, base, whole, row_terms, queries, ok, factor
@@ -280,24 +313,11 @@ class RefineStage(PipelineStage):
     ) -> Tuple[np.ndarray, np.ndarray]:
         """``(estimates, bounds)``, both ``(n, B)``, from fresh terms.
 
-        The reference the looped refinement and the tests use: the
-        divergence's fixed-order :meth:`cross_divergence` over the
-        conditioned ``vectors`` (its output factor folded back in), and
-        the certified bound from freshly computed row and query terms.
-        Defaults to the index's live conditioner.  A query the
-        divergence cannot estimate gets NaN in both.
+        The reference the looped refinement and the tests use:
+        :func:`certified_scores` with freshly computed row terms, by
+        default on the index's live conditioner.  A query the divergence
+        cannot estimate gets NaN in both.
         """
-        divergence = self.index.divergence
         if conditioner is _UNSET:
             conditioner = self.index._refine_conditioner
-        factor = 1.0 if conditioner is None else conditioner.factor
-        rows = _conditioned(conditioner, vectors)
-        queries = _conditioned(conditioner, queries)
-        ok = divergence.estimable(queries)
-        estimates = np.full((rows.shape[0], queries.shape[0]), np.nan)
-        estimates[:, ok] = divergence.cross_divergence(rows, queries[ok]) * factor
-        bound_of = self._error_bound(divergence.row_terms(rows), queries, ok, factor)
-        bounds = np.stack(
-            [bound_of(q, slice(None)) for q in range(queries.shape[0])], axis=1
-        )
-        return estimates, bounds
+        return certified_scores(self.index.divergence, vectors, queries, conditioner)

@@ -760,8 +760,10 @@ class TestFlatTraversal:
             f_q[q_of_n] - f_c - np.einsum("ij,ij->i", queries[q_of_n], grad_c) + c_dot_grad_c,
             0.0,
         )
-        prober = BatchRangeProber(divergence, queries, np.full(32, -1.0))
-        yes = prober.fast_yes(BallTerms.of(divergence, centers, ball_radii), np.arange(32))
+        prober = BatchRangeProber(divergence, queries)
+        yes = prober.fast_yes(
+            BallTerms.of(divergence, centers, ball_radii), np.arange(32), np.full(32, -1.0)
+        )
         assert yes[np.arange(40), q_of_n].all()
 
         # D(c, q): the center inside the range, for the pairs (n_of_q[q], q)
@@ -769,8 +771,9 @@ class TestFlatTraversal:
             f_c[n_of_q] - f_q - np.einsum("ij,ij->i", grad_q, centers[n_of_q]) + q_dot_grad_q,
             0.0,
         )
-        prober = BatchRangeProber(divergence, queries, range_radii)
-        yes = prober.fast_yes(BallTerms.of(divergence, centers, np.zeros(40)), np.arange(32))
+        yes = prober.fast_yes(
+            BallTerms.of(divergence, centers, np.zeros(40)), np.arange(32), range_radii
+        )
         assert yes[n_of_q, np.arange(32)].all()
 
 
