@@ -7,7 +7,10 @@ pick a summation order that varies with BLAS blocking heuristics
 (shape- and build-dependent), so inside ``divergences/`` and the
 refine/rerank pipeline stages those spellings are banned in favour of
 the fixed-order ``np.einsum`` idiom (see
-``divergences/base.py::cross_divergence``).
+``divergences/base.py::cross_divergence``).  The same holds in
+``bbtree/`` and ``geometry/projection.py``: the ball tests' bits decide
+which leaves a query keeps, so its candidates and pages, which must not
+depend on the batch a query runs in or on the BLAS thread count.
 
 Exemption: a reduction wrapped directly in ``float(...)`` is a scalar
 single-pair reference formula -- its operand shapes never vary with
@@ -39,8 +42,10 @@ class FixedOrderReductionChecker(Checker):
     )
 
     def applies_to(self, module: SourceModule) -> bool:
-        if module.in_dir("divergences"):
+        if module.in_dir("divergences", "bbtree"):
             return True
+        if module.in_dir("geometry"):
+            return module.is_file("projection.py")
         return module.in_dir("pipeline") and (
             module.is_file("refine.py") or module.is_file("rerank.py")
         )

@@ -36,7 +36,7 @@ keep, which is what the forest's covered-batch proof
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -51,15 +51,21 @@ __all__ = ["FlatTree", "LOOKAHEAD"]
 #: as the forest range decisions per call (center divergences, fast pass,
 #: rounds and candidate collection; ms, best of 5 interleaved passes) on
 #: perfbench's shapes at seed 11, on a 2-vCPU x86-64 host with Python
-#: 3.11 and NumPy 2.4, at lookahead 1 / 2 / every undecided pair in one
-#: round: a B=1 ``mutate`` search under its seed radius 1.39 / 1.25 /
-#: 1.29 and under Theorem-1 radii 1.83 / 1.56 / 1.17; an uncovered B=8
-#: ``serve`` batch 5.90 / 5.44 / 6.03 and B=32 15.96 / 15.90 / 29.52; a
-#: ``batch`` call (B=64, M=16) 103.5 / 95.9 / 113.5.  The decisions do
-#: not depend on the schedule, so candidates and pages are the same at
-#: every setting.  2 is fastest or level in every case but a Theorem-1
-#: single search, which only the seed rule's fallbacks still run.
-LOOKAHEAD = 2
+#: 3.11 and NumPy 2.4, at lookahead 1 / 2 / 3 / 4 / 6 / every undecided
+#: pair in one round: a B=1 ``mutate`` search under its seed radius 0.85
+#: / 0.75 / 0.70 / 0.68 / 0.70 / 0.78 and under Theorem-1 radii 1.29 /
+#: 1.09 / 1.00 / 0.95 / 0.87 / 0.77; an uncovered B=8 ``serve`` batch
+#: 4.00 / 3.52 / 3.33 / 3.09 / 3.09 / 3.33 and B=32 10.89 / 10.30 / 10.57
+#: / 11.09 / 12.83 / 17.65; a ``batch`` call (B=64, M=16) 96.8 / 87.2 /
+#: 85.0 / 85.5 / 89.9 / 98.0.  The decisions do not depend on the
+#: schedule, so candidates and pages are the same at every setting.  The
+#: guided probes (:meth:`~repro.geometry.projection.BatchRangeProber.bisect`)
+#: decide most pairs at their first probe, so a pair bisected in vain
+#: costs one evaluation and a round costs a few passes: 4 is fastest or
+#: within 1% on the gated single search, uncovered B=8 batches and the
+#: ``batch`` call, and 8% behind on uncovered B=32 batches, which
+#: ``serve``'s covered proof rarely leaves.
+LOOKAHEAD = 4
 
 # A pair's decision as its cost to the paths through it: a YES node is
 # free, an undecided node uses one level of lookahead, and a NO node
@@ -73,8 +79,10 @@ class FlatTree:
 
     #: (N,) index of each node's parent; -1 at the root.
     parent: np.ndarray
-    #: (N,) depth of each node.
-    depth: np.ndarray
+    #: the ``2^k``-th ancestor of each node, for ``k = 0, 1, ...`` until
+    #: ``2^k`` spans the height: ``(N + 1,)`` arrays whose last entry, and
+    #: the entry of a node with no such ancestor, is the sentinel ``N``.
+    jumps: Tuple[np.ndarray, ...]
     #: (H + 2,) index of the first node of each depth; the last entry is N.
     level_starts: np.ndarray
     #: ball centers, radii and node-side terms of every node.
@@ -108,6 +116,10 @@ class FlatTree:
             level_starts.append(end)
             start = end
         starts = np.asarray(level_starts)
+        parents = np.asarray(parent)
+        jumps = [np.append(np.where(parents < 0, parents.size, parents), parents.size)]
+        while 2 ** len(jumps) < starts.size - 1:
+            jumps.append(jumps[-1][jumps[-1]])
         leaves = [i for i, node in enumerate(nodes) if node.is_leaf]
         leaf_ids = np.concatenate([nodes[i].point_ids for i in leaves])
         leaf_sizes = np.array([nodes[i].point_ids.size for i in leaves])
@@ -115,8 +127,8 @@ class FlatTree:
         order = np.argsort(tree._ids, kind="stable")
         leaf_rows = order[np.searchsorted(tree._ids[order], leaf_ids)]
         return cls(
-            parent=np.asarray(parent),
-            depth=np.repeat(np.arange(starts.size - 1), np.diff(starts)),
+            parent=parents,
+            jumps=tuple(jumps),
             level_starts=starts,
             balls=BallTerms.of(
                 tree.divergence,
@@ -157,50 +169,38 @@ class FlatTree:
         active: np.ndarray,
         radii: np.ndarray,
         cost: np.ndarray,
+        divergences,
         nodes: Optional[np.ndarray] = None,
     ) -> None:
         """Step 2: bisect ``cost``'s open pairs in rounds, in place.
 
-        ``nodes``, an ``(N,)`` mask closed under ancestors (see
-        :meth:`root_paths`), limits the rounds to the pairs of those
-        nodes; a later call without it finishes the rest.  Pairs
-        already decided are never bisected again.
+        ``divergences`` are the ones :meth:`fast_pass` took; each
+        bisected pair's two values place its first probe.  ``nodes``,
+        an ``(N,)`` mask closed under ancestors (see :meth:`root_paths`),
+        limits the rounds to the pairs of those nodes; a later call
+        without it finishes the rest.  Pairs already decided are never
+        bisected again.
         """
-        balls, starts, parent = self.balls, self.level_starts, self.parent
-        n_levels = starts.size - 1
         no, cap = LOOKAHEAD + 2, LOOKAHEAD + 1
-        # above: the summed cost of a pair's strict ancestors, capped at
-        # ``cap`` (too deep to bisect this round); down: the same with the
-        # node's own cost.  Levels shallower than ``level`` keep current
-        # values from one round to the next.
-        above = np.empty_like(cost)
-        down = np.empty_like(cost)
-        level = 0
+        up = self.jumps[0][:-1]
+        sentinel = np.zeros((1, cost.shape[1]), dtype=cost.dtype)
         while True:
-            end = starts[-1]
-            for lv in range(level, n_levels):
-                lo, hi = starts[lv], starts[lv + 1]
-                if lv == 0:
-                    above[0] = _YES
-                else:
-                    above[lo:hi] = down[parent[lo:hi]]
-                np.minimum(above[lo:hi] + cost[lo:hi], cap, out=down[lo:hi])
-                if down[lo:hi].min() == cap:  # no deeper pair can be bisected
-                    above[hi:] = cap
-                    down[hi:] = cap
-                    end = hi
-                    break
-            first = starts[level]
-            open_pairs = (cost[first:end] == _OPEN) & (above[first:end] <= LOOKAHEAD)
+            # each pair's cost summed over its node and every ancestor,
+            # capped at ``cap`` (too deep to bisect this round), by
+            # doubling: after step k a row holds the sum over its 2^(k+1)
+            # nearest nodes; the sentinel row adds nothing
+            path = np.concatenate([cost, sentinel])
+            for jump in self.jumps:
+                path = np.minimum(path + path[jump], cap)
+            open_pairs = (cost == _OPEN) & (path[up] <= LOOKAHEAD)
             if nodes is not None:
-                open_pairs &= nodes[first:end, None]
+                open_pairs &= nodes[:, None]
             node, col = np.nonzero(open_pairs)
             if node.size == 0:
                 break
-            node += first
-            yes = prober.bisect(balls, node, active[col], radii)
+            pairs = tuple(values[node, col] for values in divergences)
+            yes = prober.bisect(self.balls, node, active[col], radii, pairs)
             cost[node, col] = np.where(yes, _YES, no)
-            level = int(self.depth[node[0]])  # the shallowest level that changed
 
     def path_yes(self, cost: np.ndarray) -> np.ndarray:
         """Step 3: ``(L, A)`` mask of the leaves whose node and every

@@ -20,7 +20,7 @@ import numpy as np
 from ..divergences.base import DecomposableBregmanDivergence
 from ..exceptions import InvalidParameterError, NotFittedError
 from ..partitioning.scheme import Partitioning
-from .tree import BBTree, RangeBatch, RangeResult
+from .tree import BBTree, RangeBatch
 
 __all__ = ["BBForest", "ForestRangeStats", "COVER_GAP"]
 
@@ -121,37 +121,6 @@ class BBForest:
             raise NotFittedError("BBForest.build() must be called before searching")
         return self.trees
 
-    def range_union(
-        self,
-        query_subvectors: Sequence[np.ndarray],
-        radii: Sequence[float],
-        point_filter: bool = False,
-    ) -> tuple[np.ndarray, ForestRangeStats]:
-        """Union of per-subspace range-query candidates (filter step).
-
-        ``query_subvectors[i]`` and ``radii[i]`` address tree ``i``; the
-        union of the M candidate sets is Theorem 3's final candidate set.
-        """
-        trees = self._require_built()
-        per_counts: List[int] = []
-        chunks: List[np.ndarray] = []
-        leaves = 0
-        for tree, sub_query, radius in zip(trees, query_subvectors, radii):
-            result: RangeResult = tree.range_query(sub_query, radius, point_filter=point_filter)
-            per_counts.append(int(result.point_ids.size))
-            leaves += result.leaves_visited
-            if result.point_ids.size:
-                chunks.append(result.point_ids)
-        union = (
-            np.unique(np.concatenate(chunks)) if chunks else np.empty(0, dtype=int)
-        )
-        stats = ForestRangeStats(
-            per_subspace_candidates=per_counts,
-            union_candidates=int(union.size),
-            leaves_visited=leaves,
-        )
-        return union, stats
-
     def range_union_batch(
         self,
         query_submatrices: Sequence[np.ndarray],
@@ -159,14 +128,16 @@ class BBForest:
         point_filter: bool = False,
         cover: Optional[np.ndarray] = None,
     ) -> tuple[List[np.ndarray], List[ForestRangeStats]]:
-        """Batched :meth:`range_union`: one batched range query per tree.
+        """Union of per-subspace range-query candidates (filter step)
+        for a batch of queries: one batched range query per tree.
 
         ``query_submatrices[i]`` is the ``(B, d_i)`` stack of the batch's
         subvectors in subspace ``i`` and ``radii[:, i]`` their range
         radii.  Tree ``i`` answers all ``B`` queries in one
         :class:`~repro.bbtree.tree.RangeBatch` over its flat view
         (:meth:`range_batches`, then :meth:`range_unions`).  Returns
-        per-query candidate unions and per-query stats.
+        per-query candidate unions, Theorem 3's final candidate sets,
+        and per-query stats.
 
         ``cover`` turns on the covered-batch proof: each id's page, or
         ``-1`` for an id no page requires (a dead row).  After the fast

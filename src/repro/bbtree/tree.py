@@ -115,6 +115,7 @@ class RangeBatch:
         divergences = self.divergences
         if self.active.size < radii.size:
             divergences = tuple(pairs[:, self.active] for pairs in divergences)
+        self.active_divergences = divergences
         self.cost = self.flat.fast_pass(self.prober, self.active, radii, divergences)
         return self
 
@@ -122,7 +123,14 @@ class RangeBatch:
         """Bisect the open pairs, or only those of ``nodes`` (an ``(N,)``
         mask closed under ancestors)."""
         if self.active.size:
-            self.flat.bisect_rounds(self.prober, self.active, self.radii, self.cost, nodes)
+            self.flat.bisect_rounds(
+                self.prober,
+                self.active,
+                self.radii,
+                self.cost,
+                self.active_divergences,
+                nodes,
+            )
 
     def kept(self) -> np.ndarray:
         """``(L, len(active))`` mask of the leaves each active query is

@@ -61,7 +61,10 @@ seed radii by the same per-subspace factor, clipped to ``[0, 1]``
 candidates.  The ball tests decide monotonically in the radius (a
 certain NO at a radius stays NO at any smaller one), so ABP's rows are
 a subset of the exact index's and a lower ``p`` reads no more than a
-higher one.  Proposition 1's probability is proved for the Theorem-1
+higher one.  Their probes move with the radius, so this holds by the
+monotonicity of the divergences along the geodesic: two radii within
+rounding of each other and of a pair's tangency are the one exception,
+where either answer is rounding.  Proposition 1's probability is proved for the Theorem-1
 anchor, whose slack is the Cauchy term; a seed radius has no such
 slack, so at ``B = 1`` the factor is the same knob without that proof.
 On ``examples/approximate_tradeoff.py`` (audio proxy, n = 3000, M = 8,
@@ -272,19 +275,24 @@ class PlanStage(PipelineStage):
         pre-tombstone-filter: ``k`` here is the caller's inflated
         ``k_plan``, so the guarantee survives the filter.  A single
         search under a seed radius never needs it: its seeds alone hold
-        ``k`` live rows.
+        ``k`` live rows.  Every radius runs through the query's one set
+        of range batches, so each attempt pays only the fast pass and
+        the batched ball tests.
         """
         if candidates.size >= k or np.array_equal(radii, exact_radii):
             return candidates, forest_stats
         point_filter = self.index.config.point_filter
+        batches = forest.range_batches([sub[None, :] for sub in sub_queries])
+
+        def union_at(at):
+            unions, stats = forest.range_unions(batches, at[None, :], point_filter)
+            return unions[0], stats[0]
+
         lo, hi = 0.0, 1.0
-        best = forest.range_union(sub_queries, exact_radii, point_filter=point_filter)
+        best = union_at(exact_radii)
         for _ in range(8):
             mid = 0.5 * (lo + hi)
-            mid_radii = radii + mid * (exact_radii - radii)
-            attempt = forest.range_union(
-                sub_queries, mid_radii, point_filter=point_filter
-            )
+            attempt = union_at(radii + mid * (exact_radii - radii))
             if attempt[0].size >= k:
                 best = attempt
                 hi = mid

@@ -483,6 +483,35 @@ class TestFixedOrderReduction:
         findings = analyze_paths([str(tmp_path)])
         assert len(findings) == 2
 
+    def test_ball_tests_in_scope(self, tmp_path):
+        # the ball tests decide candidates and pages, so their reductions
+        # are held to the same order as the scores
+        for rel in ("bbtree/flat.py", "bbtree/tree.py", "geometry/projection.py"):
+            write(
+                tmp_path,
+                rel,
+                "import numpy as np\ndef f(a, b):\n    return np.dot(a, b) + (a @ b)\n",
+            )
+        findings = analyze_paths([str(tmp_path)])
+        assert rules_of(findings) == ["fixed-order-reduction"]
+        assert len(findings) == 6
+
+    def test_ball_tests_fixed_order_clean(self, tmp_path):
+        for rel in ("bbtree/flat.py", "geometry/projection.py"):
+            write(
+                tmp_path,
+                rel,
+                "import numpy as np\n"
+                "def f(a, b):\n"
+                "    return np.einsum('ij,ij->i', a, b) + np.sum(a, axis=1)\n",
+            )
+        write(
+            tmp_path,
+            "geometry/ball.py",
+            "import numpy as np\ndef f(a, b):\n    return np.dot(a, b)\n",
+        )
+        assert analyze_paths([str(tmp_path)]) == []
+
     def test_other_pipeline_files_not_in_scope(self, tmp_path):
         write(
             tmp_path,

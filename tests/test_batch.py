@@ -21,6 +21,7 @@ from repro import (
     SquaredEuclidean,
 )
 from repro.bbtree import BBForest, BBTree
+from repro.bbtree import flat as flat_module
 from repro.core.transforms import (
     determine_search_bounds,
     determine_search_bounds_batch,
@@ -692,7 +693,10 @@ class TestFlatTraversal:
     @pytest.mark.parametrize("point_filter", [False, True])
     @pytest.mark.parametrize("n_queries", [1, 7, 32])
     @pytest.mark.parametrize("name,divergence", all_decomposable_divergences(DIM))
-    def test_matches_per_node_walk(self, name, divergence, n_queries, point_filter):
+    def test_matches_per_node_walk(self, monkeypatch, name, divergence, n_queries, point_filter):
+        """Under every schedule of rounds (``LOOKAHEAD`` 0 is the
+        level-by-level walk, 1 and the module's value look further
+        ahead) the kept leaves are the walk's."""
         points = points_for(divergence, 200, DIM, seed=11)
         queries = points_for(divergence, n_queries, DIM, seed=12)
         tree = BBTree(divergence, leaf_capacity=6, rng=np.random.default_rng(0)).build(
@@ -708,13 +712,15 @@ class TestFlatTraversal:
         ])
         radii[1::3] = -radii[1::3] - 1.0
 
-        batch = tree.range_query_batch(queries, radii, point_filter=point_filter)
         expected_ids, expected_leaves = _walk_range_query(
             tree, queries, radii, point_filter
         )
-        np.testing.assert_array_equal(batch.leaves_visited, expected_leaves)
-        for got, expected in zip(batch.point_ids, expected_ids):
-            np.testing.assert_array_equal(np.sort(got), expected)
+        for lookahead in sorted({0, 1, flat_module.LOOKAHEAD}):
+            monkeypatch.setattr(flat_module, "LOOKAHEAD", lookahead)
+            batch = tree.range_query_batch(queries, radii, point_filter=point_filter)
+            np.testing.assert_array_equal(batch.leaves_visited, expected_leaves)
+            for got, expected in zip(batch.point_ids, expected_ids):
+                np.testing.assert_array_equal(np.sort(got), expected)
         assert expected_leaves.sum() > 0
         assert (expected_leaves[1::3] == 0).all()
 

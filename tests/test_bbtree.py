@@ -195,7 +195,10 @@ class TestBBForest:
             sub_div = div.restrict(dims)
             d_sub = sub_div.batch_divergence(points[:, dims], sq)
             radii.append(float(np.percentile(d_sub, 40)))
-        union, stats = forest.range_union(sub_queries, radii)
+        unions, stats = forest.range_union_batch(
+            [sub[None, :] for sub in sub_queries], np.array([radii])
+        )
+        union, stats = unions[0], stats[0]
         expected = set()
         for dims, sq, radius in zip(partitioning.subspaces, sub_queries, radii):
             sub_div = div.restrict(dims)
@@ -210,7 +213,7 @@ class TestBBForest:
         partitioning = ContiguousPartitioner().partition(np.zeros((10, 6)), 2)
         forest = BBForest(div, partitioning)
         with pytest.raises(NotFittedError):
-            forest.range_union([np.zeros(3), np.zeros(3)], [1.0, 1.0])
+            forest.range_union_batch([np.zeros((1, 3)), np.zeros((1, 3))], np.ones((1, 2)))
 
     def test_count_nodes_positive(self):
         div = SquaredEuclidean()
