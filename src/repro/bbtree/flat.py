@@ -14,11 +14,18 @@ A batch of range queries is decided in three steps, one method each
 1. :meth:`FlatTree.fast_pass`: one dense pass evaluates the two
    bisection-free YES tests for every (node, query) pair
    (:meth:`BatchRangeProber.fast_yes`), over the pairs' center
-   divergences, which the batch computes before any radius;
+   divergences, which the batch computes before any radius (from
+   :data:`~repro.geometry.projection.BLAS_MIN_QUERIES` queries on as
+   certified BLAS estimates, with fixed-order values only inside the
+   bound's margin);
 2. :meth:`FlatTree.bisect_rounds`: the remaining pairs are bisected in
    rounds (:meth:`BatchRangeProber.bisect`).  A round takes every
    undecided pair that has no ancestor decided NO and at most
-   :data:`LOOKAHEAD` undecided ancestors.  The rounds may be limited
+   :data:`LOOKAHEAD` undecided ancestors, and hands the prober each
+   pair's fixed-order center divergences, which place its first probe
+   (:meth:`BatchRangeProber.pair_values`: read off the dense matrices,
+   or recomputed over the round's gathered pairs where those hold
+   estimates).  The rounds may be limited
    to a node set closed under ancestors (:meth:`FlatTree.root_paths`)
    and finished later; a decided pair is never bisected again;
 3. :meth:`FlatTree.path_yes`: a query keeps a leaf when the leaf and
@@ -40,7 +47,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from ..geometry.projection import BallTerms, BatchRangeProber
+from ..geometry.projection import BallTerms, BatchRangeProber, CenterDivergences
 
 __all__ = ["FlatTree", "LOOKAHEAD"]
 
@@ -147,7 +154,7 @@ class FlatTree:
         prober: BatchRangeProber,
         active: np.ndarray,
         radii: np.ndarray,
-        divergences,
+        divergences: CenterDivergences,
     ) -> np.ndarray:
         """Step 1: ``(N, len(active))`` pair decisions, ``_YES`` where a
         fast path certifies the pair and ``_OPEN`` everywhere else.
@@ -169,13 +176,15 @@ class FlatTree:
         active: np.ndarray,
         radii: np.ndarray,
         cost: np.ndarray,
-        divergences,
+        divergences: CenterDivergences,
         nodes: Optional[np.ndarray] = None,
     ) -> None:
         """Step 2: bisect ``cost``'s open pairs in rounds, in place.
 
         ``divergences`` are the ones :meth:`fast_pass` took; each
-        bisected pair's two values place its first probe.  ``nodes``,
+        bisected pair's two fixed-order values
+        (:meth:`~BatchRangeProber.pair_values`) place its first probe.
+        ``nodes``,
         an ``(N,)`` mask closed under ancestors (see :meth:`root_paths`),
         limits the rounds to the pairs of those nodes; a later call
         without it finishes the rest.  Pairs already decided are never
@@ -198,7 +207,7 @@ class FlatTree:
             node, col = np.nonzero(open_pairs)
             if node.size == 0:
                 break
-            pairs = tuple(values[node, col] for values in divergences)
+            pairs = prober.pair_values(self.balls, divergences, node, col)
             yes = prober.bisect(self.balls, node, active[col], radii, pairs)
             cost[node, col] = np.where(yes, _YES, no)
 

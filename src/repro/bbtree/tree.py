@@ -82,12 +82,14 @@ class RangeBatch:
 
     Construction computes every (node, query) pair's center divergences
     ``D(q, c)`` and ``D(c, q)``, which need no radius
-    (:meth:`~repro.geometry.projection.BatchRangeProber.center_divergences`);
-    :meth:`nearest_leaves` orders the leaves by the second, which is
-    where Plan takes a single search's seed rows before it knows the
-    radius.  :meth:`start` runs the dense fast pass at given radii;
-    :meth:`bisect` decides open pairs (all of them, or those of a node
-    set) and :meth:`result` finishes the rounds and collects each
+    (:meth:`~repro.geometry.projection.BatchRangeProber.center_divergences`:
+    fixed-order values, or certified estimates from
+    :data:`~repro.geometry.projection.BLAS_MIN_QUERIES` queries on);
+    :meth:`nearest_leaves` orders the leaves by the fixed-order second,
+    which is where Plan takes a single search's seed rows before it
+    knows the radius.  :meth:`start` runs the dense fast pass at given
+    radii; :meth:`bisect` decides open pairs (all of them, or those of a
+    node set) and :meth:`result` finishes the rounds and collects each
     query's candidates.  Between the steps :meth:`kept` says which
     leaves each query is already proven to keep -- what the forest's
     covered-batch proof reads.  Queries with a negative radius are
@@ -104,9 +106,13 @@ class RangeBatch:
         )
 
     def nearest_leaves(self, q: int) -> np.ndarray:
-        """Leaf numbers by ascending ``D(center, query q)``, ties in leaf
-        order."""
-        return np.argsort(self.divergences[1][self.flat.leaf_nodes, q], kind="stable")
+        """Leaf numbers by ascending fixed-order ``D(center, query q)``,
+        ties in leaf order."""
+        leaves = self.flat.leaf_nodes
+        values = self.prober.pair_values(
+            self.flat.balls, self.divergences, leaves, np.full(leaves.size, q)
+        )
+        return np.argsort(values[1], kind="stable")
 
     def start(self, radii: np.ndarray) -> "RangeBatch":
         """Run the fast pass at one range radius per query."""
@@ -114,7 +120,7 @@ class RangeBatch:
         self.active = np.flatnonzero(radii >= 0.0)
         divergences = self.divergences
         if self.active.size < radii.size:
-            divergences = tuple(pairs[:, self.active] for pairs in divergences)
+            divergences = divergences.columns(self.active)
         self.active_divergences = divergences
         self.cost = self.flat.fast_pass(self.prober, self.active, radii, divergences)
         return self

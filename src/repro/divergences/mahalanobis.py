@@ -169,9 +169,7 @@ class MahalanobisDivergence(BregmanDivergence):
         return float(0.5 * x @ self.matrix @ x)
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
-        # single-point d x d matvec: operand shapes are fixed by the
-        # divergence's dimension, never by batch composition
-        return self.matrix @ np.asarray(x, dtype=float)  # repro: noqa[fixed-order-reduction]
+        return np.einsum("ij,j->i", self.matrix, np.asarray(x, dtype=float))
 
     def divergence(self, x: np.ndarray, y: np.ndarray) -> float:
         diff = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)

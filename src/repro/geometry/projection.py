@@ -27,16 +27,25 @@ curves predict the geodesic leaves the ball and the range, which
 decides most pairs at the first probe; any point of the geodesic is as
 good a certificate as a midpoint, so the probes change how fast a pair
 is decided, not what is certified.
+
+Before any probe, a pair's center divergences ``D(q, c)`` and ``D(c, q)``
+decide the two bisection-free YES tests (the fast pass).  For a batch of
+:data:`BLAS_MIN_QUERIES` or more queries they are estimated through BLAS,
+each under a proved bound on its gap to the fixed-order value, and only
+the pairs the bound cannot decide, and the pairs handed to bisection, get
+fixed-order values (:class:`BatchRangeProber`): every decision and probe
+is the fixed-order path's, bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Tuple
 
 import numpy as np
 
-from ..divergences.base import DecomposableBregmanDivergence
+from ..divergences.base import DecomposableBregmanDivergence, error_scale
 
 __all__ = [
     "min_divergence_to_ball",
@@ -44,9 +53,29 @@ __all__ = [
     "batch_ball_intersects_range",
     "BallTerms",
     "BatchRangeProber",
+    "CenterDivergences",
     "project_to_ball",
+    "BLAS_MIN_QUERIES",
     "MODEL_SLACK",
 ]
+
+#: Queries from which :meth:`BatchRangeProber.center_divergences` forms
+#: its two ``(N, B)`` products through BLAS under a proved bound (the
+#: certified fast pass) rather than with the fixed-order einsum.  Below
+#: it, and at ``B = 1``, whose seed leaves are ordered by the fixed-order
+#: ``D(c, q)``, the einsum runs as before.  Measured as Plan ms per
+#: ``search_batch`` call, fixed-order against certified (best of 3-9
+#: interleaved passes over 2-16 batches, seed 11, on a 2-vCPU x86-64 host
+#: with Python 3.11, NumPy 2.4 and OpenBLAS 0.3): ``serve``'s index at
+#: B = 2 / 4 / 8 / 12 / 16 / 32: 1.88 / 2.13 / 1.83 / 1.60 / 1.52 / 2.37
+#: against 2.20 / 2.42 / 1.83 / 1.41 / 1.18 / 1.48; ``mutate``'s at
+#: B = 4 / 8 / 12 / 32: 2.59 / 2.29 / 1.65 / 2.59 against 2.98 / 2.30 /
+#: 1.32 / 1.29; ``batch``'s (M=16) at B = 8 / 12 / 64: 7.29 / 8.08 /
+#: 49.1 against 7.51 / 7.97 / 42.8.  Small batches that the covered
+#: proof does not settle bisect hundreds of pairs, whose fixed-order
+#: values are then recomputed anyway; from B = 12 on the BLAS products
+#: win on every shape.
+BLAS_MIN_QUERIES = 12
 
 #: Halvings a pair's guided probes may fall behind midpoint bisection
 #: before the pair finishes with midpoints (:meth:`BatchRangeProber.bisect`).
@@ -171,9 +200,12 @@ class BallTerms:
 
     ``f`` is ``f(c)``, ``grad`` is ``grad f(c)`` and ``c_dot_grad`` is
     ``<c, grad f(c)>`` for each center ``c``; ``radii`` are the ball
-    radii clamped at zero.  A BB-tree computes these once per tree
-    (:class:`~repro.bbtree.flat.FlatTree`), so no range query re-derives
-    them per node visit.
+    radii clamped at zero.  ``grad_norm`` (``||grad f(c)||``),
+    ``center_norm`` (``||c||``) and ``magnitude`` (``|f(c)| + |<c, grad
+    f(c)>|``) are the certified fast pass's bound terms
+    (:meth:`BatchRangeProber.center_divergences`).  A BB-tree computes
+    these once per tree (:class:`~repro.bbtree.flat.FlatTree`), so no
+    range query re-derives them per node visit.
     """
 
     centers: np.ndarray
@@ -181,6 +213,9 @@ class BallTerms:
     grad: np.ndarray
     f: np.ndarray
     c_dot_grad: np.ndarray
+    grad_norm: np.ndarray
+    center_norm: np.ndarray
+    magnitude: np.ndarray
 
     @classmethod
     def of(
@@ -191,13 +226,51 @@ class BallTerms:
     ) -> "BallTerms":
         centers = np.atleast_2d(np.asarray(centers, dtype=float))
         grad = np.asarray(divergence.phi_prime(centers), dtype=float)
+        f = np.sum(divergence.phi(centers), axis=1)
+        c_dot_grad = np.einsum("ij,ij->i", centers, grad)
         return cls(
             centers=centers,
             radii=np.maximum(np.asarray(radii, dtype=float), 0.0),
             grad=grad,
-            f=np.sum(divergence.phi(centers), axis=1),
-            c_dot_grad=np.einsum("ij,ij->i", centers, grad),
+            f=f,
+            c_dot_grad=c_dot_grad,
+            grad_norm=_norms(grad),
+            center_norm=_norms(centers),
+            magnitude=np.abs(f) + np.abs(c_dot_grad),
         )
+
+
+def _norms(rows: np.ndarray) -> np.ndarray:
+    """Upper bounds on the rows' Euclidean norms, gradual underflow
+    included: a square below the smallest normal is off by up to
+    ``2^-1075`` (or flushed to zero), so ``d`` subnormal units are added
+    before the root."""
+    return np.sqrt(np.einsum("ij,ij->i", rows, rows) + rows.shape[1] * _SUBNORMAL)
+
+
+@dataclass(frozen=True)
+class CenterDivergences:
+    """``D(q, c)`` and ``D(c, q)`` of every (ball, query) pair, for the
+    prober's queries ``query_idx``: ``values`` holds two ``(N, A)``
+    matrices (:meth:`BatchRangeProber.center_divergences`).
+
+    ``bounds`` is ``None`` when the values are the fixed-order ones;
+    otherwise they are estimates and ``bounds`` holds, per entry, a
+    proved bound on its gap to the fixed-order value
+    (:meth:`BatchRangeProber.pair_values` gives those).
+    """
+
+    values: Tuple[np.ndarray, np.ndarray]
+    bounds: Optional[Tuple[np.ndarray, np.ndarray]]
+    query_idx: np.ndarray
+
+    def columns(self, cols: np.ndarray) -> "CenterDivergences":
+        """The pairs of the queries ``query_idx[cols]``."""
+        bounds = self.bounds
+        if bounds is not None:
+            bounds = (bounds[0][:, cols], bounds[1][:, cols])
+        values = (self.values[0][:, cols], self.values[1][:, cols])
+        return CenterDivergences(values, bounds, self.query_idx[cols])
 
 
 class BatchRangeProber:
@@ -211,7 +284,9 @@ class BatchRangeProber:
 
     * :meth:`fast_yes` -- the two bisection-free certain YES tests (the
       query inside the ball, the center inside the range) as one dense
-      ``(N, B)`` pass over the pairs' :meth:`center_divergences`;
+      ``(N, B)`` pass over the pairs' :meth:`center_divergences`
+      (certified estimates from :data:`BLAS_MIN_QUERIES` queries on, with
+      fixed-order values recomputed only inside the bound's margin);
     * :meth:`bisect` -- guided probes of the dual geodesic for the pairs
       the fast paths left open, all of them in lockstep: any probe
       inside both sets is a certain YES, any probe outside both a
@@ -221,6 +296,25 @@ class BatchRangeProber:
     Both take the queries' range radii, ``(B,)`` and indexed like the
     queries, as an argument: the prober itself holds only radius-free
     terms, so one prober decides its queries at any radii.
+
+    The certified fast pass.  From :data:`BLAS_MIN_QUERIES` queries on,
+    the center divergences come from two BLAS products, each entry with
+    a proved bound ``E`` on its gap to the fixed-order value, formed
+    from norms and magnitudes cached per ball (:class:`BallTerms`) and
+    per query (see :meth:`center_divergences` for the bound).  A test
+    whose estimate lies farther than ``E`` from its radius (``R`` for
+    ``D(q, c)``, the range radius for ``D(c, q)``) has its fixed-order
+    value on the same side, so it is decided from the estimate; a pair
+    left inside the margin, or with a non-finite estimate or bound, is
+    recomputed with the fixed-order formula over the gathered pairs
+    (:meth:`pair_divergences`, whose row-wise einsum rounds like the
+    dense entry).  So is every pair handed to :meth:`bisect`
+    (:meth:`pair_values`), whose first probe reads its values.  The
+    decisions and probes are therefore the fixed-order path's bit for
+    bit, whatever order or thread count BLAS sums in.  On perfbench's
+    ``serve`` batches (B=32, 1,059 nodes) no pair lands in the margin,
+    and the products take about 0.15 ms against 1.3 ms for the two
+    einsums.
 
     Each pair's value depends only on that pair's operands, never on
     which other pairs share the call, so any schedule of calls decides
@@ -244,59 +338,187 @@ class BatchRangeProber:
         self.f_q = np.sum(divergence.phi(self.queries), axis=1)
         self.q_dot_grad_q = np.einsum("ij,ij->i", self.queries, self.grad_q)
 
+    @cached_property
+    def _bound_terms(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(||q||, ||grad f(q)||, |f(q)| + |<q, grad f(q)>|)`` per query:
+        the certified fast pass's query-side bound terms, computed on
+        first use."""
+        return (
+            _norms(self.queries),
+            _norms(self.grad_q),
+            np.abs(self.f_q) + np.abs(self.q_dot_grad_q),
+        )
+
     def center_divergences(
         self, balls: BallTerms, query_idx: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """``(D(q, c), D(c, q))`` for every (ball, query) pair: two
+    ) -> CenterDivergences:
+        """``D(q, c)`` and ``D(c, q)`` for every (ball, query) pair: two
         ``(N, len(query_idx))`` matrices.
 
         What the fast paths compare with the ball and range radii; they
         need neither, so a caller may read them before choosing the
-        radii.  The contractions are the default (unoptimized)
-        ``np.einsum`` over every (ball, query) pair at once, which rounds
-        each element exactly like the row-wise ``"ij,ij->i"`` over
-        gathered pairs; ``np.dot``/``@``/``optimize=True`` may not.  The
-        gather also lays the query operands out row-major: a subspace's
-        columns arrive column-major (``points[:, dims]``), over which
-        the contraction runs about 1.6 times slower.
+        radii.  Below :data:`BLAS_MIN_QUERIES` queries they are the
+        fixed-order values: the contractions are the default
+        (unoptimized) ``np.einsum`` over every (ball, query) pair at
+        once, which rounds each element exactly like the row-wise
+        ``"ij,ij->i"`` over gathered pairs (:meth:`pair_divergences`);
+        ``np.dot``/``@``/``optimize=True`` may not.  The gather also lays
+        the query operands out row-major: a subspace's columns arrive
+        column-major (``points[:, dims]``), over which the contraction
+        runs about 1.6 times slower.
+
+        From :data:`BLAS_MIN_QUERIES` queries on, each product is one BLAS
+        call and the values are estimates, each with a proved bound
+        ``E`` on its gap to the fixed-order value.  Both computations
+        round the same cached terms through one contraction of ``d``
+        products and three additions, ``((f(q) - f(c)) - <grad f(c), q>)
+        + <c, grad f(c)>`` for ``D(q, c)`` (and its mirror for ``D(c,
+        q)``).  Higham's bound (Accuracy and Stability of Numerical
+        Algorithms, 2nd ed., section 3.1) puts a contraction's rounding,
+        in any summation order, within ``gamma_d ||a|| ||b||``, and each
+        addition's within ``u`` times its operands; so ``E = 64 (d + 8) u
+        (2 ||a|| ||b|| + |f(c)| + |<c, grad f(c)>| + |f(q)| + |<q, grad
+        f(q)>|)`` covers both computations with a margin of over ten,
+        ``2 ||a|| ||b||`` covering the contraction's own magnitude
+        besides its rounding.  Its floor, ``2 * 64 (d + 8)`` subnormal
+        units, covers gradual underflow
+        (:func:`~repro.divergences.base.error_scale`, which the norms'
+        underflow padding joins).  The clamp at zero is 1-Lipschitz, so
+        it keeps the bound.
         """
-        f_q = self.f_q[query_idx]
+        if query_idx.size < BLAS_MIN_QUERIES:
+            f_q = self.f_q[query_idx]
+            d_query_center = np.maximum(
+                f_q[None, :]
+                - balls.f[:, None]
+                - np.einsum("nd,qd->nq", balls.grad, self.queries[query_idx])
+                + balls.c_dot_grad[:, None],
+                0.0,
+            )
+            d_center_query = np.maximum(
+                balls.f[:, None]
+                - f_q[None, :]
+                - np.einsum("nd,qd->nq", balls.centers, self.grad_q[query_idx])
+                + self.q_dot_grad_q[query_idx][None, :],
+                0.0,
+            )
+            return CenterDivergences((d_query_center, d_center_query), None, query_idx)
+        q_norm, grad_q_norm, q_magnitude = (term[query_idx] for term in self._bound_terms)
+        scale, floor = error_scale(1.0, balls.centers.shape[1])
+        node_bound = scale * balls.magnitude + floor
+        query_bound = scale * q_magnitude
+        # an overflowing product or sum is an inf or NaN estimate, which
+        # the fast pass leaves to the fixed-order values
+        queries, grad_q = self.queries[query_idx], self.grad_q[query_idx]
+        with np.errstate(over="ignore", invalid="ignore"):
+            # BLAS may sum in any order: each entry is certified to within
+            # its bound of the fixed-order value, which decides every pair
+            # the bound cannot
+            d_query_center = balls.grad @ queries.T  # repro: noqa[fixed-order-reduction]
+            node_terms = (balls.c_dot_grad - balls.f)[:, None]
+            np.subtract(node_terms, d_query_center, out=d_query_center)
+            d_query_center += self.f_q[query_idx][None, :]
+            np.maximum(d_query_center, 0.0, out=d_query_center)
+            d_center_query = balls.centers @ grad_q.T  # repro: noqa[fixed-order-reduction]
+            np.subtract(balls.f[:, None], d_center_query, out=d_center_query)
+            d_center_query += (self.q_dot_grad_q - self.f_q)[query_idx][None, :]
+            np.maximum(d_center_query, 0.0, out=d_center_query)
+            bounds = []
+            for node_norm, query_norm in (
+                (balls.grad_norm, q_norm),
+                (balls.center_norm, grad_q_norm),
+            ):
+                bound = np.multiply.outer(2.0 * scale * node_norm, query_norm)
+                bound += node_bound[:, None]
+                bound += query_bound[None, :]
+                bounds.append(bound)
+        return CenterDivergences(
+            (d_query_center, d_center_query), (bounds[0], bounds[1]), query_idx
+        )
+
+    def pair_divergences(
+        self, balls: BallTerms, node_idx: np.ndarray, query_idx: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """The fixed-order ``(D(q, c), D(c, q))`` of gathered pairs, ball
+        ``node_idx[p]`` against query ``query_idx[p]``: bit for bit the
+        dense fixed-order entries of :meth:`center_divergences`."""
+        f_q, f_c = self.f_q[query_idx], balls.f[node_idx]
         d_query_center = np.maximum(
-            f_q[None, :]
-            - balls.f[:, None]
-            - np.einsum("nd,qd->nq", balls.grad, self.queries[query_idx])
-            + balls.c_dot_grad[:, None],
+            f_q
+            - f_c
+            - np.einsum("ij,ij->i", balls.grad[node_idx], self.queries[query_idx])
+            + balls.c_dot_grad[node_idx],
             0.0,
         )
         d_center_query = np.maximum(
-            balls.f[:, None]
-            - f_q[None, :]
-            - np.einsum("nd,qd->nq", balls.centers, self.grad_q[query_idx])
-            + self.q_dot_grad_q[query_idx][None, :],
+            f_c
+            - f_q
+            - np.einsum("ij,ij->i", balls.centers[node_idx], self.grad_q[query_idx])
+            + self.q_dot_grad_q[query_idx],
             0.0,
         )
         return d_query_center, d_center_query
+
+    def pair_values(
+        self,
+        balls: BallTerms,
+        divergences: CenterDivergences,
+        node_idx: np.ndarray,
+        cols: np.ndarray,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """The fixed-order center divergences of the pairs ``(node_idx[p],
+        cols[p])`` of ``divergences``: read off the matrices when they
+        hold fixed-order values, recomputed over the gathered pairs
+        (:meth:`pair_divergences`) when they hold estimates."""
+        if divergences.bounds is None:
+            return (
+                divergences.values[0][node_idx, cols],
+                divergences.values[1][node_idx, cols],
+            )
+        return self.pair_divergences(balls, node_idx, divergences.query_idx[cols])
 
     def fast_yes(
         self,
         balls: BallTerms,
         query_idx: np.ndarray,
         range_radii: np.ndarray,
-        divergences: Optional[Tuple[np.ndarray, np.ndarray]] = None,
+        divergences: Optional[CenterDivergences] = None,
     ) -> np.ndarray:
         """``(N, len(query_idx))`` mask of the pairs certain YES without
         bisection: the query inside the ball, or the center inside the
         range.
 
         ``divergences`` are the pairs' :meth:`center_divergences` for
-        ``query_idx``, computed here when not given.
+        ``query_idx``, computed here when not given.  Where they are
+        estimates, a test is decided from its estimate when that is
+        finite and lies farther than its bound from the test's radius
+        (``R`` for ``D(q, c)``, the range radius for ``D(c, q)``); a
+        pair that no test decides YES and not both decide NO is
+        recomputed with the fixed-order formula
+        (:meth:`pair_divergences`).  So the mask is the fixed-order
+        values' bit for bit.
         """
         if divergences is None:
             divergences = self.center_divergences(balls, query_idx)
-        d_query_center, d_center_query = divergences
-        return (d_query_center <= balls.radii[:, None]) | (
-            d_center_query <= range_radii[query_idx][None, :]
-        )
+        ball_radii = balls.radii[:, None]
+        range_r = range_radii[query_idx][None, :]
+        d_query_center, d_center_query = divergences.values
+        inside_ball = d_query_center <= ball_radii
+        in_range = d_center_query <= range_r
+        yes = inside_ball | in_range
+        if divergences.bounds is None:
+            return yes
+        bound_ball, bound_range = divergences.bounds
+        sure_ball = _beyond_bound(d_query_center, ball_radii, bound_ball)
+        sure_range = _beyond_bound(d_center_query, range_r, bound_range)
+        decided = (sure_ball & (sure_range | inside_ball)) | (sure_range & in_range)
+        node, col = np.nonzero(~decided)
+        if node.size:
+            exact_ball, exact_range = self.pair_divergences(balls, node, query_idx[col])
+            yes[node, col] = (exact_ball <= balls.radii[node]) | (
+                exact_range <= range_radii[query_idx[col]]
+            )
+        return yes
 
     def bisect(
         self,
@@ -408,6 +630,19 @@ class BatchRangeProber:
         return out
 
 
+def _beyond_bound(values, thresholds, bounds):
+    """Mask of the finite estimates ``values`` that lie farther than their
+    ``bounds`` from their ``thresholds``: there the fixed-order value is
+    on the same side of the threshold.  The subtraction's rounding is
+    inside the bound's margin (exact where the difference is
+    subnormal)."""
+    with np.errstate(invalid="ignore"):
+        beyond = np.abs(values - thresholds) > bounds
+    if not values.max() < np.inf:  # an overflowed (or NaN) estimate somewhere
+        beyond &= values < np.inf
+    return beyond
+
+
 def _first_probe(model, ends):
     """Each pair's first probe, from its center divergences ``ends``
     (``D(q, c)`` and ``D(c, q)``, one row each); ``model`` is as
@@ -487,13 +722,14 @@ def batch_ball_intersects_range(
     divergences = prober.center_divergences(ball, active)
     yes = prober.fast_yes(ball, active, range_radii, divergences)[0]
     out[active[yes]] = True
-    rest = active[~yes]
-    out[rest] = prober.bisect(
+    cols = np.flatnonzero(~yes)
+    nodes = np.zeros(cols.size, dtype=int)
+    out[active[cols]] = prober.bisect(
         ball,
-        np.zeros(rest.size, dtype=int),
-        rest,
+        nodes,
+        active[cols],
         range_radii,
-        tuple(pairs[0, ~yes] for pairs in divergences),
+        prober.pair_values(ball, divergences, nodes, cols),
     )
     return out
 

@@ -74,21 +74,35 @@ def _mean_search_bound(
     model captures.
     """
     partitioning = strategy.partition(points, n_partitions)
-    sub_points = partitioning.split_matrix(points)
-    search_bounds = []
-    for query in np.atleast_2d(queries):
-        sub_queries = partitioning.split(query)
-        totals = np.zeros(points.shape[0])
-        for dims_points, sub_query, dims in zip(
-            sub_points, sub_queries, partitioning.subspaces
-        ):
-            sub_div = divergence.restrict(dims)
-            alpha, gamma = bd.transform_points(sub_div, dims_points)
-            triple = bd.transform_query(sub_div, sub_query)
-            totals += bd.batch_upper_bounds(alpha, gamma, triple)
-        positive = totals[totals > 0]
-        search_bounds.append(float(np.min(positive)) if positive.size else float(np.min(totals)))
+    summaries = _subspace_summaries(divergence, points, partitioning)
+    search_bounds = [
+        _search_bound(summaries, partitioning, points.shape[0], query)
+        for query in np.atleast_2d(queries)
+    ]
     return float(np.mean(search_bounds))
+
+
+def _subspace_summaries(divergence, points: np.ndarray, partitioning):
+    """Each subspace's restricted divergence and the points' ``(alpha,
+    gamma)`` there: query-independent, so computed once per partitioning,
+    not per sample query."""
+    summaries = []
+    for dims_points, dims in zip(partitioning.split_matrix(points), partitioning.subspaces):
+        sub_div = divergence.restrict(dims)
+        summaries.append((sub_div, *bd.transform_points(sub_div, dims_points)))
+    return summaries
+
+
+def _search_bound(summaries, partitioning, n: int, query: np.ndarray) -> float:
+    """The k=1 searching bound of one sample query: the smallest positive
+    total upper bound over the points (the smallest total when none is
+    positive)."""
+    totals = np.zeros(n)
+    for (sub_div, alpha, gamma), sub_query in zip(summaries, partitioning.split(query)):
+        triple = bd.transform_query(sub_div, sub_query)
+        totals += bd.batch_upper_bounds(alpha, gamma, triple)
+    positive = totals[totals > 0]
+    return float(np.min(positive)) if positive.size else float(np.min(totals))
 
 
 def calibrate_cost_model(
@@ -144,20 +158,10 @@ def calibrate_cost_model(
     # where the bound decays but pruning has already saturated.
     def _pruning_fraction(m: int) -> float:
         partitioning = strategy.partition(points, m)
-        sub_points = partitioning.split_matrix(points)
+        summaries = _subspace_summaries(divergence, points, partitioning)
         fractions = []
         for query in samples[: min(20, take)]:
-            sub_queries = partitioning.split(query)
-            totals = np.zeros(n)
-            for dims_points, sub_query, dims in zip(
-                sub_points, sub_queries, partitioning.subspaces
-            ):
-                sub_div = divergence.restrict(dims)
-                alpha_arr, gamma_arr = bd.transform_points(sub_div, dims_points)
-                triple = bd.transform_query(sub_div, sub_query)
-                totals += bd.batch_upper_bounds(alpha_arr, gamma_arr, triple)
-            positive = totals[totals > 0]
-            ub = float(np.min(positive)) if positive.size else float(np.min(totals))
+            ub = _search_bound(summaries, partitioning, n, query)
             exact = divergence.batch_divergence(points, query)
             fractions.append(float(np.mean(exact <= ub)))
         return float(np.mean(fractions)) if fractions else 1.0

@@ -125,6 +125,9 @@ class QueryBatchContext:
     #: their bits are not fixed: each is certified only to within its
     #: ``bound_of`` entry of the direct kernel's value.
     scores_of: Optional[Callable[[int, Any], np.ndarray]] = None
+    #: the dense kernel's ``(B, union)`` estimate matrix itself, whose
+    #: rows ``scores_of`` reads; ``None`` after the sparse kernel.
+    estimates: Optional[np.ndarray] = None
     #: ``bound_of(q, rows)`` -> the proved bound ``E`` on
     #: ``|estimate - batch_divergence|`` for the same pairs, aligned with
     #: ``scores_of(q, rows)`` and formed on demand from cached row terms

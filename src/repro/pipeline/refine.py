@@ -21,7 +21,9 @@ contiguous row) or the sparse grouped kernel (only real pairs, through
 ``pair_contract``'s query-bucketed gathers, over the same gathered rows
 and cached terms); a single search is the same run at ``B = 1``, where
 ``auto`` always picks dense.  Both leave ``ctx.scores_of`` (estimates)
-and ``ctx.bound_of`` (their bounds) on the context.  A query the
+and ``ctx.bound_of`` (their bounds) on the context; the dense kernel
+also leaves its matrix itself (``ctx.estimates``), which Rerank's
+thresholded certificate compares in one pass.  A query the
 divergence cannot estimate without overflow (``estimable``) gets NaN
 estimates and bounds, so every candidate of it reaches the direct
 kernel.  The kernel choice is purely a performance decision: both
@@ -115,7 +117,7 @@ class ErrorBound:
     margin.
     """
 
-    __slots__ = ("row_bound", "row_norm", "query_bound", "query_norm")
+    __slots__ = ("row_bound", "row_norm", "query_bound", "query_norm", "_row_max")
 
     def __init__(
         self, row_terms: RowTerms, query_bound, query_norm, scale: float, floor: float
@@ -124,11 +126,32 @@ class ErrorBound:
         self.row_norm = scale * row_terms.norm
         self.query_bound = scale * query_bound + floor
         self.query_norm = query_norm
+        self._row_max = None
 
     def __call__(self, q: int, rows) -> np.ndarray:
         bound = self.row_norm[rows] * self.query_norm[q]
         bound += self.row_bound[rows]
         bound += self.query_bound[q]
+        return bound
+
+    def matrix(self, queries: np.ndarray, rows) -> np.ndarray:
+        """``(len(queries), rows)`` bounds of several queries over shared
+        union rows, each entry the one ``self(q, rows)`` gives."""
+        bound = np.multiply.outer(self.query_norm[queries], self.row_norm[rows])
+        bound += self.row_bound[rows]
+        bound += self.query_bound[queries][:, None]
+        return bound
+
+    def largest(self, queries: np.ndarray) -> np.ndarray:
+        """Each query's largest bound over every union row: at least each
+        entry of ``self(q, rows)``, since it rounds the same operations on
+        the largest row terms and rounding is monotone."""
+        if self._row_max is None:
+            self._row_max = (self.row_norm.max(), self.row_bound.max())
+        row_norm, row_bound = self._row_max
+        bound = row_norm * self.query_norm[queries]
+        bound += row_bound
+        bound += self.query_bound[queries]
         return bound
 
 
@@ -185,6 +208,7 @@ class RefineStage(PipelineStage):
 
     def run(self, ctx: QueryBatchContext) -> None:
         n_queries = ctx.n_queries
+        ctx.estimates = None
         if ctx.union is None or ctx.union.size == 0 or n_queries == 0:
             ctx.refine_kernel = None
             return
@@ -212,6 +236,7 @@ class RefineStage(PipelineStage):
             ctx.scores_of = lambda q, rows: flat[offsets[q] : offsets[q + 1]]
         else:
             cross = self._estimate_dense(ctx, base, whole, row_terms, queries, ok, factor)
+            ctx.estimates = cross
             ctx.scores_of = lambda q, rows: cross[q, rows]
 
     def _estimate_dense(

@@ -9,7 +9,9 @@ with an empty checked-in baseline.
 
 from __future__ import annotations
 
+import io
 import json
+import tokenize
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +31,7 @@ from repro.analysis.checkers import (
     ShmLifecycleChecker,
 )
 from repro.analysis.cli import main as lint_main
-from repro.analysis.engine import save_baseline
+from repro.analysis.engine import iter_python_files, load_module, save_baseline
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
@@ -511,6 +513,32 @@ class TestFixedOrderReduction:
             "import numpy as np\ndef f(a, b):\n    return np.dot(a, b)\n",
         )
         assert analyze_paths([str(tmp_path)]) == []
+
+    def test_suppressions_are_the_certified_products(self):
+        """The rule's only suppressions in ``src/`` are the BLAS products
+        every use of which is certified by a proved error bound: Refine's
+        dense estimate and the fast pass's two center-divergence
+        products.  A new BLAS call in a module whose bits decide
+        candidates cannot be waved through with a suppression."""
+        sites = set()
+        for path in iter_python_files([str(SRC)]):
+            module = load_module(path)
+            lines = module.source.splitlines()
+            # suppressions are comments; docstrings may quote the syntax
+            comments = {
+                token.start[0]
+                for token in tokenize.generate_tokens(io.StringIO(module.source).readline)
+                if token.type == tokenize.COMMENT
+            }
+            for line, rules in module.noqa.items():
+                if line in comments and rules & {"fixed-order-reduction", "*"}:
+                    code = lines[line - 1].partition("#")[0].strip()
+                    sites.add((Path(path).relative_to(SRC).as_posix(), code))
+        assert sites == {
+            ("repro/pipeline/refine.py", "np.matmul(operand, rows.T, out=out)"),
+            ("repro/geometry/projection.py", "d_query_center = balls.grad @ queries.T"),
+            ("repro/geometry/projection.py", "d_center_query = balls.centers @ grad_q.T"),
+        }
 
     def test_other_pipeline_files_not_in_scope(self, tmp_path):
         write(

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from repro.datasets.synthetic import correlated_matrix
-from repro.divergences import ItakuraSaito, SquaredEuclidean
+from repro.divergences import ExponentialDistance, ItakuraSaito, SquaredEuclidean
 from repro.exceptions import InvalidParameterError
+from repro.geometry import bounds as bd
 from repro.partitioning import (
     ContiguousPartitioner,
     CostModelParams,
@@ -235,3 +236,87 @@ class TestCalibration:
         params = calibrate_cost_model(div, points, rng=np.random.default_rng(0))
         m = optimal_partitions(points.shape[0], points.shape[1], params)
         assert 1 <= m <= 24
+
+
+def _per_query_calibration(divergence, points, n_samples, strategy, rng):
+    """``calibrate_cost_model`` as it was before its query-independent
+    summaries (each subspace's restricted divergence and the points'
+    ``(alpha, gamma)``) were computed once per partitioning: the same
+    arithmetic, recomputed for every sample query."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    n, d = points.shape
+    take = min(n_samples, n)
+    samples = points[rng.choice(n, size=take, replace=False)]
+    hi = max(2, min(d, 16))
+    m_values = tuple(m for m in sorted({1, max(2, hi // 2), hi}) if 1 <= m <= d)
+
+    def search_bound(partitioning, sub_points, query):
+        totals = np.zeros(n)
+        for dims_points, sub_query, dims in zip(
+            sub_points, partitioning.split(query), partitioning.subspaces
+        ):
+            sub_div = divergence.restrict(dims)
+            alpha, gamma = bd.transform_points(sub_div, dims_points)
+            totals += bd.batch_upper_bounds(alpha, gamma, bd.transform_query(sub_div, sub_query))
+        positive = totals[totals > 0]
+        return float(np.min(positive)) if positive.size else float(np.min(totals))
+
+    def mean_bound(m):
+        partitioning = strategy.partition(points, m)
+        sub_points = partitioning.split_matrix(points)
+        return float(np.mean([
+            search_bound(partitioning, sub_points, query) for query in samples[: min(10, take)]
+        ]))
+
+    def pruning_fraction(m):
+        partitioning = strategy.partition(points, m)
+        sub_points = partitioning.split_matrix(points)
+        fractions = []
+        for query in samples[: min(20, take)]:
+            ub = search_bound(partitioning, sub_points, query)
+            fractions.append(float(np.mean(divergence.batch_divergence(points, query) <= ub)))
+        return float(np.mean(fractions)) if fractions else 1.0
+
+    mean_bounds = np.maximum(np.array([mean_bound(m) for m in m_values]), 1e-12)
+    slope, intercept = np.polyfit(np.array(m_values, dtype=float), np.log(mean_bounds), 1)
+    big_a = float(np.exp(intercept))
+    m_lo, m_hi = m_values[0], m_values[-1]
+    frac_lo = max(pruning_fraction(m_lo), 1e-6)
+    frac_hi = max(pruning_fraction(m_hi), 1e-6)
+    if m_hi > m_lo and frac_hi < frac_lo:
+        alpha = float((frac_hi / frac_lo) ** (1.0 / (m_hi - m_lo)))
+    else:
+        alpha = 0.999
+    alpha = min(max(alpha, 1e-6), 0.999)
+    beta = frac_lo / max(big_a * alpha**m_lo, 1e-12)
+    return CostModelParams(A=big_a, alpha=alpha, beta=beta)
+
+
+class TestCalibrationPinned:
+    """Calibration computes each partitioning's query-independent
+    summaries once; its fitted constants stay those of the per-query
+    loop, bit for bit."""
+
+    @pytest.mark.parametrize("strategy", ["contiguous", "pccp"])
+    @pytest.mark.parametrize(
+        "divergence,positive",
+        [(ItakuraSaito(), True), (ExponentialDistance(), False), (SquaredEuclidean(), False)],
+    )
+    def test_params_equal_the_per_query_loop(self, divergence, positive, strategy):
+        for seed in (1, 2):
+            values = np.random.default_rng(seed).normal(0.0, 0.6, size=(150, 12))
+            points = np.exp(values) if positive else values
+
+            def make():
+                if strategy == "pccp":
+                    return PCCPPartitioner(rng=np.random.default_rng(seed))
+                return ContiguousPartitioner()
+
+            got = calibrate_cost_model(
+                divergence, points, n_samples=25, strategy=make(),
+                rng=np.random.default_rng(seed),
+            )
+            want = _per_query_calibration(
+                divergence, points, 25, make(), np.random.default_rng(seed)
+            )
+            assert (got.A, got.alpha, got.beta) == (want.A, want.alpha, want.beta)
