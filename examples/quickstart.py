@@ -82,16 +82,14 @@ def main() -> None:
         assert np.array_equal(before.ids, after.ids), "sharding must not change results"
     print("verified: sharded results identical to single-disk results")
 
-    # Parallel fan-out: shard_workers threads charge and fetch each
-    # shard's slab concurrently; refinement then scores the union
-    # in-process (the CLI exposes this as
-    # `brepartition search ... --shards 4 --shard-workers 4`, plus
-    # `--refine-kernel {auto,dense,sparse}` for the refinement kernel).
-    # Results are bitwise identical for any worker count or kernel.
+    # Parallel fan-out: shard_workers threads charge each shard's pages
+    # concurrently; refinement then scores the union in-process (the
+    # CLI exposes this as
+    # `brepartition search ... --shards 4 --shard-workers 4`).
+    # Results are bitwise identical for any worker count.
     index.config.shard_workers = 4
     parallel_batch = index.search_batch(queries, k=10)
-    print(f"\n4 fan-out workers: refine kernel "
-          f"{parallel_batch.stats.refine_kernel!r}, per-shard task times "
+    print(f"\n4 fan-out workers: per-shard task times "
           f"{[f'{s * 1e3:.1f}ms' for s in parallel_batch.stats.shard_seconds]}")
     for before, after in zip(sharded_batch, parallel_batch):
         assert np.array_equal(before.ids, after.ids), "workers must not change results"

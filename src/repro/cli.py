@@ -96,13 +96,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="race a replica fetch still outstanding after MS milliseconds "
         "against the shard's next live replica (requires --replication-factor)",
     )
-    search.add_argument(
-        "--refine-kernel",
-        choices=("auto", "dense", "sparse"),
-        default=None,
-        help="refinement kernel: dense (union x batch), sparse "
-        "(real pairs only), or auto density-based dispatch (default)",
-    )
     search.add_argument("--probability", type=float, default=0.9, help="ABP guarantee p")
     search.add_argument("--seed", type=int, default=0)
 
@@ -295,11 +288,6 @@ def _cmd_search(args) -> int:
     ):
         print(f"method {args.method!r} has no fan-out pool; ignoring --shard-workers")
         args.shard_workers = None
-    if args.refine_kernel is not None and (
-        config is None or not hasattr(config, "refine_kernel")
-    ):
-        print(f"method {args.method!r} has no kernel dispatch; ignoring --refine-kernel")
-        args.refine_kernel = None
     result = run_workload(
         index,
         dataset,
@@ -308,7 +296,6 @@ def _cmd_search(args) -> int:
         batch_size=args.batch,
         shards=args.shards,
         shard_workers=args.shard_workers,
-        refine_kernel=args.refine_kernel,
         replication_factor=args.replication_factor,
         hedge_after_ms=args.hedge_after_ms,
     )
@@ -343,9 +330,6 @@ def _cmd_search(args) -> int:
             + (f", R={replicas} replicas/shard" if replicas > 1 else "")
             + (f", page fan-out {fanout}" if fanout is not None else "")
         )
-    kernel = result.extras.get("refine_kernel")
-    if kernel is not None:
-        print(f"batch refinement kernel: {kernel}")
     return 0
 
 

@@ -10,15 +10,16 @@ from ..partitioning.contiguous import ContiguousPartitioner
 from ..partitioning.pccp import PCCPPartitioner
 from ..partitioning.scheme import PartitionStrategy
 
-__all__ = ["BrePartitionConfig", "REFINE_KERNELS"]
-
-#: valid values of :attr:`BrePartitionConfig.refine_kernel`.
-REFINE_KERNELS = ("auto", "dense", "sparse")
+__all__ = ["BrePartitionConfig"]
 
 
-@dataclass
+@dataclass(slots=True)
 class BrePartitionConfig:
     """Tunables of the partition-filter-refinement pipeline.
+
+    The class has slots, so assigning a name that is not a field (a
+    misspelt or retired knob) raises :class:`AttributeError` instead of
+    creating an attribute nothing reads.
 
     Parameters
     ----------
@@ -49,20 +50,11 @@ class BrePartitionConfig:
         BB-forest's leaves striped round-robin across shards).  ``1``
         (default) is one clustered file on one disk.
     shard_workers:
-        Threads fanning the Fetch stage's per-shard page charges and
-        vector reads out across the shards (one task per shard; see
-        :mod:`repro.exec`).  ``1`` (default) runs the fan-out
-        sequentially inline; the pool is never wider than
-        ``n_shards``.  Results are bitwise identical for any value.
-    refine_kernel:
-        Batch refinement kernel: ``"dense"`` scores the full
-        (union x batch) matrix in blocks, ``"sparse"`` scores only real
-        (candidate, query) pairs through the grouped kernel, ``"auto"``
-        (default) picks sparse when the mean per-query candidate density
-        over the union falls below
-        :data:`~repro.pipeline.refine.SPARSE_DENSITY_THRESHOLD`.  All
-        three return bitwise-identical results; every kernel runs
-        in-process.
+        Threads fanning the Fetch stage's per-shard page charges out
+        across the shards (one task per shard; see :mod:`repro.exec`).
+        ``1`` (default) runs the fan-out sequentially inline; the pool
+        is never wider than ``n_shards``.  Results are bitwise identical
+        for any value.
     io_max_retries:
         Extra attempts a storage charge gets after a
         :class:`~repro.exceptions.TransientIOError` (fault injection),
@@ -133,7 +125,6 @@ class BrePartitionConfig:
     seed: Optional[int] = None
     n_shards: int = 1
     shard_workers: int = 1
-    refine_kernel: str = "auto"
     io_max_retries: int = 0
     io_backoff_ms: float = 1.0
     io_backoff_cap_ms: float = 50.0
@@ -159,11 +150,6 @@ class BrePartitionConfig:
             raise InvalidParameterError("n_shards must be >= 1")
         if self.shard_workers < 1:
             raise InvalidParameterError("shard_workers must be >= 1")
-        if self.refine_kernel not in REFINE_KERNELS:
-            raise InvalidParameterError(
-                f"refine_kernel must be one of {REFINE_KERNELS}, "
-                f"got {self.refine_kernel!r}"
-            )
         if self.io_max_retries < 0:
             raise InvalidParameterError("io_max_retries must be >= 0")
         if self.io_backoff_ms < 0 or self.io_backoff_cap_ms < 0:

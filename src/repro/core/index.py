@@ -10,8 +10,8 @@ Build pipeline (:meth:`BrePartitionIndex.build`, Algorithm 5):
 
 Search pipeline (Algorithm 6): one staged run in :mod:`repro.pipeline`
 -- Plan (bounds, radii, forest traversal), Fetch (page-union charging,
-shard fan-out), Refine (dense/sparse/auto expansion estimates, each
-with a certified error bound) and Rerank (the certificate, then
+shard fan-out), Refine (BLAS expansion estimates, each with a
+certified error bound) and Rerank (the certificate, then
 direct-kernel top-k) each transform one shared
 :class:`~repro.pipeline.QueryBatchContext`.  :meth:`BrePartitionIndex.search`
 is that run at ``B = 1`` and :meth:`BrePartitionIndex.search_batch` at
@@ -840,9 +840,9 @@ class BrePartitionIndex:
         * candidate pages are charged with reads coalesced across
           queries -- fanned out one task per shard -- so overlapping
           candidate pages are charged once (Fetch);
-        * every (candidate, query) pair is estimated through the
-          adaptive dense (one BLAS product per block) or sparse kernel,
-          each estimate with a proved error bound (Refine);
+        * every (union row, query) pair is estimated with one BLAS
+          product per row block, each estimate with a proved error
+          bound (Refine);
         * per query, only the rows the bound cannot rule out are scored
           with the direct kernel, whose top-k is the oracle's (Rerank).
 
@@ -900,7 +900,6 @@ class BrePartitionIndex:
             cpu_seconds=elapsed,
             n_queries=n_queries,
             n_candidates=total_candidates,
-            refine_kernel=ctx.refine_kernel,
             shard_workers=min(self.config.shard_workers, snap.datastore.n_shards),
             shard_seconds=ctx.shard_seconds,
             stage_seconds=dict(ctx.stage_seconds),

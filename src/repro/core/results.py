@@ -91,8 +91,6 @@ class BatchQueryStats:
     (the page charge); with ``shard_workers > 1`` tasks overlap, so their
     sum can exceed ``cpu_seconds``.  Both stay ``None`` for indexes
     without a Fetch fan-out (the baselines).
-    ``refine_kernel`` is the kernel the adaptive dispatcher actually
-    ran (``"dense"`` or ``"sparse"``), whatever the configured mode.
 
     ``covered`` marks a batch whose Plan proved, from its fast pass,
     that the filter would read every page holding a live row (see
@@ -125,8 +123,6 @@ class BatchQueryStats:
     n_queries: int = 0
     #: total candidates refined across the batch.
     n_candidates: int = 0
-    #: refinement kernel the dispatcher chose ("dense" or "sparse").
-    refine_kernel: Optional[str] = None
     #: thread-pool width the fan-out ran with, at most the shard count
     #: (1 = sequential).
     shard_workers: int = 1

@@ -26,11 +26,12 @@ Two base classes are provided:
   geodesics, restriction to a dimension subset) is derived here.  A
   subclass with its own expansion-form refinement kernel states its
   terms once, in ``point_terms``/``query_terms``/``combine`` (the term
-  contract on the class), and both the dense and the grouped kernel
-  build from them.  Beside them it states the magnitudes of its proved
-  error bound (``point_bound_terms``/``query_bound_terms``/``estimable``,
-  the bound contract), which lets refinement contract in any summation
-  order and still certify which rows can be neighbours.
+  contract on the class), and the fixed-order ``cross_divergence`` and
+  Refine's BLAS estimates both build from them.  Beside them it states
+  the magnitudes of its proved error bound
+  (``point_bound_terms``/``query_bound_terms``/``estimable``, the bound
+  contract), which lets refinement contract in any summation order and
+  still certify which rows can be neighbours.
 """
 
 from __future__ import annotations
@@ -53,7 +54,6 @@ __all__ = [
     "KernelTerms",
     "RowTerms",
     "error_scale",
-    "pair_contract",
 ]
 
 #: one array per expansion-kernel term: per row (``point_terms``) or
@@ -104,41 +104,6 @@ def error_scale(factor: float, dimensionality: int) -> Tuple[float, float]:
     factor = abs(float(factor))
     budget = 64.0 * (dimensionality + 8)
     return factor * budget * _UNIT_ROUNDOFF, (factor + 1.0) * budget * _SUBNORMAL
-
-
-def pair_contract(
-    points: np.ndarray,
-    query_rows: np.ndarray,
-    point_index: np.ndarray,
-    query_index: np.ndarray,
-) -> np.ndarray:
-    """``<points[pi], query_rows[qi]>`` per pair, via bucketed gathers.
-
-    The sparse kernels' per-pair contraction.  Pairs sharing a query are
-    contracted together: one ``(run, d)`` gather of the point rows
-    against the query's single row -- no ``(P, d)`` gather of query
-    vectors, which is what makes the sparse kernel memory-light.  Runs
-    are detected on the fly, so the index's query-major pair lists
-    contract in one call per query while arbitrary orderings stay
-    correct (just slower).
-
-    Bitwise: ``np.einsum("nj,j->n")`` reduces the contiguous ``j`` axis
-    with the same accumulation order as the dense
-    ``np.einsum("nj,bj->nb")`` entry, so pair values are bit-identical
-    to the dense kernel's matrix however pairs are ordered or bucketed.
-    """
-    out = np.empty(point_index.size, dtype=float)
-    if point_index.size == 0:
-        return out
-    bounds = np.concatenate(
-        [[0], np.flatnonzero(np.diff(query_index) != 0) + 1, [point_index.size]]
-    )
-    for i in range(bounds.size - 1):
-        lo, hi = bounds[i], bounds[i + 1]
-        out[lo:hi] = np.einsum(
-            "nj,j->n", points[point_index[lo:hi]], query_rows[query_index[lo]]
-        )
-    return out
 
 
 class RefinementConditioner:
@@ -305,32 +270,6 @@ class BregmanDivergence(ABC):
             [self.batch_divergence(points, query) for query in queries], axis=1
         )
 
-    def cross_divergence_grouped(
-        self,
-        points: np.ndarray,
-        queries: np.ndarray,
-        point_index: np.ndarray,
-        query_index: np.ndarray,
-        pair_block: int | None = None,
-    ) -> np.ndarray:
-        """Score only the listed (point, query) pairs.
-
-        Returns a ``(P,)`` vector with ``out[p] ==
-        cross_divergence(points, queries)[point_index[p], query_index[p]]``
-        *bitwise* -- the sparse counterpart of the dense kernel, used by
-        the index's masked/grouped refinement when per-query candidate
-        sets are small relative to the union.  The default falls back to
-        the dense matrix and gathers; decomposable subclasses compute
-        per-point/per-query terms once and contract only real pairs.
-        """
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        queries = np.atleast_2d(np.asarray(queries, dtype=float))
-        point_index = np.asarray(point_index, dtype=int)
-        query_index = np.asarray(query_index, dtype=int)
-        if point_index.size == 0:
-            return np.empty(0, dtype=float)
-        return self.cross_divergence(points, queries)[point_index, query_index]
-
     def validate_domain(self, x: np.ndarray, what: str = "vector") -> None:
         """Raise :class:`DomainError` when ``x`` violates the domain."""
         self.domain.validate(x, what)
@@ -463,13 +402,10 @@ class DecomposableBregmanDivergence(BregmanDivergence):
     #   overwrite the contraction array (every caller passes a fresh one,
     #   or its own output slice) and returns the values.
     #
-    # The dense and grouped kernels below differ only in how they align
-    # the terms (broadcast over the (n, B) matrix, or gathered per pair)
-    # and how they contract (one einsum, or pair_contract's bucketed
-    # gathers, which reduce the same axis in the same order).
-    # Both run the one combine, so every grouped pair is bitwise equal
-    # to its dense entry, and every entry to the same pair scored in any
-    # other batch, block or row subset.
+    # cross_divergence below broadcasts the terms over the (n, B) matrix
+    # and contracts with one einsum, whose summation order is fixed, so
+    # every entry is bitwise equal to the same pair scored in any other
+    # batch, block or row subset.
     #
     # Bound contract.  Refinement may also run the same terms and combine
     # with the contraction in any summation order (BLAS), so its pair
@@ -665,55 +601,6 @@ class DecomposableBregmanDivergence(BregmanDivergence):
             points.shape[1],
         )
         return np.maximum(values, 0.0)
-
-    def cross_divergence_grouped(
-        self,
-        points: np.ndarray,
-        queries: np.ndarray,
-        point_index: np.ndarray,
-        query_index: np.ndarray,
-        pair_block: int | None = None,
-        point_terms: KernelTerms | None = None,
-    ) -> np.ndarray:
-        """Sparse expansion kernel: score only the listed pairs.
-
-        Transcendental work stays ``O((n + B) d)`` exactly as in the
-        dense kernel (per-point and per-query terms are computed once,
-        or taken from ``point_terms``); the per-pair cost is one
-        gathered sum-of-products contraction, so total work is
-        ``O(P d)`` for ``P`` pairs instead of the dense ``O(n B d)``.
-        ``pair_block`` bounds the ``(block, d)`` gather slabs (default
-        ~2^20 float64 elements); blocking is an output partition and
-        cannot change any value.  Each pair is bitwise equal to its
-        :meth:`cross_divergence` entry (the term contract above).
-        """
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        queries = np.atleast_2d(np.asarray(queries, dtype=float))
-        point_index = np.asarray(point_index, dtype=int)
-        query_index = np.asarray(query_index, dtype=int)
-        if point_index.shape != query_index.shape or point_index.ndim != 1:
-            raise ValueError(
-                "point_index and query_index must be 1-D arrays of equal length"
-            )
-        n_pairs = point_index.size
-        if n_pairs == 0:
-            return np.empty(0, dtype=float)
-        if pair_block is None:
-            pair_block = max(1, (1 << 20) // max(1, points.shape[1]))
-        if point_terms is None:
-            point_terms = self.point_terms(points)
-        grad_q, *per_query = self.query_terms(queries)
-        out = np.empty(n_pairs, dtype=float)
-        for lo in range(0, n_pairs, pair_block):
-            pi = point_index[lo : lo + pair_block]
-            qi = query_index[lo : lo + pair_block]
-            out[lo : lo + pi.size] = self.combine(
-                tuple(term[pi] for term in point_terms),
-                tuple(term[qi] for term in per_query),
-                pair_contract(points, grad_q, pi, qi),
-                points.shape[1],
-            )
-        return np.maximum(out, 0.0)
 
     def elementwise_divergence(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Per-coordinate divergence contributions (sums to the total)."""

@@ -15,7 +15,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ..baselines.linear_scan import brute_force_knn
-from ..core.config import REFINE_KERNELS
 from ..core.results import SearchResult
 from ..exceptions import InvalidParameterError
 from ..datasets.loader import Dataset
@@ -107,7 +106,6 @@ def run_workload(
     batch_size: int | None = None,
     shards: int | None = None,
     shard_workers: int | None = None,
-    refine_kernel: str | None = None,
     replication_factor: int | None = None,
     hedge_after_ms: float | None = None,
 ) -> WorkloadResult:
@@ -134,11 +132,9 @@ def run_workload(
 
     ``shard_workers`` sets the fan-out thread-pool width on the index's
     config (per-shard Fetch tasks overlap when the store has more than
-    one shard; see :mod:`repro.exec`), and ``refine_kernel`` pins the
-    refinement kernel (``auto``/``dense``/``sparse``).  Both require
-    an index with a :class:`~repro.core.config.BrePartitionConfig`;
-    neither changes results, only how they are computed, and batch runs
-    record the kernel actually used in ``extras["refine_kernel"]``.
+    one shard; see :mod:`repro.exec`).  It requires an index with a
+    :class:`~repro.core.config.BrePartitionConfig`, and changes only how
+    results are computed, never the results.
 
     ``replication_factor`` re-lays every shard's pages on that many
     distinct disks (requires ``shards``), and ``hedge_after_ms`` races
@@ -177,17 +173,6 @@ def run_workload(
                 f"shard_workers must be >= 1, got {shard_workers}"
             )
         config.shard_workers = int(shard_workers)
-    if refine_kernel is not None:
-        if config is None or not hasattr(config, "refine_kernel"):
-            raise InvalidParameterError(
-                f"index {type(index).__name__} has no refinement-kernel dispatch"
-            )
-        if refine_kernel not in REFINE_KERNELS:
-            raise InvalidParameterError(
-                f"refine_kernel must be one of {REFINE_KERNELS}, "
-                f"got {refine_kernel!r}"
-            )
-        config.refine_kernel = refine_kernel
 
     queries = dataset.queries
     if n_queries is not None:
@@ -198,7 +183,6 @@ def run_workload(
     batched_pages_unshared = 0
     batched_pages_coalesced = 0
     shard_pages: list[int] | None = None
-    kernels_used: list[str] = []
     stage_totals: dict[str, float] = {}
     cross_batch_hits: int | None = None
     n_batches = covered_batches = 0
@@ -220,11 +204,6 @@ def run_workload(
                 cross_batch_hits = (
                     cross_batch_hits or 0
                 ) + batch_stats.cross_batch_hits
-            if (
-                batch_stats.refine_kernel is not None
-                and batch_stats.refine_kernel not in kernels_used
-            ):
-                kernels_used.append(batch_stats.refine_kernel)
             if batch_stats.pages_read_per_shard is not None:
                 if shard_pages is None:
                     shard_pages = [0] * len(batch_stats.pages_read_per_shard)
@@ -267,10 +246,6 @@ def run_workload(
         }
         if shard_pages is not None:
             extras["shard_pages_read"] = shard_pages
-        if kernels_used:
-            # auto dispatch can flip between batches (candidate density
-            # differs per chunk); report every kernel that ran
-            extras["refine_kernel"] = "+".join(kernels_used)
         if stage_totals:
             # where the batch time went, summed over all chunks -- the
             # pipeline's plan/fetch/refine/rerank wall-clock split

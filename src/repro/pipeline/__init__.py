@@ -11,10 +11,10 @@ holding ``B`` query rows:
     Page-union charging, fanned out one task per shard through the
     :class:`~repro.exec.ShardExecutor`; it copies no vector.
 ``Refine``
-    Certified estimates: adaptive dense (BLAS)/sparse/auto expansion
-    kernel dispatch over the union's rows of the pinned frozen base,
-    with the base's cached query-independent kernel and bound terms;
-    each estimate carries a proved error bound.
+    Certified estimates: one BLAS expansion kernel over the union's
+    rows of the pinned frozen base, with the base's cached
+    query-independent kernel and bound terms; each estimate carries a
+    proved error bound.
 ``Rerank``
     The certificate (only rows whose bound cannot rule them out
     survive), then direct-kernel top-k over the survivors.
@@ -25,8 +25,8 @@ layer (:mod:`repro.serve`) and the stage-parity tests call the same
 stages.  Every returned divergence comes from the direct kernel, whose
 rows are bitwise independent of batch composition, and the certificate
 keeps every row that could be a neighbour or a tie, so a query's results
-are bitwise identical at every batch size and for every divergence,
-kernel and worker count; each stage's wall-clock time is recorded in
+are bitwise identical at every batch size and for every divergence
+and worker count; each stage's wall-clock time is recorded in
 ``stats.stage_seconds``.
 """
 
@@ -34,7 +34,7 @@ from .base import PipelineStage, SearchPipeline, default_stages
 from .context import QueryBatchContext
 from .fetch import FetchStage, union_rows
 from .plan import PlanStage
-from .refine import RefineStage, build_pairs
+from .refine import RefineStage
 from .rerank import RerankStage, survivors, top_k_stable
 
 __all__ = [
@@ -47,7 +47,6 @@ __all__ = [
     "RefineStage",
     "RerankStage",
     "union_rows",
-    "build_pairs",
     "survivors",
     "top_k_stable",
 ]

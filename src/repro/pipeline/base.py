@@ -17,7 +17,7 @@ class PipelineStage:
 
     Stages are small, stateless-between-calls objects bound to one
     index; they read tunables from ``self.index.config`` at run time so
-    config mutations between searches (kernel pinning, worker counts)
+    config mutations between searches (worker counts, point filtering)
     take effect without rebuilding the pipeline.
     """
 
@@ -78,7 +78,7 @@ class SearchPipeline:
         the same stage objects ``search_batch`` drives, so measured
         kernels are exactly the production ones.  Nothing is charged
         (callers charge pages themselves).  Returns the finished context
-        (``refined`` holds the per-query top-k pairs; ``scores_of`` and
+        (``refined`` holds the per-query top-k pairs; ``estimates`` and
         ``bound_of`` the estimates and their bounds).
         """
         from .fetch import union_rows
@@ -104,7 +104,7 @@ class SearchPipeline:
         The loop structure the blocked kernels replaced, kept as the
         reference the kernel-parity tests compare
         :meth:`refine_prefetched` against: the two must return bitwise
-        equal ``(top_ids, divergences)`` pairs under any kernel choice.
+        equal ``(top_ids, divergences)`` pairs at any batch size.
         Unlike the stages, it reads the vectors from the store (through
         ``peek``), computes fresh kernel and bound terms for them and
         estimates with the fixed-order ``cross_divergence``

@@ -15,7 +15,7 @@ layer, benchmarks and tests call individual stages.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -111,26 +111,27 @@ class QueryBatchContext:
     query_errors: Dict[int, BaseException] = field(default_factory=dict)
 
     # -- Refine outputs -------------------------------------------------
-    #: kernel the dispatcher ran ("dense"/"sparse"; ``None`` when the
-    #: candidate union was empty).
+    #: ``"dense"`` (Refine's one kernel) whenever anything was scored,
+    #: ``None`` when the candidate union was empty.
     refine_kernel: Optional[str] = None
     #: where the scoring ran: ``"serial"`` (in-process, the only
-    #: backend) whenever anything was scored, ``None`` otherwise.  Kept
-    #: for trace consumers that label Refine spans by backend.
+    #: backend) whenever anything was scored, ``None`` otherwise.  No
+    #: stage reads this field or ``refine_kernel``: only the benchmark's
+    #: traced pass does (``perfbench/spans.py`` labels Refine spans by
+    #: both), and both go once it stops reading them.
     refine_backend: Optional[str] = None
-    #: ``scores_of(q, rows)`` -> query ``q``'s expansion estimates in
-    #: candidate order, where ``rows`` are its candidates' rows within
-    #: ``union`` (``ctx.row_of[ids]``, or ``slice(None)`` for a query
-    #: holding the whole union).  Their summation order is BLAS's, so
+    #: the ``(B, union)`` expansion-estimate matrix: ``estimates[q,
+    #: rows]`` are query ``q``'s estimates in candidate order, where
+    #: ``rows`` are its candidates' rows within ``union``
+    #: (``ctx.row_of[ids]``, or ``slice(None)`` for a query holding the
+    #: whole union, read in place).  Their summation order is BLAS's, so
     #: their bits are not fixed: each is certified only to within its
-    #: ``bound_of`` entry of the direct kernel's value.
-    scores_of: Optional[Callable[[int, Any], np.ndarray]] = None
-    #: the dense kernel's ``(B, union)`` estimate matrix itself, whose
-    #: rows ``scores_of`` reads; ``None`` after the sparse kernel.
+    #: ``bound_of`` entry of the direct kernel's value.  ``None`` when
+    #: nothing was scored.
     estimates: Optional[np.ndarray] = None
     #: ``bound_of(q, rows)`` -> the proved bound ``E`` on
     #: ``|estimate - batch_divergence|`` for the same pairs, aligned with
-    #: ``scores_of(q, rows)`` and formed on demand from cached row terms
+    #: ``estimates[q, rows]`` and formed on demand from cached row terms
     #: and per-query terms (a :class:`~repro.pipeline.refine.ErrorBound`;
     #: see the bound contract on
     #: :class:`~repro.divergences.base.DecomposableBregmanDivergence`).

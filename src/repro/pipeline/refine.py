@@ -14,33 +14,35 @@ row blocks, gathering only when the union is not every frozen row,
 conditions each block, and takes the rows' query-independent terms from
 the base, which computed them once (``base.row_terms``: the kernel's
 ``point_terms`` and the bound's ``A`` and ``||x~||`` per row).  A batch
-pays only per-query and per-pair work.  It estimates either through
-the dense kernel (one BLAS product ``operand @ rows.T`` per block, stored
-query-major as ``(B, union)`` so each query's estimates are one
-contiguous row) or the sparse grouped kernel (only real pairs, through
-``pair_contract``'s query-bucketed gathers, over the same gathered rows
-and cached terms); a single search is the same run at ``B = 1``, where
-``auto`` always picks dense.  Both leave ``ctx.scores_of`` (estimates)
-and ``ctx.bound_of`` (their bounds) on the context; the dense kernel
-also leaves its matrix itself (``ctx.estimates``), which Rerank's
-thresholded certificate compares in one pass.  A query the
-divergence cannot estimate without overflow (``estimable``) gets NaN
-estimates and bounds, so every candidate of it reaches the direct
-kernel.  The kernel choice is purely a performance decision: both
-kernels' estimates hold the same bound, and results come from the
-direct kernel.
+pays only per-query and per-pair work: one BLAS product
+``operand @ rows.T`` per block, stored query-major as the ``(B, union)``
+matrix ``ctx.estimates``, so each query's estimates are one contiguous
+row; a single search is the same run at ``B = 1``.  ``ctx.bound_of``
+forms their bounds.  A query the divergence cannot estimate without
+overflow (``estimable``) gets NaN estimates and bounds, so every
+candidate of it reaches the direct kernel.
 
-A note on the dense kernel's dead cells: the dense path estimates the
-full union-by-batch matrix even though only ``total_pairs`` cells are
-real.  Gathering only per-query candidate rows instead cannot help --
-the union is by construction exactly the rows some query touches, and a
-per-query gather of real pairs *is* the sparse grouped kernel, which
-``auto`` already routes to below :data:`SPARSE_DENSITY_THRESHOLD`.
+Why one kernel.  The matrix estimates every cell of the union-by-batch
+matrix, although only a query's own candidates are real pairs.  A
+sparse kernel that estimated only the real pairs (per-query gathers
+and a fixed-order contraction, last in commit 0f9f3e2) beat it only
+below a mean per-query candidate density, ``mean(|candidates_q|) /
+|union|``, of about 0.03 (fonts proxy, d=400, Pareto-skewed candidates,
+B=64, one BLAS thread; this kernel against the sparse one, 8.9 against
+9.1 ms at 0.031 and 15.4 against 10.7 ms at 0.025).  The union is never
+larger than the sum of the candidate sets, so the density is at least
+``1 / B``, and only a batch of 34 or more queries can fall below 0.03.
+On the benchmark's ``serve``, ``mutate`` and ``batch`` shapes (seed 11,
+B from 1 to 128) no batch came near it: the lowest density was 0.31
+(ABP at p = 0.9, which filters points, at B = 8), the exact index's
+0.50, and the exact index covered every batch of 32 or more queries
+(density 1).  Restoring the sparse kernel could pay only where
+uncovered batches of 34 or more queries reach a density below ~0.03.
 """
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -51,25 +53,10 @@ from .context import QueryBatchContext
 __all__ = [
     "ErrorBound",
     "RefineStage",
-    "build_pairs",
     "certified_scores",
     "error_bound",
     "refinement_block",
-    "SPARSE_DENSITY_THRESHOLD",
 ]
-
-#: ``auto`` routes to the sparse kernel when the mean per-query
-#: candidate density over the union, ``mean(|candidates_q|) / |union|``,
-#: is below this: the break-even of the BLAS dense kernel against the
-#: sparse one, which pays gather traffic and a fixed-order einsum per
-#: pair.  Measured on a 2-vCPU host with one BLAS thread, fonts proxy
-#: (d=400), Refine plus Rerank, best of 9, Pareto-skewed candidate runs
-#: at B=64 unless noted (dense against sparse, ms): density 0.5 (half of
-#: an 800-row pool) 6.3 / 21.2; 0.067 4.1 / 4.7; 0.043 6.8 / 8.2; 0.031
-#: 8.9 / 9.1; 0.025 15.4 / 10.7; 0.020 22.4 / 19.8; 0.008 (B=256) 64.4 /
-#: 33.4.  (Against the fixed-order einsum dense kernel the break-even
-#: sat near 0.3.)
-SPARSE_DENSITY_THRESHOLD = 0.03
 
 #: float64 elements one blocked-kernel call may materialise: the larger
 #: of its ``(block, d)`` conditioned rows and ``(B, block)`` output
@@ -82,25 +69,8 @@ _BLOCK_BUDGET_ELEMENTS = 1 << 20
 _UNSET = object()
 
 
-def build_pairs(
-    candidates: List[np.ndarray], row_of: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Flatten candidate sets into (pair_rows, pair_queries, offsets).
-
-    Pairs are query-major: query ``q``'s scores land in
-    ``flat[offsets[q]:offsets[q + 1]]``, in candidate order.
-    """
-    sizes = np.array([ids.size for ids in candidates], dtype=int)
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
-    if offsets[-1] == 0:
-        return np.empty(0, dtype=int), np.empty(0, dtype=int), offsets
-    pair_rows = np.concatenate([row_of[ids] for ids in candidates])
-    pair_queries = np.repeat(np.arange(len(candidates)), sizes)
-    return pair_rows, pair_queries, offsets
-
-
 def refinement_block(n_queries: int, dimensionality: int) -> int:
-    """Union rows (or sparse pairs) scored per blocked-kernel call."""
+    """Union rows scored per blocked-kernel call."""
     return max(1, _BLOCK_BUDGET_ELEMENTS // max(1, n_queries, dimensionality))
 
 
@@ -207,13 +177,11 @@ class RefineStage(PipelineStage):
     name = "refine"
 
     def run(self, ctx: QueryBatchContext) -> None:
-        n_queries = ctx.n_queries
         ctx.estimates = None
-        if ctx.union is None or ctx.union.size == 0 or n_queries == 0:
+        if ctx.union is None or ctx.union.size == 0 or ctx.n_queries == 0:
             ctx.refine_kernel = None
             return
-        kernel = self.choose_kernel(ctx.candidates, ctx.union.size, n_queries)
-        ctx.refine_kernel = kernel
+        ctx.refine_kernel = "dense"
         ctx.refine_backend = "serial"
         # the pinned base: a merge republishing the index mid-flight
         # can't swap its rows, terms or conditioner under us
@@ -229,15 +197,9 @@ class RefineStage(PipelineStage):
         # the union's cached row terms, aligned with its positions
         row_terms = base.row_terms if whole else base.row_terms.take(union)
         ctx.bound_of = error_bound(self.index.divergence, row_terms, queries, ok, factor)
-        if kernel == "sparse":
-            flat, offsets = self._estimate_sparse(
-                ctx, base, whole, row_terms, queries, ok, factor
-            )
-            ctx.scores_of = lambda q, rows: flat[offsets[q] : offsets[q + 1]]
-        else:
-            cross = self._estimate_dense(ctx, base, whole, row_terms, queries, ok, factor)
-            ctx.estimates = cross
-            ctx.scores_of = lambda q, rows: cross[q, rows]
+        ctx.estimates = self._estimate_dense(
+            ctx, base, whole, row_terms, queries, ok, factor
+        )
 
     def _estimate_dense(
         self, ctx, base, whole, row_terms, queries, ok, factor
@@ -282,52 +244,6 @@ class RefineStage(PipelineStage):
             if values is not out or not every:
                 cross[ok, lo:hi] = values
         return cross
-
-    def _estimate_sparse(self, ctx, base, whole, row_terms, queries, ok, factor):
-        """Estimates of the real pairs only, query-major in candidate
-        order, and each query's offsets into them."""
-        sel = slice(None) if whole else ctx.union
-        rows = _conditioned(base.refine_conditioner, base.points[sel])
-        pair_rows, pair_queries, offsets = build_pairs(ctx.candidates, ctx.row_of)
-        flat = np.full(pair_rows.size, np.nan)
-        keep = ok[pair_queries]
-        # query numbers among the estimable queries only
-        renumber = np.cumsum(ok) - 1
-        values = self.index.divergence.cross_divergence_grouped(
-            rows,
-            queries[ok],
-            pair_rows[keep],
-            renumber[pair_queries[keep]],
-            pair_block=refinement_block(1, rows.shape[1]),
-            point_terms=row_terms.kernel,
-        )
-        flat[keep] = values * factor if factor != 1.0 else values
-        return flat, offsets
-
-    # ------------------------------------------------------------------
-    # kernel dispatch
-    # ------------------------------------------------------------------
-
-    def choose_kernel(
-        self, candidates: List[np.ndarray], union_size: int, n_queries: int
-    ) -> str:
-        """Adaptive dispatch between the dense and sparse kernels.
-
-        The dense (union x batch) kernel scores every cell whether or
-        not it is a real (candidate, query) pair; when per-query
-        candidate sets are small or skewed relative to the union its
-        advantage inverts.  ``auto`` routes to the sparse grouped kernel
-        when the mean per-query candidate density over the union drops
-        below :data:`SPARSE_DENSITY_THRESHOLD`.
-        """
-        mode = self.index.config.refine_kernel
-        if mode != "auto":
-            return mode
-        if union_size == 0 or n_queries == 0:
-            return "dense"
-        total_pairs = sum(int(ids.size) for ids in candidates)
-        density = total_pairs / (union_size * n_queries)
-        return "sparse" if density < SPARSE_DENSITY_THRESHOLD else "dense"
 
     # ------------------------------------------------------------------
     # the reference scoring

@@ -11,14 +11,14 @@ The survivors are re-scored with the divergence's direct
 ``batch_divergence`` -- the same formula the brute-force oracle uses --
 and :func:`top_k_stable` picks by value, then id.  Results are therefore
 bitwise the oracle's by proof, whatever order Refine summed in.  Every
-batch size (a single search is ``B = 1``), dense and sparse layouts and
-the looped reference converge on one :meth:`RerankStage.topk`, which is
-what makes their tie-breaking -- and the bitwise row parity between batch
-sizes -- identical by construction.  Each query reads its estimates as
-one contiguous row of Refine's query-major matrix (in place when it
-holds the whole union) and forms its bounds from cached row and query
-terms; the direct kernel's few rows are gathered from the snapshot's
-pinned frozen base -- the same bytes the store holds.
+batch size (a single search is ``B = 1``) and the looped reference
+converge on one :meth:`RerankStage.topk`, which is what makes their
+tie-breaking -- and the bitwise row parity between batch sizes --
+identical by construction.  Each query reads its estimates as one
+contiguous row of Refine's query-major matrix ``ctx.estimates`` (in
+place when it holds the whole union) and forms its bounds from cached
+row and query terms; the direct kernel's few rows are gathered from the
+snapshot's pinned frozen base -- the same bytes the store holds.
 
 The thresholded certificate.  Every query of a covered batch refines
 the whole file; when that holds at least :data:`PREFILTER_ROWS` rows
@@ -254,7 +254,7 @@ class RerankStage(PipelineStage):
                         position[order] = np.arange(order.size)
                     keep = np.sort(position[keep])
                 if keep is None:
-                    scores = ctx.scores_of(q, rows)
+                    scores = ctx.estimates[q, rows]
                     if order is not None:
                         scores = scores[order]
                         rows = order if whole else rows[order]
@@ -281,14 +281,10 @@ class RerankStage(PipelineStage):
         """The thresholded certificate's survivors of a covered batch,
         per query (``None`` where the full certificate runs), or ``None``
         for a batch that runs the full certificate throughout: uncovered,
-        scored by the sparse kernel, or over a union below
-        :data:`PREFILTER_ROWS` or :data:`PREFILTER_FACTOR` ``* k``
-        rows."""
-        size = ctx.union.size
-        if (
-            not ctx.covered
-            or ctx.estimates is None
-            or size < max(PREFILTER_ROWS, PREFILTER_FACTOR * ctx.k)
+        or over a union below :data:`PREFILTER_ROWS` or
+        :data:`PREFILTER_FACTOR` ``* k`` rows."""
+        if not ctx.covered or ctx.union.size < max(
+            PREFILTER_ROWS, PREFILTER_FACTOR * ctx.k
         ):
             return None
         return thresholded_survivors(ctx.estimates, ctx.bound_of, ctx.k)
@@ -346,9 +342,9 @@ class RerankStage(PipelineStage):
         :func:`survivors` takes them.
         ``gather(positions)`` materialises candidate vectors for
         positions into ``ids``; every path passes a fresh contiguous
-        gather of the same rows, so looped, blocked and sparse refinement
-        score identical arrays with the direct kernel and stay bitwise
-        equal.  Ties resolve by ascending id (``ids`` is sorted and the
+        gather of the same rows, so looped and blocked refinement score
+        identical arrays with the direct kernel and stay bitwise equal.
+        Ties resolve by ascending id (``ids`` is sorted and the
         survivors keep its order).
         """
         if ids.size == 0:

@@ -9,11 +9,11 @@ proof Rerank relies on is:
   with its k-th value,
 
 for every decomposable divergence, on offset, wide-range, near-duplicate,
-domain-edge and underflowing inputs, through the dense and the sparse
-kernel (whole and gathered unions) and the fixed-order reference
-(``certify``).  A query the divergence refuses to estimate (NaN
-estimates and bounds) must keep every candidate.  The tier-1 budget is
-fixed; the ``slow``-marked run draws many more examples.
+domain-edge and underflowing inputs, through Refine's BLAS kernel (whole
+and gathered unions) and the fixed-order reference (``certify``).  A
+query the divergence refuses to estimate (NaN estimates and bounds) must
+keep every candidate.  The tier-1 budget is fixed; the ``slow``-marked
+run draws many more examples.
 
 The thresholded certificate (:func:`~repro.pipeline.rerank.thresholded_survivors`),
 which a covered batch over a large union runs, is held to the full
@@ -111,12 +111,14 @@ def draw_rows(name: str, family: str, rng, n: int, d: int) -> np.ndarray:
     return rng.normal(0.0, 1e-8, (n, d))
 
 
-def assert_certified(divergence, points, queries, candidates, k, scores_of, bound_of):
+def assert_certified(
+    divergence, points, queries, candidates, k, estimates_of, bound_of
+):
     """Every pair within its bound; the survivors hold the top-k and ties.
     A refused query has NaN estimates and bounds, and keeps every row."""
     for q, ids in enumerate(candidates):
         direct = divergence.batch_divergence(points[ids], queries[q])
-        estimates, bounds = scores_of(q, ids), bound_of(q, ids)
+        estimates, bounds = estimates_of(q, ids), bound_of(q, ids)
         kept = survivors(estimates, bounds, k)
         if np.isnan(estimates).all():
             assert np.isnan(bounds).all()
@@ -141,23 +143,21 @@ def check_certificate(name, family, seed, n, d, n_queries, k):
         np.sort(rng.choice(n, size=rng.integers(k, n + 1), replace=False))
         for _ in range(n_queries)
     ]
-    for kernel in ("dense", "sparse"):
-        index.config.refine_kernel = kernel
-        for candidates in ([every] * n_queries, gathered):
-            ctx = index.pipeline.refine_prefetched(candidates, queries, k)
-            assert_certified(
-                divergence,
-                points,
-                queries,
-                candidates,
-                k,
-                lambda q, ids: ctx.scores_of(q, ctx.row_of[ids]),
-                lambda q, ids: ctx.bound_of(q, ctx.row_of[ids]),
-            )
-            for query, ids, (got_ids, got_divs) in zip(queries, candidates, ctx.refined):
-                want_ids, want_divs = brute_force_knn(divergence, points[ids], query, k)
-                np.testing.assert_array_equal(got_ids, ids[want_ids])
-                np.testing.assert_array_equal(got_divs, want_divs)
+    for candidates in ([every] * n_queries, gathered):
+        ctx = index.pipeline.refine_prefetched(candidates, queries, k)
+        assert_certified(
+            divergence,
+            points,
+            queries,
+            candidates,
+            k,
+            lambda q, ids: ctx.estimates[q, ctx.row_of[ids]],
+            lambda q, ids: ctx.bound_of(q, ctx.row_of[ids]),
+        )
+        for query, ids, (got_ids, got_divs) in zip(queries, candidates, ctx.refined):
+            want_ids, want_divs = brute_force_knn(divergence, points[ids], query, k)
+            np.testing.assert_array_equal(got_ids, ids[want_ids])
+            np.testing.assert_array_equal(got_divs, want_divs)
     estimates, bounds = index.pipeline.stage("refine").certify(points, queries)
     assert_certified(
         divergence,

@@ -155,8 +155,9 @@ class TestSearch:
         assert index.config.point_filter is point_filter
 
     def test_search_keeps_fanout_and_kernel_flags_without_batch(self, capsys):
-        # search runs the batch pipeline at B=1, shard fan-out and
-        # kernel dispatch included, so neither flag needs --batch
+        # search runs the batch pipeline at B=1, shard fan-out included,
+        # so the fan-out flags need no --batch (the name keeps the
+        # kernel flag the command no longer takes)
         code = main(
             [
                 "search",
@@ -169,14 +170,17 @@ class TestSearch:
                 "2",
                 "--shard-workers",
                 "2",
-                "--refine-kernel",
-                "sparse",
             ]
         )
         assert code == 0
         out = capsys.readouterr().out
         assert "ignoring" not in out
         assert "2 fan-out worker(s)" in out
+
+    def test_refine_kernel_is_not_an_option(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["search", "fonts", "--n", "300", "--refine-kernel", "dense"])
+        assert exc.value.code == 2
 
     def test_search_reports_partitions(self, capsys):
         main(

@@ -99,69 +99,6 @@ class TestCrossDivergenceParity:
         assert np.all(np.diag(cross[:6]) <= 1e-8)
 
 
-class TestGroupedKernelParity:
-    """The sparse (grouped) kernel must reproduce dense entries bitwise:
-    ``cross_divergence_grouped(p, q, pi, qi)[j] ==
-    cross_divergence(p, q)[pi[j], qi[j]]`` for every divergence, any
-    pair order, any pair blocking -- the contract that lets the index
-    route refinement through either kernel without changing one bit."""
-
-    @pytest.mark.parametrize("name,divergence", all_decomposable_divergences(DIM))
-    def test_grouped_matches_dense_bitwise(self, name, divergence):
-        points = points_for(divergence, 90, DIM, seed=1)
-        queries = points_for(divergence, N_QUERIES, DIM, seed=2)
-        dense = divergence.cross_divergence(points, queries)
-        rng = np.random.default_rng(3)
-        pi = rng.integers(0, 90, size=400)
-        qi = rng.integers(0, N_QUERIES, size=400)
-        grouped = divergence.cross_divergence_grouped(points, queries, pi, qi)
-        np.testing.assert_array_equal(grouped, dense[pi, qi])
-
-    @pytest.mark.parametrize("pair_block", [1, 7, 64, None])
-    def test_pair_block_invariance(self, pair_block):
-        divergence = ItakuraSaito()
-        points = points_for(divergence, 70, DIM, seed=4)
-        queries = points_for(divergence, 6, DIM, seed=5)
-        rng = np.random.default_rng(6)
-        pi = rng.integers(0, 70, size=150)
-        qi = rng.integers(0, 6, size=150)
-        blocked = divergence.cross_divergence_grouped(
-            points, queries, pi, qi, pair_block=pair_block
-        )
-        reference = divergence.cross_divergence(points, queries)[pi, qi]
-        np.testing.assert_array_equal(blocked, reference)
-
-    def test_empty_pairs(self):
-        divergence = SquaredEuclidean()
-        points = points_for(divergence, 10, DIM, seed=7)
-        out = divergence.cross_divergence_grouped(
-            points, points[:3], np.empty(0, dtype=int), np.empty(0, dtype=int)
-        )
-        assert out.shape == (0,)
-
-    def test_rejects_mismatched_indices(self):
-        divergence = SquaredEuclidean()
-        points = points_for(divergence, 10, DIM, seed=7)
-        with pytest.raises(ValueError, match="equal length"):
-            divergence.cross_divergence_grouped(
-                points, points[:3], np.arange(4), np.arange(3)
-            )
-
-    def test_non_decomposable_fallback_gathers_dense(self):
-        from repro import MahalanobisDivergence
-
-        rng = np.random.default_rng(8)
-        divergence = MahalanobisDivergence(np.eye(5) + 0.1)
-        points = rng.normal(size=(20, 5))
-        queries = rng.normal(size=(4, 5))
-        pi = rng.integers(0, 20, size=30)
-        qi = rng.integers(0, 4, size=30)
-        np.testing.assert_array_equal(
-            divergence.cross_divergence_grouped(points, queries, pi, qi),
-            divergence.cross_divergence(points, queries)[pi, qi],
-        )
-
-
 class TestBoundaryInputs:
     """Near-zero coordinates stress the log/ratio terms of KL and ISD."""
 

@@ -2,11 +2,11 @@
 
 The contract under test (ISSUE 3's tentpole): fanning ``search_batch``'s
 per-shard candidate fetches out across a thread pool must change
-*nothing* about the results -- for every decomposable divergence, under
-every refinement kernel ({dense, sparse, auto}) and every worker count
-({1, 4}), batched top-k ids and divergences stay bitwise equal to
-per-query ``search`` -- while per-shard I/O accounting keeps summing
-exactly to the aggregate even when charges race on worker threads.
+*nothing* about the results -- for every decomposable divergence and
+every worker count ({1, 4}), batched top-k ids and divergences stay
+bitwise equal to per-query ``search`` -- while per-shard I/O accounting
+keeps summing exactly to the aggregate even when charges race on worker
+threads.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from repro import (
 from repro.datasets import load_dataset
 from repro.exceptions import InvalidParameterError
 from repro.exec import FanoutPool, ShardExecutor
-from repro.pipeline import refine as refine_module
 from repro.pipeline import survivors
 from repro.storage import BufferPool, DiskAccessTracker, ShardedDataStore
 
@@ -55,29 +54,24 @@ def sharded_index(divergence, points, tracker=None, buffer_pool=None, **kwargs):
 
 
 def assert_fanout_matrix(index, queries, k):
-    """Every {1, 4} workers x {dense, sparse, auto} cell is bitwise equal
-    to per-query search and charges the same pages, and per-shard counts
-    sum exactly to the coalesced and the aggregate totals."""
+    """Every {1, 4} workers cell is bitwise equal to per-query search and
+    charges the same pages, and per-shard counts sum exactly to the
+    coalesced and the aggregate totals."""
     reference = [index.search(query, k) for query in queries]
     reference_pages = None
     for workers in (1, 4):
-        for kernel in ("dense", "sparse", "auto"):
-            index.config.refine_kernel = kernel
-            index.config.shard_workers = workers
-            batch = index.search_batch(queries, k)
-            assert batch.stats.shard_workers == workers
-            assert batch.stats.refine_kernel in ("dense", "sparse")
-            if kernel != "auto":
-                assert batch.stats.refine_kernel == kernel
-            # exact page accounting: every cell charges the same pages
-            if reference_pages is None:
-                reference_pages = batch.stats.pages_read
-            assert batch.stats.pages_read == reference_pages
-            assert sum(batch.stats.pages_read_per_shard) == batch.stats.pages_coalesced
-            assert len(batch.stats.shard_seconds) == index.datastore.n_shards
-            for single, batched in zip(reference, batch):
-                np.testing.assert_array_equal(single.ids, batched.ids)
-                np.testing.assert_array_equal(single.divergences, batched.divergences)
+        index.config.shard_workers = workers
+        batch = index.search_batch(queries, k)
+        assert batch.stats.shard_workers == workers
+        # exact page accounting: every cell charges the same pages
+        if reference_pages is None:
+            reference_pages = batch.stats.pages_read
+        assert batch.stats.pages_read == reference_pages
+        assert sum(batch.stats.pages_read_per_shard) == batch.stats.pages_coalesced
+        assert len(batch.stats.shard_seconds) == index.datastore.n_shards
+        for single, batched in zip(reference, batch):
+            np.testing.assert_array_equal(single.ids, batched.ids)
+            np.testing.assert_array_equal(single.divergences, batched.divergences)
     assert sum(index.datastore.shard_pages_read) == index.tracker.total_pages_read
 
 
@@ -276,8 +270,8 @@ class TestFanoutPool:
 
 class TestParallelParityMatrix:
     """Acceptance: bitwise single/batch parity for every divergence under
-    all of {1, 4} workers x {dense, sparse, auto} kernels -- with
-    per-scope page accounting bitwise equal in every cell."""
+    {1, 4} workers -- with per-scope page accounting bitwise equal in
+    every cell.  (The test names keep the kernel axis they once had.)"""
 
     @pytest.mark.parametrize("name,divergence", all_decomposable_divergences(DIM))
     def test_backends_kernels_and_workers_bitwise_identical(self, name, divergence):
@@ -304,46 +298,6 @@ class TestParallelParityMatrix:
         )
         index = BrePartitionIndex(dataset.divergence, config).build(dataset.points)
         assert_fanout_matrix(index, dataset.queries, 10)
-
-    def test_sparse_kernel_on_single_disk_store(self):
-        divergence = SquaredEuclidean()
-        points = points_for(divergence, N_POINTS, DIM, seed=1)
-        queries = points_for(divergence, N_QUERIES, DIM, seed=2)
-        dense_index = BrePartitionIndex(
-            divergence,
-            BrePartitionConfig(n_partitions=3, seed=0, refine_kernel="dense"),
-        ).build(points)
-        sparse_index = BrePartitionIndex(
-            divergence,
-            BrePartitionConfig(n_partitions=3, seed=0, refine_kernel="sparse"),
-        ).build(points)
-        dense = dense_index.search_batch(queries, K)
-        sparse = sparse_index.search_batch(queries, K)
-        assert dense.stats.refine_kernel == "dense"
-        assert sparse.stats.refine_kernel == "sparse"
-        for a, b in zip(dense, sparse):
-            np.testing.assert_array_equal(a.ids, b.ids)
-            np.testing.assert_array_equal(a.divergences, b.divergences)
-
-    def test_auto_dispatch_follows_density_threshold(self, monkeypatch):
-        divergence = SquaredEuclidean()
-        points = points_for(divergence, N_POINTS, DIM, seed=1)
-        queries = points_for(divergence, N_QUERIES, DIM, seed=2)
-        index = sharded_index(divergence, points)
-        # threshold 0 can never be undercut (strict <) -> always dense
-        monkeypatch.setattr(refine_module, "SPARSE_DENSITY_THRESHOLD", 0.0)
-        assert index.search_batch(queries, K).stats.refine_kernel == "dense"
-        # skewed candidate sets: density 30/(2*100) = 0.15
-        skewed = [np.arange(10), np.arange(20)]
-        refine = index.pipeline.stage("refine")
-        monkeypatch.setattr(refine_module, "SPARSE_DENSITY_THRESHOLD", 0.2)
-        assert refine.choose_kernel(skewed, 100, 2) == "sparse"
-        monkeypatch.setattr(refine_module, "SPARSE_DENSITY_THRESHOLD", 0.1)
-        assert refine.choose_kernel(skewed, 100, 2) == "dense"
-        # pinned kernels ignore the threshold entirely
-        index.config.refine_kernel = "sparse"
-        assert refine.choose_kernel(skewed, 100, 2) == "sparse"
-
 
 class TestConcurrentAccounting:
     """Satellite: stress the per-shard trackers under a real thread pool."""
@@ -499,13 +453,22 @@ class TestConfigValidation:
         with pytest.raises(InvalidParameterError, match="shard_workers"):
             BrePartitionConfig(shard_workers=0)
 
-    def test_rejects_bad_refine_kernel(self):
-        with pytest.raises(InvalidParameterError, match="refine_kernel"):
-            BrePartitionConfig(refine_kernel="blocked")
+    def test_unknown_fields_are_rejected(self):
+        # slots: a retired or misspelt knob raises instead of creating an
+        # attribute nothing reads
+        with pytest.raises(TypeError, match="refine_kernel"):
+            BrePartitionConfig(refine_kernel="dense")
+        config = BrePartitionConfig()
+        with pytest.raises(AttributeError):
+            config.refine_kernel = "sparse"
+        with pytest.raises(AttributeError):
+            config.shard_worker = 4
+        assert config.shard_workers == 1
 
 
 class TestHarnessPlumbing:
     def test_run_workload_threads_workers_and_kernel(self):
+        # (the name keeps the kernel argument the harness no longer takes)
         from repro.datasets import load_dataset
         from repro.eval.harness import run_workload
 
@@ -523,12 +486,10 @@ class TestHarnessPlumbing:
             batch_size=4,
             shards=4,
             shard_workers=4,
-            refine_kernel="sparse",
         )
         assert index.config.shard_workers == 4
-        assert index.config.refine_kernel == "sparse"
-        assert result.extras["refine_kernel"] == "sparse"
         assert result.extras["shard_workers"] == 4
+        assert index.datastore.n_shards == 4
         assert result.mean_recall == 1.0
 
     def test_run_workload_rejects_bad_kernel(self):
@@ -539,7 +500,8 @@ class TestHarnessPlumbing:
         index = BrePartitionIndex(
             dataset.divergence, BrePartitionConfig(n_partitions=2, seed=0)
         ).build(dataset.points)
-        with pytest.raises(InvalidParameterError, match="refine_kernel"):
-            run_workload(index, dataset, k=2, refine_kernel="fast")
+        # the refinement-kernel argument is gone
+        with pytest.raises(TypeError, match="refine_kernel"):
+            run_workload(index, dataset, k=2, refine_kernel="dense")
         with pytest.raises(InvalidParameterError, match="shard_workers"):
             run_workload(index, dataset, k=2, shard_workers=0)

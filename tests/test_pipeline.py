@@ -2,11 +2,11 @@
 
 The contracts under test (ISSUE 4's tentpole): decomposing
 ``search_batch`` into Plan -> Fetch -> Refine -> Rerank stages must
-change *nothing* about the results -- for every decomposable divergence,
-every refinement kernel and the sharded fan-out, batched top-k ids and
-divergences stay bitwise equal to a brute-force oracle -- and the
-asyncio micro-batching front-end must serve every concurrent client a
-response bitwise identical to a direct ``search`` call.
+change *nothing* about the results -- for every decomposable divergence
+and the sharded fan-out, batched top-k ids and divergences stay bitwise
+equal to a brute-force oracle -- and the asyncio micro-batching
+front-end must serve every concurrent client a response bitwise
+identical to a direct ``search`` call.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from repro.pipeline import (
     SearchPipeline,
     default_stages,
 )
-from repro.pipeline import refine as refine_module
 from repro.pipeline import rerank as rerank_module
 from repro.pipeline.plan import PlanStage
 from repro.serve import MicroBatchConfig, MicroBatcher, make_serving_index
@@ -104,8 +103,8 @@ def fonts_refine():
     filter output for them and their looped-reference refinement."""
     index, queries = fonts_index(n=2000, n_queries=256, n_partitions=8)
     candidates = plan_candidates(index, queries, 10)
-    # per-query sets, not one shared file: the kernel-parity tests need
-    # the sparse layout's ragged rows
+    # per-query sets, not one shared file: the refinement-parity tests
+    # need a gathered union and ragged candidate rows
     assert len({ids.tobytes() for ids in candidates}) > 1
     looped = index.pipeline.refine_looped(candidates, queries, 10)
     return index, queries, candidates, looped
@@ -127,16 +126,14 @@ def assert_same_refined(got, want, n_queries):
         np.testing.assert_array_equal(a_divs, b_divs)
 
 
-def assert_kernels_agree(index, candidates, queries, k):
-    """Pinned dense and sparse refinement return bitwise-equal top-k."""
-    refined = {}
-    for kernel in ("dense", "sparse"):
-        index.config.refine_kernel = kernel
-        refined[kernel] = index.pipeline.refine_prefetched(
-            candidates, queries, k
-        ).refined
-    index.config.refine_kernel = "auto"
-    assert_same_refined(refined["sparse"], refined["dense"], len(candidates))
+def assert_matches_looped(index, candidates, queries, k):
+    """Refine's one kernel returns the looped reference's top-k bitwise,
+    from a ``(B, union)`` estimate matrix."""
+    ctx = index.pipeline.refine_prefetched(candidates, queries, k)
+    union = np.unique(np.concatenate(candidates))
+    assert ctx.estimates.shape == (len(candidates), union.size)
+    looped = index.pipeline.refine_looped(candidates, queries, k)
+    assert_same_refined(ctx.refined, looped, len(candidates))
 
 
 class TestPipelineOracleParity:
@@ -150,15 +147,11 @@ class TestPipelineOracleParity:
             divergence, points, n_shards=4, page_size_bytes=PAGE_BYTES
         )
         index.config.shard_workers = 4
-        for kernel in ("dense", "sparse", "auto"):
-            index.config.refine_kernel = kernel
-            batch = index.search_batch(queries, K)
-            for query, result in zip(queries, batch):
-                oracle_ids, oracle_divs = brute_force_knn(
-                    divergence, points, query, K
-                )
-                np.testing.assert_array_equal(result.ids, oracle_ids)
-                np.testing.assert_array_equal(result.divergences, oracle_divs)
+        batch = index.search_batch(queries, K)
+        for query, result in zip(queries, batch):
+            oracle_ids, oracle_divs = brute_force_knn(divergence, points, query, K)
+            np.testing.assert_array_equal(result.ids, oracle_ids)
+            np.testing.assert_array_equal(result.divergences, oracle_divs)
 
     @pytest.mark.parametrize("name,divergence", all_decomposable_divergences(DIM))
     def test_single_search_matches_brute_force_bitwise(self, name, divergence):
@@ -170,48 +163,6 @@ class TestPipelineOracleParity:
             oracle_ids, oracle_divs = brute_force_knn(divergence, points, query, K)
             np.testing.assert_array_equal(result.ids, oracle_ids)
             np.testing.assert_array_equal(result.divergences, oracle_divs)
-
-
-class TestChooseKernelEdges:
-    """Satellite: the adaptive dispatcher's degenerate and boundary cases."""
-
-    def _stage(self, **kwargs):
-        divergence = SquaredEuclidean()
-        points = points_for(divergence, N_POINTS, DIM, seed=1)
-        index = build_index(divergence, points, **kwargs)
-        return index, index.pipeline.stage("refine")
-
-    def test_empty_candidate_lists_have_zero_density(self):
-        # all-empty candidate lists: total_pairs == 0, density 0 is
-        # strictly below any positive threshold -> sparse (which then
-        # scores zero pairs)
-        _, stage = self._stage()
-        empty = [np.empty(0, dtype=int) for _ in range(3)]
-        assert stage.choose_kernel(empty, 100, 3) == "sparse"
-
-    def test_zero_union_or_zero_queries_is_dense(self):
-        # density is undefined at union 0 / B 0; the dispatcher answers
-        # "dense" and the stage scores nothing either way
-        _, stage = self._stage()
-        assert stage.choose_kernel([], 0, 0) == "dense"
-        assert stage.choose_kernel([], 100, 0) == "dense"
-        assert stage.choose_kernel([np.arange(3)], 0, 1) == "dense"
-
-    def test_density_exactly_at_threshold_is_dense(self, monkeypatch):
-        # the comparison is strict: density == threshold keeps dense
-        _, stage = self._stage()
-        candidates = [np.arange(25), np.arange(25)]  # 50 / (100 * 2) = 0.25
-        monkeypatch.setattr(refine_module, "SPARSE_DENSITY_THRESHOLD", 0.25)
-        assert stage.choose_kernel(candidates, 100, 2) == "dense"
-        monkeypatch.setattr(refine_module, "SPARSE_DENSITY_THRESHOLD", 0.2500001)
-        assert stage.choose_kernel(candidates, 100, 2) == "sparse"
-
-    def test_forced_kernels_ignore_degenerate_batches(self):
-        index, stage = self._stage(refine_kernel="sparse")
-        assert stage.choose_kernel([], 0, 0) == "sparse"
-        assert stage.choose_kernel([np.empty(0, dtype=int)], 0, 1) == "sparse"
-        index.config.refine_kernel = "dense"
-        assert stage.choose_kernel([np.empty(0, dtype=int)], 0, 1) == "dense"
 
 
 class TestStageMechanics:
@@ -254,6 +205,16 @@ class TestStageMechanics:
         looped = index.pipeline.refine_looped(candidates, queries, K)
         assert_same_refined(staged, looped, N_QUERIES)
 
+    def test_refine_scores_nothing_without_candidates(self):
+        # an empty union: Refine scores nothing, so it leaves no
+        # estimates and no kernel name, and every frozen top-k is empty
+        index, _ = self._index()
+        queries = points_for(SquaredEuclidean(), 3, DIM, seed=2)
+        empty = [np.empty(0, dtype=int)] * 3
+        ctx = index.pipeline.refine_prefetched(empty, queries, K)
+        assert ctx.refine_kernel is None and ctx.estimates is None
+        assert [(ids.size, divs.size) for ids, divs in ctx.refined] == [(0, 0)] * 3
+
     @pytest.mark.parametrize("batch_size", [1, 16, 64, 256])
     def test_refine_prefetched_matches_looped_on_fonts(
         self, fonts_refine, batch_size
@@ -292,12 +253,13 @@ class TestStageMechanics:
 
 
 class TestKernelsOnSynthesizedCandidates:
-    """Dense and sparse refinement agree bitwise on the fonts proxy at
-    the two ends of the auto threshold's range."""
+    """Refine's one kernel matches the looped reference bitwise on the
+    fonts proxy's synthesized candidate sets: a mid-density one, and the
+    Pareto-skewed one, its most ragged gathered union."""
 
     def test_mid_density(self, fonts_refine):
         # each of 64 queries keeps a uniform half of an 800-row pool:
-        # density ~0.5, the regime a per-query row gather would target
+        # density ~0.5
         index, queries, _, _ = fonts_refine
         queries = queries[:64]
         rng = np.random.default_rng(7)
@@ -305,15 +267,12 @@ class TestKernelsOnSynthesizedCandidates:
         candidates = [
             np.sort(rng.choice(pool, size=400, replace=False)) for _ in queries
         ]
-        assert_kernels_agree(index, candidates, queries, 10)
-        union = np.unique(np.concatenate(candidates))
-        refine = index.pipeline.stage("refine")
-        assert refine.choose_kernel(candidates, union.size, 64) == "dense"
+        assert_matches_looped(index, candidates, queries, 10)
 
     def test_pareto_skewed(self):
         # per-query candidate sets Pareto-distributed over contiguous id
         # runs: most keep a few dozen rows, a heavy tail up to the file.
-        # At n=6,000 the density is ~0.02, below the BLAS break-even.
+        # At n=6,000 the density is ~0.02.
         index, queries = fonts_index(n=6000, n_queries=64, n_partitions=8)
         n = index.n_points
         rng = np.random.default_rng(1)
@@ -323,10 +282,7 @@ class TestKernelsOnSynthesizedCandidates:
             np.unique((starts[q] + np.arange(max(10, sizes[q]))) % n)
             for q in range(64)
         ]
-        assert_kernels_agree(index, candidates, queries, 10)
-        union = np.unique(np.concatenate(candidates))
-        refine = index.pipeline.stage("refine")
-        assert refine.choose_kernel(candidates, union.size, 64) == "sparse"
+        assert_matches_looped(index, candidates, queries, 10)
 
 
 class TestCrossBatchPoolReuse:
@@ -463,7 +419,7 @@ def assert_scores_certified(index, contexts):
         estimable = divergence.estimable(conditioned)
         for q, ids in enumerate(ctx.candidates):
             rows = ctx.row_of[ids]
-            got, bound = ctx.scores_of(q, rows), ctx.bound_of(q, rows)
+            got, bound = ctx.estimates[q, rows], ctx.bound_of(q, rows)
             if not estimable[q]:
                 assert np.isnan(got).all() and np.isnan(bound).all()
                 continue
@@ -479,7 +435,7 @@ def assert_scores_certified(index, contexts):
             assert np.all(np.abs(fresh[:, 0] - direct) <= bound)
             if ids.size == ctx.union.size:
                 # the in-place read Rerank takes for a whole union
-                np.testing.assert_array_equal(ctx.scores_of(q, slice(None)), got)
+                np.testing.assert_array_equal(ctx.estimates[q], got)
                 np.testing.assert_array_equal(ctx.bound_of(q, slice(None)), bound)
 
 
@@ -487,21 +443,19 @@ class TestRefineScoresPinned:
     """Refine's estimates themselves, not just the top-k the oracle
     suites check (a wrong but well-ordered kernel still ranks right and
     only slows the rerank).  Estimates run through BLAS, so their bits
-    are not pinned; their certificate is: every ``ctx.scores_of(q,
-    rows)`` is within the context's ``ctx.bound_of(q, rows)`` of
+    are not pinned; their certificate is: every ``ctx.estimates[q,
+    rows]`` is within the context's ``ctx.bound_of(q, rows)`` of
     ``batch_divergence`` over the store's own rows (``peek``), and that
     bound is the one freshly computed terms give (``certify``), on every
     base a mutation can publish.  (Until the certificate, this pinned
     the fixed-order scores bitwise; the test names are kept.)"""
 
     @pytest.mark.parametrize("base", BASES)
-    @pytest.mark.parametrize("kernel", ["dense", "sparse"])
     @pytest.mark.parametrize("name,divergence", all_decomposable_divergences(DIM))
     def test_scores_equal_fresh_terms_over_store_rows(
-        self, name, divergence, kernel, base, tmp_path, monkeypatch
+        self, name, divergence, base, tmp_path, monkeypatch
     ):
         index = index_on_base(divergence, base, tmp_path)
-        index.config.refine_kernel = kernel
         queries = points_for(divergence, 32, DIM, seed=2)
         contexts = observe(index)
         index.search(queries[0], K)
@@ -511,7 +465,7 @@ class TestRefineScoresPinned:
             assert not index.search_batch(queries[:3], K).stats.covered
         index.close()
         assert len(contexts) == 3
-        assert all(ctx.refine_kernel == kernel for ctx in contexts)
+        assert all(ctx.refine_kernel == "dense" for ctx in contexts)
         assert_scores_certified(index, contexts)
 
     @pytest.mark.parametrize("base", BASES)
@@ -542,7 +496,7 @@ class TestRefineScoresPinned:
             for q, ids in enumerate(ctx.candidates):
                 rows = ctx.row_of[ids]
                 kept = rerank_module.survivors(
-                    ctx.scores_of(q, rows), ctx.bound_of(q, rows), K
+                    ctx.estimates[q, rows], ctx.bound_of(q, rows), K
                 )
                 assert kept.size == min(ids.size, K)
                 want.append(kept.size)
@@ -562,15 +516,14 @@ class TestOverflowingQueries:
     error::RuntimeWarning`` the search raised instead."""
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("kernel", ["dense", "sparse"])
-    def test_far_query_coordinates_match_the_oracle(self, kernel, monkeypatch):
+    def test_far_query_coordinates_match_the_oracle(self, monkeypatch):
         divergence = ExponentialDistance(max_abs=700.0)
         rng = np.random.default_rng(0)
         points = rng.uniform(-690.0, -600.0, size=(300, 8))
         queries = rng.uniform(-690.0, -600.0, size=(20, 8))
         far = rng.integers(0, 8, size=20)
         queries[np.arange(20), far] = rng.uniform(100.0, 300.0, size=20)
-        index = build_index(divergence, points, n_partitions=1, refine_kernel=kernel)
+        index = build_index(divergence, points, n_partitions=1)
         oracle = [brute_force_knn(divergence, points, query, K) for query in queries]
         results = [index.search(query, K) for query in queries]
         batch = index.search_batch(queries, K)
@@ -660,8 +613,8 @@ class TestUnderflowingTerms:
     Squared Euclidean near 1e-162: every product underflows, and the
     rounding part of the bound is zero."""
 
-    def _check(self, divergence, points, queries, kernel, monkeypatch, k):
-        index = build_index(divergence, points, n_partitions=1, refine_kernel=kernel)
+    def _check(self, divergence, points, queries, monkeypatch, k):
+        index = build_index(divergence, points, n_partitions=1)
         oracle = [brute_force_knn(divergence, points, query, k) for query in queries]
         results = [index.search(query, k) for query in queries]
         batch = index.search_batch(queries, k)
@@ -677,12 +630,11 @@ class TestUnderflowingTerms:
             np.testing.assert_array_equal(result.divergences, divs)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("kernel", ["dense", "sparse"])
-    def test_subnormal_exponentials_match_the_oracle(self, kernel, monkeypatch):
+    def test_subnormal_exponentials_match_the_oracle(self, monkeypatch):
         divergence = ExponentialDistance(max_abs=700.0)
         points = np.array([[700.0, -100.0], [-44.95, -44.95], [-44.07, -100.0]])
         queries = np.array([[-100.0, -100.0], [-90.0, -100.0], [-5.0, -5.0]])
-        self._check(divergence, points, queries, kernel, monkeypatch, k=1)
+        self._check(divergence, points, queries, monkeypatch, k=1)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_subnormal_query_exponentials_are_refused(self):
@@ -704,12 +656,11 @@ class TestUnderflowingTerms:
                 )
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("kernel", ["dense", "sparse"])
-    def test_subnormal_products_match_the_oracle(self, kernel, monkeypatch):
+    def test_subnormal_products_match_the_oracle(self, monkeypatch):
         rng = np.random.default_rng(0)
         points = rng.normal(0.0, 1e-162, size=(200, 6))
         queries = rng.normal(0.0, 1e-162, size=(8, 6))
-        self._check(SquaredEuclidean(), points, queries, kernel, monkeypatch, k=K)
+        self._check(SquaredEuclidean(), points, queries, monkeypatch, k=K)
 
 
 class TestSearchPathReadsNoVectors:
